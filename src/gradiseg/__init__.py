@@ -9,7 +9,7 @@ from .laknn import (NeighborQuery, global_neighbors, local_adaptive_neighbors,
                     loss_3d, neighbor_direction)
 from .metrics import EvalReport, evaluate_masks, mbiou, miou, psnr
 from .render import (Fragment, RenderOptions, RenderOutput, group_weight_mask,
-                     pixel_alpha, render, render_group_weights)
+                     pixel_alpha, render_group_weights)
 from .scene import (Gaussian, GaussianCloud, GroupTable, assign_groups,
                     extract_group, load_scene, recolor_group, remove_group,
                     save_scene)
@@ -29,7 +29,7 @@ __all__ = [
     "group_weight_mask", "igd_step", "load_dataset", "load_scene",
     "local_adaptive_neighbors", "look_at", "loss_2d", "loss_3d", "mbiou",
     "miou", "neighbor_direction", "pixel_alpha", "project_cloud",
-    "project_gaussian", "psnr", "recolor_group", "remove_group", "render",
+    "project_gaussian", "psnr", "recolor_group", "remove_group",
     "render_group_weights", "save_dataset", "save_scene", "segment_mask",
     "split_gaussian", "total_loss", "train",
 ]

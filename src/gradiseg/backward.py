@@ -42,12 +42,6 @@ class ParamGrads:
                    np.zeros((n, 3), dtype=dtype), np.zeros((n, d), dtype=dtype),
                    np.zeros(n, dtype=bool))
 
-    def add_scaled(self, other: "ParamGrads", factor: float = 1.0) -> "ParamGrads":
-        for f in self._FIELDS:
-            getattr(self, f)[...] += factor * getattr(other, f)
-        self.visible |= other.visible
-        return self
-
 
 def _segment_suffix_sum(values: np.ndarray, frag_start: np.ndarray,
                         seg_of_frag: np.ndarray) -> np.ndarray:
@@ -200,12 +194,10 @@ def backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutput,
 def accumulate_monitors(cloud: GaussianCloud, grads: ParamGrads) -> None:
     """Update the per-Gaussian monitors after one backward pass.
 
-    id_grad_accum_i += ||dL/de_i||_2 (and id_grad_vec_i += dL/de_i for the
-    vector-sum monitor variant); visible_count increments where the Gaussian
-    produced at least one fragment; pos_grad_ema <- 0.9 ema + 0.1 dL/dp.
+    id_grad_accum_i += ||dL/de_i||_2; visible_count increments where the
+    Gaussian produced at least one fragment; pos_grad_ema <- 0.9 ema + 0.1 dL/dp.
     """
     cloud.id_grad_accum += np.linalg.norm(grads.encodings, axis=1)
-    cloud.id_grad_vec += grads.encodings
     cloud.visible_count += grads.visible.astype(np.int64)
     cloud.pos_grad_ema *= 0.9
     cloud.pos_grad_ema += 0.1 * grads.positions

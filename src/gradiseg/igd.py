@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rotation import quat_to_rot
-from .scene import Gaussian, GaussianCloud
+from .scene import MONITORS, Gaussian, GaussianCloud
 
 
 @dataclass
@@ -23,26 +23,22 @@ class IgdConfig:
     too_large_frac: float = 0.1      # of scene extent
     split_scale_div: float = 1.6
     split_offset_frac: float = 0.5   # of the largest scale component
-    interval: int = 100
-    split_direction: str = "principal-axis"  # or "position-gradient"
-    monitor_mode: str = "norm"       # "norm": sum of |de|; "vector": |sum de|
 
     def __post_init__(self):
         if not (0 < self.tau_percentile < 100):
             raise ValueError("tau_percentile must be in (0, 100)")
         for name in ("opacity_eps", "too_large_frac", "split_scale_div",
-                     "split_offset_frac", "interval"):
+                     "split_offset_frac"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.split_direction not in ("principal-axis", "position-gradient"):
-            raise ValueError(f"unknown split_direction {self.split_direction!r}")
-        if self.monitor_mode not in ("norm", "vector"):
-            raise ValueError(f"unknown monitor_mode {self.monitor_mode!r}")
 
 
 @dataclass
 class IgdResult:
+    """The new cloud is `cloud` rows `kept` followed by 2 * n_split children."""
+
     cloud: GaussianCloud
+    kept: np.ndarray
     n_pruned: int
     n_split: int
     threshold: float
@@ -57,15 +53,12 @@ def _split_axis(scale: np.ndarray, rotation: np.ndarray) -> np.ndarray:
     return quat_to_rot(rotation.astype(np.float64))[:, axis]
 
 
-def split_gaussian(g: Gaussian, cfg: IgdConfig,
-                   pos_grad_ema: np.ndarray | None = None) -> tuple[Gaussian, Gaussian]:
+def split_gaussian(g: Gaussian, cfg: IgdConfig) -> tuple[Gaussian, Gaussian]:
     """Split one Gaussian into two children on either side of the boundary.
 
-    Children sit at p +- split_offset_frac * s_max * v with all scale
-    components divided by split_scale_div; rotation, opacity, color and
-    identity encoding are copied. v is the major principal axis, or the
-    negated position-gradient EMA in position-gradient mode (falling back to
-    the principal axis when the EMA is numerically zero). Degenerate scales
+    Children sit at p +- split_offset_frac * s_max * v, v the major principal
+    axis, with all scale components divided by split_scale_div; rotation,
+    opacity, color and identity encoding are copied. Degenerate scales
     (s_max < 1e-9) clone in place without offset or shrink.
     """
     s_max = float(np.max(g.scale))
@@ -74,13 +67,7 @@ def split_gaussian(g: Gaussian, cfg: IgdConfig,
                          g.opacity, g.color.copy(), g.encoding.copy()),
                 Gaussian(g.position.copy(), g.scale.copy(), g.rotation.copy(),
                          g.opacity, g.color.copy(), g.encoding.copy()))
-    v = None
-    if cfg.split_direction == "position-gradient" and pos_grad_ema is not None:
-        norm = np.linalg.norm(pos_grad_ema)
-        if norm >= 1e-12:
-            v = -np.asarray(pos_grad_ema, dtype=np.float64) / norm
-    if v is None:
-        v = _split_axis(g.scale, g.rotation)
+    v = _split_axis(g.scale, g.rotation)
     offset = (cfg.split_offset_frac * s_max * v).astype(g.position.dtype)
     new_scale = (g.scale / cfg.split_scale_div).astype(g.scale.dtype)
     mk = lambda p: Gaussian(p, new_scale.copy(), g.rotation.copy(), g.opacity,
@@ -88,90 +75,59 @@ def split_gaussian(g: Gaussian, cfg: IgdConfig,
     return mk(g.position + offset), mk(g.position - offset)
 
 
-def _split_rows(cloud: GaussianCloud, rows: np.ndarray, cfg: IgdConfig) -> GaussianCloud:
-    """Vectorized split of the given rows; children interleave (+, -) per parent."""
-    dt = cloud.dtype
-    s = cloud.scales[rows]
-    s_max = s.max(axis=1)
-    degenerate = s_max < 1e-9
+def split_rows(cloud: GaussianCloud, rows: np.ndarray, offsets: np.ndarray,
+               scales: np.ndarray) -> GaussianCloud:
+    """Two children per parent in `rows`, parent by parent.
 
-    if cfg.split_direction == "position-gradient":
-        ema = cloud.pos_grad_ema[rows]
-        norms = np.linalg.norm(ema, axis=1)
-        use_ema = norms >= 1e-12
-        v = np.zeros((rows.size, 3), dtype=dt)
-        v[use_ema] = -ema[use_ema] / norms[use_ema, None]
-    else:
-        use_ema = np.zeros(rows.size, dtype=bool)
-        v = np.zeros((rows.size, 3), dtype=dt)
-    if not use_ema.all():
-        R = quat_to_rot(cloud.rotations[rows[~use_ema]])
-        axes = np.argmax(s[~use_ema], axis=1)
-        v[~use_ema] = R[np.arange(axes.size), :, axes]
-
-    offset = cfg.split_offset_frac * s_max[:, None] * v
-    offset[degenerate] = 0.0
-    new_scale = s / dt.type(cfg.split_scale_div)
-    new_scale[degenerate] = s[degenerate]
-
-    m = rows.size
-    pos = np.empty((2 * m, 3), dtype=dt)
-    pos[0::2] = cloud.positions[rows] + offset
-    pos[1::2] = cloud.positions[rows] - offset
-    rep = np.repeat(rows, 2)
-    children = GaussianCloud(
-        pos, np.repeat(new_scale, 2, axis=0), cloud.rotations[rep],
-        cloud.opacities[rep], cloud.colors[rep], cloud.encodings[rep],
-        cloud.group_ids[rep],
-    )
+    Child c of the i-th parent sits at the parent's position plus
+    offsets[2i + c] with scales[i]; it copies the parent's other scene fields
+    and starts with zero gradient monitors.
+    """
+    children = cloud.select(np.repeat(rows, 2))
+    children.positions += offsets
+    children.scales = np.repeat(scales, 2, axis=0)
+    for name in MONITORS:
+        getattr(children, name)[:] = 0
     return children
 
 
-def monitor_values(cloud: GaussianCloud, mode: str = "norm") -> np.ndarray:
-    """Per-Gaussian mean monitor: accumulated identity gradient / visible count."""
-    denom = np.maximum(cloud.visible_count, 1)
-    if mode == "vector":
-        return np.linalg.norm(cloud.id_grad_vec, axis=1) / denom
-    return cloud.id_grad_accum / denom
-
-
-def igd_step(cloud: GaussianCloud, cfg: IgdConfig, scene_extent: float | None = None,
-             followers: tuple = ()) -> IgdResult:
+def igd_step(cloud: GaussianCloud, cfg: IgdConfig,
+             scene_extent: float | None = None) -> IgdResult:
     """One densification pass: prune, split anomalous rows, reset monitors.
 
-    `followers` are row-synchronized companions (optimizer state, densify
-    stats) exposing select_rows(index) and append_rows(count); they receive
-    the same row edits, with new rows zero-initialized.
+    Rows whose mean monitor (accumulated identity-gradient norm per visible
+    iteration) exceeds the tau_percentile of the surviving visible rows are
+    split along their major principal axis, as split_gaussian does.
     """
     if scene_extent is None:
         scene_extent = cloud.scene_extent()
 
-    keep = ~((cloud.opacities < cfg.opacity_eps)
-             | (cloud.scales.max(axis=1) > cfg.too_large_frac * scene_extent))
-    n_pruned = int((~keep).sum())
-    keep_idx = np.nonzero(keep)[0]
-    cloud = cloud.select(keep_idx)
-    for f in followers:
-        f.select_rows(keep_idx)
-
-    m = monitor_values(cloud, cfg.monitor_mode)
-    seen = cloud.visible_count > 0
+    alive = ~((cloud.opacities < cfg.opacity_eps)
+              | (cloud.scales.max(axis=1) > cfg.too_large_frac * scene_extent))
+    m = cloud.id_grad_accum / np.maximum(cloud.visible_count, 1)
+    seen = alive & (cloud.visible_count > 0)
     if seen.any():
         tau = float(np.percentile(m[seen], cfg.tau_percentile))
-        split_mask = m > tau
+        split = alive & (m > tau)
     else:
         tau = 0.0
-        split_mask = np.zeros(cloud.n, dtype=bool)
-    split_rows = np.nonzero(split_mask)[0]
-    n_split = split_rows.size
+        split = np.zeros(cloud.n, dtype=bool)
+    kept = np.nonzero(alive & ~split)[0]
+    rows = np.nonzero(split)[0]
 
-    if n_split:
-        children = _split_rows(cloud, split_rows, cfg)
-        survivors = np.nonzero(~split_mask)[0]
-        cloud = cloud.select(survivors).append(children)
-        for f in followers:
-            f.select_rows(survivors)
-            f.append_rows(2 * n_split)
+    dt = cloud.dtype
+    s = cloud.scales[rows]
+    s_max = s.max(axis=1)
+    degenerate = s_max < 1e-9
+    R = quat_to_rot(cloud.rotations[rows])
+    v = R[np.arange(rows.size), :, np.argmax(s, axis=1)]
+    offset = cfg.split_offset_frac * s_max[:, None] * v
+    offset[degenerate] = 0.0
+    new_scale = s / dt.type(cfg.split_scale_div)
+    new_scale[degenerate] = s[degenerate]
+    offsets = np.stack([offset, -offset], axis=1).reshape(-1, 3)
 
+    cloud = cloud.select(kept).append(split_rows(cloud, rows, offsets, new_scale))
     cloud.reset_monitors()
-    return IgdResult(cloud=cloud, n_pruned=n_pruned, n_split=n_split, threshold=tau)
+    return IgdResult(cloud=cloud, kept=kept, n_pruned=int((~alive).sum()),
+                     n_split=rows.size, threshold=tau)

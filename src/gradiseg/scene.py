@@ -35,18 +35,6 @@ class Gaussian:
     color: np.ndarray
     encoding: np.ndarray
 
-    def validate(self) -> None:
-        if not np.all(self.scale > 0):
-            raise ValueError("scale components must be strictly positive")
-        if abs(np.linalg.norm(self.rotation) - 1.0) > QUAT_NORM_TOL:
-            raise ValueError("rotation quaternion must be unit length")
-        if not (0.0 <= self.opacity <= 1.0):
-            raise ValueError("opacity out of range [0, 1]")
-        if np.any(self.color < 0) or np.any(self.color > 1):
-            raise ValueError("color components out of range [0, 1]")
-        if not np.all(np.isfinite(self.encoding)):
-            raise ValueError("identity encoding must be finite")
-
 
 @dataclass
 class GroupTable:
@@ -74,44 +62,65 @@ class GroupTable:
         return tuple(rng.uniform(0.2, 1.0, 3))
 
 
+# Every per-Gaussian row field, in constructor order: name, trailing shape
+# ("D" is the encoding dimension), dtype ("f" is the cloud's float dtype) and
+# the value of each row when the field is left out (None: required). The
+# last three are the gradient monitors that backward.accumulate_monitors
+# updates; IGD reads and resets id_grad_accum and visible_count, LA-KNN
+# reads pos_grad_ema.
+ROW_FIELDS = (
+    ("positions", (3,), "f", None),
+    ("scales", (3,), "f", None),
+    ("rotations", (4,), "f", None),
+    ("opacities", (), "f", None),
+    ("colors", (3,), "f", None),
+    ("encodings", ("D",), "f", None),
+    ("group_ids", (), np.int32, -1),
+    ("id_grad_accum", (), "f", 0),
+    ("pos_grad_ema", (3,), "f", 0),
+    ("visible_count", (), np.int64, 0),
+)
+ROW_NAMES = tuple(f[0] for f in ROW_FIELDS)
+MONITORS = ROW_NAMES[-3:]
+
+
 class GaussianCloud:
     """The trainable scene: N Gaussians plus per-Gaussian gradient monitors.
 
-    Arrays:
-      positions (N,3), scales (N,3) strictly positive, rotations (N,4) unit wxyz,
-      opacities (N,), colors (N,3), encodings (N,D), group_ids (N,) int32 with -1
-      meaning unassigned, id_grad_accum (N,) summed identity-gradient norms,
-      id_grad_vec (N,D) summed identity-gradient vectors (alternative monitor),
-      pos_grad_ema (N,3), visible_count (N,) int64.
+    One attribute per entry of ROW_FIELDS, all row-aligned: positions (N,3),
+    scales (N,3) strictly positive, rotations (N,4) unit wxyz, opacities (N,),
+    colors (N,3), encodings (N,D), group_ids (N,) int32 with -1 meaning
+    unassigned, id_grad_accum (N,) summed identity-gradient norms,
+    pos_grad_ema (N,3) and visible_count (N,) int64. Fields are passed in that
+    order or by name. Every row edit (select/append) moves all of them.
     """
 
-    def __init__(self, positions, scales, rotations, opacities, colors, encodings,
-                 group_ids=None, id_grad_accum=None, id_grad_vec=None,
-                 pos_grad_ema=None, visible_count=None):
-        dtype = np.asarray(positions).dtype
+    def __init__(self, *columns, **named):
+        given = dict(zip(ROW_NAMES, columns), **named)
+        unknown = set(given) - set(ROW_NAMES)
+        if unknown or len(columns) > len(ROW_NAMES):
+            raise TypeError(f"unknown row fields {sorted(unknown)}")
+        dtype = np.asarray(given["positions"]).dtype
         if dtype not in (np.float32, np.float64):
             dtype = np.float64
-        n = len(positions)
-        self.positions = np.ascontiguousarray(positions, dtype=dtype).reshape(n, 3)
-        self.scales = np.ascontiguousarray(scales, dtype=dtype).reshape(n, 3)
-        self.rotations = np.ascontiguousarray(rotations, dtype=dtype).reshape(n, 4)
-        self.opacities = np.ascontiguousarray(opacities, dtype=dtype).reshape(n)
-        self.colors = np.ascontiguousarray(colors, dtype=dtype).reshape(n, 3)
-        enc = np.ascontiguousarray(encodings, dtype=dtype)
-        self.encodings = enc if enc.ndim == 2 else enc.reshape(n, -1)
-        if self.encodings.shape[0] != n:
-            raise ValueError("encodings row count does not match positions")
-        self.group_ids = (np.full(n, -1, dtype=np.int32) if group_ids is None
-                          else np.ascontiguousarray(group_ids, dtype=np.int32).reshape(n))
-        d = self.encodings.shape[1]
-        self.id_grad_accum = (np.zeros(n, dtype=dtype) if id_grad_accum is None
-                              else np.ascontiguousarray(id_grad_accum, dtype=dtype).reshape(n))
-        self.id_grad_vec = (np.zeros((n, d), dtype=dtype) if id_grad_vec is None
-                            else np.ascontiguousarray(id_grad_vec, dtype=dtype).reshape(n, d))
-        self.pos_grad_ema = (np.zeros((n, 3), dtype=dtype) if pos_grad_ema is None
-                             else np.ascontiguousarray(pos_grad_ema, dtype=dtype).reshape(n, 3))
-        self.visible_count = (np.zeros(n, dtype=np.int64) if visible_count is None
-                              else np.ascontiguousarray(visible_count, dtype=np.int64).reshape(n))
+        n = len(given["positions"])
+        enc = np.asarray(given["encodings"])
+        d = enc.shape[1] if enc.ndim == 2 else enc.reshape(n, -1).shape[1]
+        for name, shape, kind, fill in ROW_FIELDS:
+            shape = (n,) + tuple(d if s == "D" else s for s in shape)
+            dt = dtype if kind == "f" else kind
+            value = given.get(name)
+            if value is None:
+                if fill is None:
+                    raise TypeError(f"missing row field {name!r}")
+                arr = np.full(shape, fill, dtype=dt)
+            else:
+                arr = np.ascontiguousarray(value, dtype=dt).reshape(shape)
+            setattr(self, name, arr)
+
+    def _map(self, fn) -> "GaussianCloud":
+        """New cloud whose every row field is fn(field)."""
+        return GaussianCloud(**{name: fn(getattr(self, name)) for name in ROW_NAMES})
 
     # -- basic queries -------------------------------------------------------
 
@@ -146,19 +155,10 @@ class GaussianCloud:
         )
 
     def copy(self) -> "GaussianCloud":
-        return GaussianCloud(
-            self.positions.copy(), self.scales.copy(), self.rotations.copy(),
-            self.opacities.copy(), self.colors.copy(), self.encodings.copy(),
-            self.group_ids.copy(), self.id_grad_accum.copy(), self.id_grad_vec.copy(),
-            self.pos_grad_ema.copy(), self.visible_count.copy(),
-        )
+        return self._map(np.copy)
 
     def astype(self, dtype) -> "GaussianCloud":
-        c = self.copy()
-        for name in ("positions", "scales", "rotations", "opacities", "colors",
-                     "encodings", "id_grad_accum", "id_grad_vec", "pos_grad_ema"):
-            setattr(c, name, getattr(c, name).astype(dtype))
-        return c
+        return self._map(lambda a: a.astype(dtype) if a.dtype.kind == "f" else a.copy())
 
     def scene_extent(self) -> float:
         """Diagonal length of the positions' axis-aligned bounding box (1.0 for N < 2)."""
@@ -172,12 +172,8 @@ class GaussianCloud:
 
     def validate(self) -> None:
         n, d = self.n, self.dim
-        for name, shape in (("positions", (n, 3)), ("scales", (n, 3)),
-                            ("rotations", (n, 4)), ("opacities", (n,)),
-                            ("colors", (n, 3)), ("encodings", (n, d)),
-                            ("group_ids", (n,)), ("id_grad_accum", (n,)),
-                            ("id_grad_vec", (n, d)), ("pos_grad_ema", (n, 3)),
-                            ("visible_count", (n,))):
+        for name, shape, _, _ in ROW_FIELDS:
+            shape = (n,) + tuple(d if s == "D" else s for s in shape)
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
@@ -203,35 +199,21 @@ class GaussianCloud:
 
     def select(self, index) -> "GaussianCloud":
         """New cloud with rows `index` (bool mask or index array), order preserved."""
-        return GaussianCloud(
-            self.positions[index], self.scales[index], self.rotations[index],
-            self.opacities[index], self.colors[index], self.encodings[index],
-            self.group_ids[index], self.id_grad_accum[index], self.id_grad_vec[index],
-            self.pos_grad_ema[index], self.visible_count[index],
-        )
+        return self._map(lambda a: a[index])
 
     def append(self, other: "GaussianCloud") -> "GaussianCloud":
         """New cloud = self rows followed by other's rows."""
         if other.dim != self.dim:
             raise ValueError("encoding dimension mismatch")
-        cat = lambda a, b: np.concatenate([a, b], axis=0)
-        return GaussianCloud(
-            cat(self.positions, other.positions.astype(self.dtype)),
-            cat(self.scales, other.scales.astype(self.dtype)),
-            cat(self.rotations, other.rotations.astype(self.dtype)),
-            cat(self.opacities, other.opacities.astype(self.dtype)),
-            cat(self.colors, other.colors.astype(self.dtype)),
-            cat(self.encodings, other.encodings.astype(self.dtype)),
-            cat(self.group_ids, other.group_ids),
-            cat(self.id_grad_accum, other.id_grad_accum.astype(self.dtype)),
-            cat(self.id_grad_vec, other.id_grad_vec.astype(self.dtype)),
-            cat(self.pos_grad_ema, other.pos_grad_ema.astype(self.dtype)),
-            cat(self.visible_count, other.visible_count),
-        )
+        return GaussianCloud(**{
+            name: np.concatenate([getattr(self, name),
+                                  getattr(other, name).astype(getattr(self, name).dtype)])
+            for name in ROW_NAMES})
 
     def reset_monitors(self) -> None:
+        """Zero the identity-gradient monitors after an IGD pass; the
+        position-gradient EMA carries on."""
         self.id_grad_accum[:] = 0
-        self.id_grad_vec[:] = 0
         self.visible_count[:] = 0
 
 

@@ -8,25 +8,30 @@ Schedule phases (iteration i, total T):
 
 Each iteration renders one training view (round robin), computes
 L = L1 + alpha*L2d + beta*L3d, backpropagates, accumulates monitors, steps
-Adam, then applies any scheduled row edits. The last manifest view is held
-out for PSNR logging and never trained on.
+Adam, then applies any scheduled row edit. A densifier returns the new cloud
+and `kept`, the old rows that form its prefix; Adam keeps those rows'
+moments, new rows start at zero, and DensifyStats restarts. The last
+manifest view is held out for PSNR logging and never trained on.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .backward import ParamGrads, accumulate_monitors, backward
 from .dataset import Dataset, infer_scene_bounds
-from .igd import IgdConfig, igd_step
+from .igd import IgdConfig, igd_step, split_rows
 from .laknn import loss_3d
 from .metrics import psnr
 from .render import RenderOptions, render
+from .rotation import quat_to_rot
 from .scene import GaussianCloud, assign_groups, save_scene
 from .semantic import ClassifierHead, loss_2d
 
@@ -77,8 +82,6 @@ class TrainSchedule:
     igd_too_large_frac: float = 0.1
     igd_split_scale_div: float = 1.6
     igd_split_offset_frac: float = 0.5
-    igd_split_direction: str = "principal-axis"
-    monitor_mode: str = "norm"
 
     use_igd: bool = True
     use_laknn: bool = True              # False: global neighbors throughout
@@ -98,6 +101,12 @@ class TrainSchedule:
         if s.knn_switch is None:
             s.knn_switch = int(round(0.4 * t))
         s.validate()
+        # the trainer runs IGD at the multiples of igd_interval in this window
+        if s.use_igd and t > 0 and not any(
+                i % s.igd_interval == 0 for i in range(s.densify_end, s.igd_end)):
+            warnings.warn(f"no multiple of igd_interval={s.igd_interval} lies in "
+                          f"[densify_end, igd_end) = [{s.densify_end}, {s.igd_end}): "
+                          "no IGD pass will run")
         return s
 
     def validate(self) -> None:
@@ -109,15 +118,15 @@ class TrainSchedule:
             raise ValueError("knn_switch must be <= total_iters")
         if self.alpha_2d < 0 or self.beta_3d < 0:
             raise ValueError("loss weights must be >= 0")
+        if self.densify_interval < 1 or self.igd_interval < 1:
+            raise ValueError("densify_interval and igd_interval must be >= 1")
 
     def igd_config(self) -> IgdConfig:
         return IgdConfig(
             tau_percentile=self.igd_tau_percentile, opacity_eps=self.opacity_eps,
             too_large_frac=self.igd_too_large_frac,
             split_scale_div=self.igd_split_scale_div,
-            split_offset_frac=self.igd_split_offset_frac,
-            interval=self.igd_interval, split_direction=self.igd_split_direction,
-            monitor_mode=self.monitor_mode)
+            split_offset_frac=self.igd_split_offset_frac)
 
     def np_dtype(self):
         return np.float64 if self.dtype == "float64" else np.float32
@@ -126,8 +135,7 @@ class TrainSchedule:
 class AdamOptimizer:
     """Bias-corrected Adam over named parameter families.
 
-    Per-Gaussian families stay row-synchronized with the cloud through
-    select_rows/append_rows; new rows start with zero moments.
+    Per-Gaussian families follow the cloud's row edits through keep_rows.
     """
 
     def __init__(self, shapes: dict, lrs: dict, dtype,
@@ -159,24 +167,16 @@ class AdamOptimizer:
             v_hat = v / (1 - self.beta2 ** t)
             p -= self.lrs[name] * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    # row synchronization with the cloud
-    def select_rows(self, index) -> None:
+    def keep_rows(self, kept: np.ndarray, n: int) -> None:
+        """Follow a row edit that made a cloud of n rows whose first
+        len(kept) rows are the old rows `kept`: those keep their moments and
+        the rows after them start at zero."""
         for name in PER_GAUSSIAN:
             if name in self.m:
-                self.m[name] = self.m[name][index]
-                self.v[name] = self.v[name][index]
-
-    def append_rows(self, count: int) -> None:
-        for name in PER_GAUSSIAN:
-            if name in self.m:
-                pad = np.zeros((count,) + self.m[name].shape[1:], dtype=self.m[name].dtype)
-                self.m[name] = np.concatenate([self.m[name], pad])
-                self.v[name] = np.concatenate([self.v[name], pad])
-
-
-def adam_step(state: AdamOptimizer, params: dict, grads: dict) -> None:
-    """Single Adam update across families (thin wrapper over state.step)."""
-    state.step(params, grads)
+                for moments in (self.m, self.v):
+                    old = moments[name]
+                    moments[name] = np.zeros((n,) + old.shape[1:], dtype=old.dtype)
+                    moments[name][:kept.size] = old[kept]
 
 
 class DensifyStats:
@@ -193,15 +193,6 @@ class DensifyStats:
     def reset(self, n: int) -> None:
         self.grad_accum = np.zeros(n, dtype=self.grad_accum.dtype)
         self.denom = np.zeros(n, dtype=np.int64)
-
-    def select_rows(self, index) -> None:
-        self.grad_accum = self.grad_accum[index]
-        self.denom = self.denom[index]
-
-    def append_rows(self, count: int) -> None:
-        self.grad_accum = np.concatenate(
-            [self.grad_accum, np.zeros(count, dtype=self.grad_accum.dtype)])
-        self.denom = np.concatenate([self.denom, np.zeros(count, dtype=np.int64)])
 
 
 def l1_loss(rendered: np.ndarray, target: np.ndarray):
@@ -244,14 +235,13 @@ def init_cloud(bbox: np.ndarray, count: int, dim: int, rng: np.random.Generator,
     nearest-neighbor distance, gray color, small random encodings."""
     lo, hi = np.asarray(bbox[0]), np.asarray(bbox[1])
     pos = rng.uniform(lo, hi, size=(count, 3))
-    # mean nearest-neighbor distance (chunked brute force)
-    nn = np.full(count, np.inf)
-    for s in range(0, count, 512):
-        block = pos[s:s + 512]
-        d2 = ((block[:, None, :] - pos[None, :, :]) ** 2).sum(-1)
-        d2[np.arange(block.shape[0]), s + np.arange(block.shape[0])] = np.inf
-        nn[s:s + 512] = np.sqrt(d2.min(axis=1))
-    scale = float(np.mean(nn)) if count > 1 else 0.1
+    # mean nearest-neighbor distance; each distance is recomputed from the
+    # neighbour index so that it does not depend on the tree's arithmetic
+    if count > 1:
+        nearest = cKDTree(pos).query(pos, k=2)[1][:, 1]
+        scale = float(np.mean(np.sqrt(((pos - pos[nearest]) ** 2).sum(-1))))
+    else:
+        scale = 0.1
     quat = np.zeros((count, 4))
     quat[:, 0] = 1.0
     return GaussianCloud(
@@ -266,53 +256,30 @@ def init_cloud(bbox: np.ndarray, count: int, dim: int, rng: np.random.Generator,
 
 def standard_densify(cloud: GaussianCloud, stats: DensifyStats, scene_extent: float,
                      grad_threshold: float, percent_dense: float, opacity_eps: float,
-                     rng: np.random.Generator, followers: tuple = ()) -> GaussianCloud:
+                     rng: np.random.Generator) -> tuple[GaussianCloud, np.ndarray]:
     """Classic densification: prune transparent rows, then clone small /
-    split large Gaussians whose mean positional-gradient norm is large."""
-    keep = cloud.opacities >= opacity_eps
-    keep_idx = np.nonzero(keep)[0]
-    cloud = cloud.select(keep_idx)
-    stats.select_rows(keep_idx)
-    for f in followers:
-        f.select_rows(keep_idx)
+    split large Gaussians whose mean positional-gradient norm is large.
 
-    mean_grad = stats.grad_accum / np.maximum(stats.denom, 1)
-    hot = mean_grad > grad_threshold
+    Returns (new cloud, kept). The new cloud is the rows `kept`, then the
+    clones (which keep their source rows' monitors), then two children per
+    split row, placed by samples of the parent Gaussian.
+    """
+    alive = cloud.opacities >= opacity_eps
+    hot = alive & (stats.grad_accum / np.maximum(stats.denom, 1) > grad_threshold)
     small = cloud.scales.max(axis=1) <= percent_dense * scene_extent
+    split = hot & ~small
+    kept = np.nonzero(alive & ~split)[0]
     clone_rows = np.nonzero(hot & small)[0]
-    split_rows = np.nonzero(hot & ~small)[0]
+    rows = np.nonzero(split)[0]
 
-    if clone_rows.size:
-        clones = cloud.select(clone_rows)
-        cloud = cloud.append(clones)
-        stats.append_rows(clone_rows.size)
-        for f in followers:
-            f.append_rows(clone_rows.size)
-
-    if split_rows.size:
-        k = split_rows.size
-        R = np.zeros((2 * k, 3), dtype=cloud.dtype)
-        samples = rng.normal(size=(2 * k, 3)).astype(cloud.dtype)
-        from .rotation import quat_to_rot
-        rot = quat_to_rot(cloud.rotations[split_rows])
-        local = samples.reshape(k, 2, 3) * cloud.scales[split_rows][:, None, :]
-        world = np.einsum("kij,kcj->kci", rot, local)
-        rep = np.repeat(split_rows, 2)
-        children = GaussianCloud(
-            cloud.positions[rep] + world.reshape(2 * k, 3),
-            np.repeat(cloud.scales[split_rows] / cloud.dtype.type(1.6), 2, axis=0),
-            cloud.rotations[rep], cloud.opacities[rep], cloud.colors[rep],
-            cloud.encodings[rep], cloud.group_ids[rep])
-        survivors = np.setdiff1d(np.arange(cloud.n), split_rows)
-        cloud = cloud.select(survivors).append(children)
-        stats.select_rows(survivors)
-        stats.append_rows(2 * k)
-        for f in followers:
-            f.select_rows(survivors)
-            f.append_rows(2 * k)
-
-    stats.reset(cloud.n)
-    return cloud
+    k = rows.size
+    samples = rng.normal(size=(2 * k, 3)).astype(cloud.dtype)
+    local = samples.reshape(k, 2, 3) * cloud.scales[rows][:, None, :]
+    world = np.einsum("kij,kcj->kci", quat_to_rot(cloud.rotations[rows]), local)
+    children = split_rows(cloud, rows, world.reshape(2 * k, 3),
+                          cloud.scales[rows] / cloud.dtype.type(1.6))
+    cloud = cloud.select(np.concatenate([kept, clone_rows])).append(children)
+    return cloud, kept
 
 
 @dataclass
@@ -371,10 +338,8 @@ def train(dataset: Dataset, schedule: TrainSchedule, out_dir) -> TrainResult:
            "rotations": sched.lr_rotation, "logit_opacities": sched.lr_opacity,
            "colors": sched.lr_color, "encodings": sched.lr_encoding,
            "head_weights": sched.lr_head, "head_biases": sched.lr_head}
-    shapes = {"positions": (cloud.n, 3), "log_scales": (cloud.n, 3),
-              "rotations": (cloud.n, 4), "logit_opacities": (cloud.n,),
-              "colors": (cloud.n, 3), "encodings": (cloud.n, sched.encoding_dim),
-              "head_weights": head.weights.shape, "head_biases": head.biases.shape}
+    shapes = {name: p.shape for name, p in _cloud_params(cloud).items()}
+    shapes.update(head_weights=head.weights.shape, head_biases=head.biases.shape)
     opt = AdamOptimizer(shapes, lrs, dt)
     stats = DensifyStats(cloud.n, dt)
     opts = RenderOptions()
@@ -408,29 +373,27 @@ def train(dataset: Dataset, schedule: TrainSchedule, out_dir) -> TrainResult:
         accumulate_monitors(cloud, grads)
         stats.update(grads)
 
-        params = _cloud_params(cloud)
-        params["head_weights"] = head.weights
-        params["head_biases"] = head.biases
-        opt.step(params, {
-            "positions": grads.positions, "log_scales": grads.log_scales,
-            "rotations": grads.rotations, "logit_opacities": grads.logit_opacities,
-            "colors": grads.colors, "encodings": grads.encodings,
-            "head_weights": hw, "head_biases": hb,
-        })
+        params = dict(_cloud_params(cloud), head_weights=head.weights,
+                      head_biases=head.biases)
+        step = {name: getattr(grads, name) for name in PER_GAUSSIAN}
+        opt.step(params, dict(step, head_weights=hw, head_biases=hb))
         _write_back(cloud, params)
 
         nxt = it + 1  # row edits take effect for the next iteration
+        edit = None
         if nxt < sched.densify_end and nxt % sched.densify_interval == 0:
-            cloud = standard_densify(
+            edit = standard_densify(
                 cloud, stats, scene_extent,
                 sched.densify_grad_frac * scene_extent,
-                sched.densify_percent_dense, sched.opacity_eps,
-                rng, followers=(opt,))
+                sched.densify_percent_dense, sched.opacity_eps, rng)
         elif (sched.use_igd and sched.densify_end <= nxt < sched.igd_end
               and nxt % sched.igd_interval == 0):
-            res = igd_step(cloud, sched.igd_config(), scene_extent,
-                           followers=(opt, stats))
-            cloud = res.cloud
+            res = igd_step(cloud, sched.igd_config(), scene_extent)
+            edit = res.cloud, res.kept
+        if edit is not None:
+            cloud, kept = edit
+            opt.keep_rows(kept, cloud.n)
+            stats.reset(cloud.n)
 
         if nxt % sched.log_interval == 0 or nxt == sched.total_iters:
             log_metrics(nxt, parts)

@@ -341,7 +341,8 @@ def test_criterion_5_densification_suite():
     scene_extent = 10.0
     expected_prune = {5, 6, 9}
     parent_pos = cloud.positions[40].copy()
-    res = igd_step(cloud, cfg, scene_extent, followers=(opt,))
+    res = igd_step(cloud, cfg, scene_extent)
+    opt.keep_rows(res.kept, res.cloud.n)
 
     # pruning removed exactly {o < 0.005} union {too large}
     assert res.n_pruned == len(expected_prune)

@@ -241,3 +241,11 @@ class TestGroupWeights:
                     g = cloud.group_ids[f.source_index]
                     expect[y, x, g] += f.alpha * f.transmittance_before
         np.testing.assert_allclose(weights, expect, atol=1e-9)
+
+
+def test_package_attribute_is_the_render_module():
+    import importlib
+
+    import gradiseg
+    assert gradiseg.render is importlib.import_module("gradiseg.render")
+    assert callable(gradiseg.render.render)

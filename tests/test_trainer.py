@@ -1,5 +1,7 @@
 """Optimizer, joint loss, standard densification, and the training loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from gradiseg.semantic import ClassifierHead, loss_2d
 from gradiseg.laknn import loss_3d
 from gradiseg.synth import default_scene_spec, generate
 from gradiseg.trainer import (AdamOptimizer, DensifyStats, TrainSchedule,
-                              l1_loss, standard_densify, total_loss, train)
+                              init_cloud, l1_loss, standard_densify, total_loss,
+                              train)
 
 
 class TestAdam:
@@ -54,8 +57,7 @@ class TestAdam:
     def test_row_edits(self):
         opt = self.make(4)
         opt.m["positions"][:] = 7.0
-        opt.select_rows(np.array([0, 2]))
-        opt.append_rows(3)
+        opt.keep_rows(np.array([0, 2]), 5)
         assert opt.m["positions"].shape == (5, 3)
         assert np.all(opt.m["positions"][:2] == 7.0)
         assert not np.any(opt.m["positions"][2:])
@@ -149,18 +151,18 @@ class TestStandardDensify:
         cloud = random_cloud(rng, 20, dim=4)
         cloud.opacities[(3, 9),] = 0.001
         stats = self.stats_for(cloud, np.zeros(20))
-        out = standard_densify(cloud, stats, 1.0, 2e-4, 0.01, 0.005,
-                               np.random.default_rng(0))
+        out, kept = standard_densify(cloud, stats, 1.0, 2e-4, 0.01, 0.005,
+                                     np.random.default_rng(0))
         assert out.n == 18
-        assert stats.grad_accum.shape == (18,)
+        np.testing.assert_array_equal(kept, np.delete(np.arange(20), [3, 9]))
 
     def test_small_hot_gaussian_cloned(self, rng):
         cloud = random_cloud(rng, 10, dim=4, scale_range=(0.001, 0.002))
         grads = np.zeros(10)
         grads[4] = 1.0
         stats = self.stats_for(cloud, grads)
-        out = standard_densify(cloud, stats, 1.0, 2e-4, 0.01, 0.005,
-                               np.random.default_rng(0))
+        out, _ = standard_densify(cloud, stats, 1.0, 2e-4, 0.01, 0.005,
+                                  np.random.default_rng(0))
         assert out.n == 11
         np.testing.assert_array_equal(out.positions[10], cloud.positions[4])
 
@@ -169,11 +171,85 @@ class TestStandardDensify:
         grads = np.zeros(10)
         grads[4] = 1.0
         stats = self.stats_for(cloud, grads)
-        out = standard_densify(cloud, stats, 1.0, 2e-4, 0.01, 0.005,
-                               np.random.default_rng(0))
+        out, _ = standard_densify(cloud, stats, 1.0, 2e-4, 0.01, 0.005,
+                                  np.random.default_rng(0))
         assert out.n == 11  # parent replaced by two children
         np.testing.assert_allclose(out.scales[-2:],
                                    np.tile(cloud.scales[4] / 1.6, (2, 1)))
+
+    def test_row_alignment(self, rng):
+        # hot rows 1, 2, 3, 5, 7, 9; rows 1 and 9 are pruned; 2 and 7 split;
+        # 3 and 5 clone -> kept[~split] ++ clones (3, 5) ++ children (2, 2, 7, 7)
+        n = 12
+        cloud = random_cloud(rng, n, dim=4, scale_range=(0.001, 0.002))
+        cloud.scales[[2, 7, 9]] = 0.5
+        cloud.opacities[:] = 0.5
+        cloud.opacities[[1, 9]] = 0.001
+        cloud.id_grad_accum[:] = np.arange(n) + 1.0
+        cloud.visible_count[:] = np.arange(n) + 1
+        cloud.pos_grad_ema[:] = rng.standard_normal((n, 3))
+        grads = np.zeros(n)
+        grads[[1, 2, 3, 5, 7, 9]] = 1.0
+        stats = self.stats_for(cloud, grads)
+        opt = AdamOptimizer({"positions": (n, 3), "encodings": (n, 4),
+                             "head_weights": (2, 2)},
+                            {"positions": 0.1, "encodings": 0.1, "head_weights": 0.1},
+                            np.float64)
+        for moments in (opt.m, opt.v):
+            for name in ("positions", "encodings", "head_weights"):
+                moments[name][:] = rng.uniform(1.0, 2.0, moments[name].shape)
+        old_m = {k: a.copy() for k, a in opt.m.items()}
+        old_v = {k: a.copy() for k, a in opt.v.items()}
+
+        out, kept = standard_densify(cloud, stats, 1.0, 2e-4, 0.01, 0.005,
+                                     np.random.default_rng(0))
+        opt.keep_rows(kept, out.n)
+
+        np.testing.assert_array_equal(kept, [0, 3, 4, 5, 6, 8, 10, 11])
+        assert out.n == 8 + 2 + 4
+        sources = np.concatenate([kept, [3, 5], [2, 2, 7, 7]])
+        np.testing.assert_array_equal(out.encodings, cloud.encodings[sources])
+        np.testing.assert_array_equal(out.positions[:10], cloud.positions[sources[:10]])
+        np.testing.assert_array_equal(out.scales[10:], cloud.scales[sources[10:]] / 1.6)
+        # survivors and clones carry their source rows' monitors; children start at zero
+        for name in ("id_grad_accum", "visible_count", "pos_grad_ema"):
+            np.testing.assert_array_equal(getattr(out, name)[:10],
+                                          getattr(cloud, name)[sources[:10]])
+            assert not np.any(getattr(out, name)[10:])
+        # survivors keep their Adam moments; clones and children start at zero
+        for name in ("positions", "encodings"):
+            for new, old in ((opt.m, old_m), (opt.v, old_v)):
+                assert new[name].shape[0] == out.n
+                np.testing.assert_array_equal(new[name][:8], old[name][kept])
+                assert not np.any(new[name][8:])
+        np.testing.assert_array_equal(opt.m["head_weights"], old_m["head_weights"])
+
+
+def nn_scale_brute_force(pos):
+    """Mean nearest-neighbour distance by chunked O(N^2) search, self
+    excluded: the reference for init_cloud's isotropic scale."""
+    nn = np.full(len(pos), np.inf)
+    for s in range(0, len(pos), 512):
+        block = pos[s:s + 512]
+        d2 = ((block[:, None, :] - pos[None, :, :]) ** 2).sum(-1)
+        d2[np.arange(block.shape[0]), s + np.arange(block.shape[0])] = np.inf
+        nn[s:s + 512] = np.sqrt(d2.min(axis=1))
+    return float(np.mean(nn))
+
+
+class TestInitCloud:
+    BBOX = np.array([[-0.8, -0.7, -0.5], [0.8, 0.7, 0.9]])
+
+    @pytest.mark.parametrize("count", [2, 150, 2000])
+    @pytest.mark.parametrize("seed", [0, 11, 42])
+    def test_scale_bit_equal_to_brute_force(self, count, seed):
+        cloud = init_cloud(self.BBOX, count, 4, np.random.default_rng(seed),
+                           dtype=np.float64)
+        assert np.all(cloud.scales == nn_scale_brute_force(cloud.positions))
+
+    def test_single_gaussian_default_scale(self):
+        cloud = init_cloud(self.BBOX, 1, 4, np.random.default_rng(0))
+        np.testing.assert_array_equal(cloud.scales, np.float32(0.1))
 
 
 def tiny_dataset(seed=0, views=4):
@@ -271,8 +347,53 @@ class TestTrainLoop:
         with pytest.raises(FloatingPointError, match="diverged"):
             train(dataset, sched, tmp_path)
 
+    def test_densify_stats_reset_after_row_edits(self, tmp_path, monkeypatch):
+        import gradiseg.trainer as trainer_mod
+        edited, seen = [], []
+        for name in ("standard_densify", "igd_step"):
+            def spy(*a, _orig=getattr(trainer_mod, name), **k):
+                edited.append(True)
+                return _orig(*a, **k)
+            monkeypatch.setattr(trainer_mod, name, spy)
+        orig_update = trainer_mod.DensifyStats.update
+
+        def spy_update(stats, grads):
+            if edited:  # first update after a row edit
+                edited.clear()
+                seen.append((stats.grad_accum.shape, grads.positions.shape[0],
+                             np.any(stats.grad_accum), np.any(stats.denom)))
+            return orig_update(stats, grads)
+
+        monkeypatch.setattr(trainer_mod.DensifyStats, "update", spy_update)
+        train(tiny_dataset(), fast_schedule(log_interval=1000, checkpoint_interval=0),
+              tmp_path)
+        assert len(seen) == 2  # standard densify at 8, IGD at 16
+        for shape, n, any_grad, any_denom in seen:
+            assert shape == (n,)
+            assert not any_grad and not any_denom
+
+    def test_schedule_without_igd_pass_warns(self):
+        # phases at 0.4 T and 0.5 T give [120, 150), which holds no multiple of 100
+        with pytest.warns(UserWarning, match="no IGD pass"):
+            TrainSchedule(total_iters=300).resolved()
+
+    @pytest.mark.parametrize("kw", [
+        {},
+        dict(total_iters=300, use_igd=False),
+        dict(total_iters=80, densify_end=40, igd_end=70, knn_switch=40,
+             densify_interval=20, igd_interval=20),
+        dict(total_iters=40, knn_switch=4, densify_end=10, igd_end=20,
+             densify_interval=5, igd_interval=5),
+    ])
+    def test_schedules_with_igd_pass_do_not_warn(self, kw):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            TrainSchedule(**kw).resolved()
+
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             TrainSchedule(total_iters=100, densify_end=80, igd_end=40).resolved()
         with pytest.raises(ValueError):
             TrainSchedule(alpha_2d=-1.0).resolved()
+        with pytest.raises(ValueError, match="interval"):
+            TrainSchedule(igd_interval=0).resolved()
