@@ -8,8 +8,8 @@ from .igd import IgdConfig, igd_step, split_gaussian
 from .laknn import (NeighborQuery, global_neighbors, local_adaptive_neighbors,
                     loss_3d, neighbor_direction)
 from .metrics import EvalReport, evaluate_masks, mbiou, miou, psnr
-from .render import (Fragment, RenderOptions, RenderOutput, group_weight_mask,
-                     pixel_alpha, render_group_weights)
+from .render import (RenderOptions, RenderOutput, group_weight_mask,
+                     render_group_weights)
 from .scene import (Gaussian, GaussianCloud, GroupTable, assign_groups,
                     extract_group, load_scene, recolor_group, remove_group,
                     save_scene)
@@ -21,14 +21,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamOptimizer", "CameraView", "ClassifierHead", "Dataset", "EvalReport",
-    "Fragment", "Gaussian", "GaussianCloud", "GroupTable", "IgdConfig",
+    "Gaussian", "GaussianCloud", "GroupTable", "IgdConfig",
     "NeighborQuery", "ObjectSpec", "ParamGrads", "RenderOptions", "RenderOutput",
     "SceneSpec", "Splat2D", "TrainSchedule", "accumulate_monitors",
     "assign_groups", "backward", "classify", "default_scene_spec", "depth_sort",
     "evaluate_masks", "extract_group", "generate", "global_neighbors",
     "group_weight_mask", "igd_step", "load_dataset", "load_scene",
     "local_adaptive_neighbors", "look_at", "loss_2d", "loss_3d", "mbiou",
-    "miou", "neighbor_direction", "pixel_alpha", "project_cloud",
+    "miou", "neighbor_direction", "project_cloud",
     "project_gaussian", "psnr", "recolor_group", "remove_group",
     "render_group_weights", "save_dataset", "save_scene", "segment_mask",
     "split_gaussian", "total_loss", "train",

@@ -117,7 +117,7 @@ def project_cloud(cloud: GaussianCloud, cam: CameraView,
 
     Culling removes Gaussians with depth <= near and, when cull_sigma is not
     None, those whose cull_sigma-sigma screen ellipse misses the image. With
-    alpha_cutoff > 0 the tile-binning bboxes shrink to the radius where alpha
+    alpha_cutoff > 0 the rasterizer's candidate bboxes shrink to the radius where alpha
     can still reach the cutoff (opacity-dependent); visibility itself stays
     determined by the cull_sigma ellipse.
     """

@@ -2,7 +2,7 @@
 
 Every run writes a run.json next to its output echoing the resolved
 configuration and seed. Exit codes: 0 success, 2 validation/usage error,
-1 internal error. GRADISEG_THREADS caps render worker count.
+1 internal error.
 """
 
 from __future__ import annotations

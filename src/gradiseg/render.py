@@ -8,34 +8,30 @@ Per pixel, depth-ordered fragments composite front to back:
 
 A splat contributes a fragment at a pixel when alpha >= alpha_cutoff and the
 pixel lies within the splat's support ellipse (cull_sigma standard deviations;
-the same radius used for screen culling). Fragments are recorded per pixel in
-CSR form for the backward pass. The rasterizer processes square pixel tiles;
-results are independent of tile size and thread count.
+the same radius used for screen culling). Only the pixels inside a splat's
+screen bbox are tested, so the cost follows the fragment count rather than
+the image size. Fragments are recorded per pixel in CSR form for the
+backward pass.
+
+Candidate (splat, pixel) pairs are tested in blocks of about BLOCK pairs
+and sorted once into pixel-major order. A sweep over depth rank then carries
+each pixel's transmittance front to back, and per-pixel sums reduce blocks of
+about BLOCK fragments of whole pixels. Blocks keep temporaries cache-sized;
+no result depends on the block size.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CULL_SIGMA, NEAR_PLANE, CameraView, ProjectedSplats, Splat2D, project_cloud
+from .camera import CULL_SIGMA, NEAR_PLANE, CameraView, ProjectedSplats, project_cloud
 from .scene import GaussianCloud
 
 ALPHA_CLAMP = 0.99
 ALPHA_CUTOFF = 1.0 / 255.0
-DEFAULT_TILE = 16
-
-
-def worker_count() -> int:
-    """Parallelism cap from GRADISEG_THREADS (default 1 = serial)."""
-    raw = os.environ.get("GRADISEG_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+BLOCK = 1 << 14   # candidates or fragments per block
 
 
 @dataclass
@@ -43,25 +39,14 @@ class RenderOptions:
     """Rasterizer knobs. `smooth()` disables the discrete cutoffs so the
     rendered map is differentiable everywhere (used by gradient checks)."""
 
-    tile: int = DEFAULT_TILE
     alpha_clamp: float = ALPHA_CLAMP
     alpha_cutoff: float = ALPHA_CUTOFF
     cull_sigma: float | None = CULL_SIGMA
     near: float = NEAR_PLANE
-    threads: int | None = None
 
     @classmethod
     def smooth(cls) -> "RenderOptions":
         return cls(alpha_cutoff=0.0, cull_sigma=None)
-
-
-@dataclass
-class Fragment:
-    """One splat's contribution to one pixel."""
-
-    source_index: int
-    alpha: float
-    transmittance_before: float
 
 
 class RenderOutput:
@@ -92,114 +77,130 @@ class RenderOutput:
     def shape(self):
         return self.color.shape[:2]
 
-    def fragments_at(self, x: int, y: int) -> list[Fragment]:
-        h, w = self.shape
-        pix = y * w + x
-        lo, hi = self.frag_start[pix], self.frag_start[pix + 1]
-        return [Fragment(int(self.frag_source[k]), float(self.frag_alpha[k]),
-                         float(self.frag_t_before[k])) for k in range(lo, hi)]
+
+def _blocks(starts: np.ndarray, total: int):
+    """Group items at ascending offsets `starts` (the first at 0; `total`
+    units in all) into blocks of whole items, as (first item, end item)
+    pairs. A block starts at each item that holds a multiple of BLOCK, so it
+    spans at most its first item plus about BLOCK units."""
+    cuts = np.unique(np.searchsorted(starts, np.arange(0, total, BLOCK), side="right") - 1)
+    return zip(cuts, np.append(cuts[1:], starts.size))
 
 
-def pixel_alpha(splat: Splat2D, opacity: float, pixel,
-                alpha_clamp: float = ALPHA_CLAMP,
-                alpha_cutoff: float = ALPHA_CUTOFF) -> float:
-    """Blending weight of one splat at one pixel.
+def _row_runs(bbox: np.ndarray, width: int):
+    """One run of pixels per bbox row, in splat (depth) order: the splat
+    rank, the first pixel's flat index and its x, the row's y and length."""
+    bw = np.maximum(bbox[:, 1] - bbox[:, 0] + 1, 0)
+    bh = np.where(bw > 0, np.maximum(bbox[:, 3] - bbox[:, 2] + 1, 0), 0)
+    rank = np.repeat(np.arange(bbox.shape[0]), bh)
+    first_row = np.cumsum(bh) - bh
+    y = bbox[rank, 2] + (np.arange(rank.size) - first_row[rank])
+    x = bbox[rank, 0]
+    return rank, y * width + x, x, y, bw[rank]
 
-    alpha = min(alpha_clamp, opacity * exp(-0.5 d^T cov2d^-1 d)); values below
-    alpha_cutoff are dropped (returned as 0).
+
+def _fragments(splats: ProjectedSplats, opac: np.ndarray, width: int,
+               opts: RenderOptions, dt):
+    """Alpha and sort key (pixel * S + depth rank) of every fragment.
+
+    Candidates are the pixels of each splat's bbox, visited in blocks of
+    whole bbox rows. A coarse q-space bound picks the pairs worth an exp;
+    the exact alpha and support tests then decide. Each pair's arithmetic
+    reads that pair alone, so the accepted set and its alphas do not depend
+    on the blocks, nor on the bbox as long as it holds every fragment.
     """
-    cov = np.asarray(splat.cov2d, dtype=np.float64)
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-    if det <= 0:
-        raise FloatingPointError("singular 2D covariance")
-    d = np.asarray(pixel, dtype=np.float64) - splat.mean2d
-    q = (cov[1, 1] * d[0] * d[0] - 2 * cov[0, 1] * d[0] * d[1]
-         + cov[0, 0] * d[1] * d[1]) / det
-    alpha = min(alpha_clamp, opacity * np.exp(-0.5 * q))
-    return float(alpha) if alpha >= alpha_cutoff else 0.0
-
-
-def _tile_ranges(size: int, tile: int):
-    return [(lo, min(lo + tile, size)) for lo in range(0, size, tile)]
-
-
-def _render_tile(x_lo, x_hi, y_lo, y_hi, splats, opac, opts, dt):
-    """Composite one pixel tile: per-pixel transmittance and fragment records.
-
-    Images are assembled later from the fragment list in canonical order so
-    results are bit-independent of the tiling.
-    """
-    npix = (x_hi - x_lo) * (y_hi - y_lo)
-    t_fin = np.ones(npix, dtype=dt)
-    empty = (np.zeros(npix, dtype=np.int64), np.empty(0, dtype=np.int64),
-             np.empty(0, dtype=dt), np.empty(0, dtype=dt), np.empty(0, dtype=np.int64))
-
-    bb = splats.bbox
-    hit = np.nonzero((bb[:, 0] <= x_hi - 1) & (bb[:, 1] >= x_lo)
-                     & (bb[:, 2] <= y_hi - 1) & (bb[:, 3] >= y_lo))[0]
-    if hit.size == 0:
-        return (t_fin, *empty)
-
-    npx = x_hi - x_lo
-    pix_x = np.arange(x_lo, x_hi, dtype=dt)
-    pix_y = np.arange(y_lo, y_hi, dtype=dt)
-    mean = splats.mean2d[hit]
-    d0 = np.tile(pix_x, y_hi - y_lo)[None, :] - mean[:, 0:1]   # (K, P)
-    d1 = np.repeat(pix_y, npx)[None, :] - mean[:, 1:2]
-    ic = splats.inv_cov[hit]
-    q = ic[:, 0, 0, None] * (d0 * d0)
-    q += (2.0 * ic[:, 0, 1, None]) * (d0 * d1)
-    q += ic[:, 1, 1, None] * (d1 * d1)
-
-    o_hit = opac[hit]
+    n_splats = splats.count
+    rank, pix0, x0, y, run_len = _row_runs(splats.bbox, width)
+    if rank.size == 0:
+        return np.empty(0, dtype=dt), np.empty(0, dtype=np.int64)
+    mean, ic = splats.mean2d, splats.inv_cov
     sig2 = np.inf if opts.cull_sigma is None else dt.type(opts.cull_sigma ** 2)
     if opts.alpha_cutoff > 0:
-        # coarse superset of admissible fragments in q-space; the exact
-        # alpha/support tests below stay bit-identical to the full evaluation
         with np.errstate(divide="ignore"):
-            q_lim = 2.0 * np.log(o_hit / dt.type(opts.alpha_cutoff)) + dt.type(1e-5)
-        coarse = q <= np.minimum(q_lim, sig2 + dt.type(1e-5))[:, None]
+            q_lim = 2.0 * np.log(opac / dt.type(opts.alpha_cutoff)) + dt.type(1e-5)
+        q_cap = np.minimum(q_lim, sig2 + dt.type(1e-5))
     else:
-        coarse = q <= sig2
+        q_cap = np.full(n_splats, sig2, dtype=dt)
+    ic00, ic01x2, ic11 = ic[:, 0, 0], 2.0 * ic[:, 0, 1], ic[:, 1, 1]
 
-    # compact evaluation, pixel-major with ascending depth inside each pixel
-    p_idx, k_idx = np.nonzero(coarse.T)
-    qv = q[k_idx, p_idx]
-    g = np.exp(-0.5 * qv)
-    alpha_v = np.minimum(o_hit[k_idx] * g, dt.type(opts.alpha_clamp))
-    fine = alpha_v >= opts.alpha_cutoff if opts.alpha_cutoff > 0 else alpha_v > 0
-    if opts.cull_sigma is not None:
-        fine &= qv <= sig2
-    p_idx, k_idx, alpha_v = p_idx[fine], k_idx[fine], alpha_v[fine]
+    # per-run parts of q: d1 and the d1*d1 term depend only on (splat, row)
+    d1_run = y.astype(dt) - mean[rank, 1]
+    q11_run = ic11[rank] * (d1_run * d1_run)
 
-    one_minus = np.ones_like(q)
-    one_minus[k_idx, p_idx] = 1.0 - alpha_v
-    t_incl = np.cumprod(one_minus, axis=0)
-    t_fin = t_incl[-1]
-    frag_tb = np.where(k_idx > 0, t_incl[np.maximum(k_idx - 1, 0), p_idx],
-                       dt.type(1.0))
+    run_start = np.cumsum(run_len) - run_len
+    alphas, keys = [], []
+    for r0, r1 in _blocks(run_start, int(run_start[-1] + run_len[-1])):
+        lens = run_len[r0:r1]
+        step = (np.arange(run_start[r0], run_start[r0] + lens.sum())
+                - np.repeat(run_start[r0:r1], lens))
+        s = np.repeat(rank[r0:r1], lens)
+        d0 = (np.repeat(x0[r0:r1], lens) + step).astype(dt) - mean[s, 0]
+        d1 = np.repeat(d1_run[r0:r1], lens)
+        q = ic00[s] * (d0 * d0)
+        q += ic01x2[s] * (d0 * d1)
+        q += np.repeat(q11_run[r0:r1], lens)
+        hit = np.flatnonzero(q <= q_cap[s])
+        qv, sv = q[hit], s[hit]
+        g = np.exp(-0.5 * qv)
+        alpha = np.minimum(opac[sv] * g, dt.type(opts.alpha_clamp))
+        fine = alpha >= opts.alpha_cutoff if opts.alpha_cutoff > 0 else alpha > 0
+        if opts.cull_sigma is not None:
+            fine &= qv <= sig2
+        hit = hit[fine]
+        pix = np.repeat(pix0[r0:r1], lens)[hit] + step[hit]
+        alphas.append(alpha[fine])
+        keys.append(pix * n_splats + sv[fine])
+    return np.concatenate(alphas), np.concatenate(keys)
 
-    counts = np.bincount(p_idx, minlength=npix)
-    frag_splat = hit[k_idx]
-    frag_source = splats.index[frag_splat]
-    return t_fin, counts, frag_source, alpha_v, frag_tb, frag_splat
+
+def _transmittance(alpha: np.ndarray, frag_start: np.ndarray):
+    """Transmittance in front of each fragment and behind each pixel.
+
+    A sweep over depth rank r multiplies every pixel that still has an r-th
+    fragment by (1 - alpha): the same products, in the same order, as a
+    running product down each pixel's fragment list.
+    """
+    one_minus = 1.0 - alpha
+    t_before = np.empty_like(alpha)
+    t_final = np.ones(frag_start.size - 1, dtype=alpha.dtype)
+    counts = np.diff(frag_start)
+    busy = np.argsort(-counts)[:np.count_nonzero(counts)]
+    if busy.size == 0:
+        return t_before, t_final
+    first = frag_start[busy]
+    depth = counts[busy]                 # descending
+    active = np.searchsorted(-depth, -np.arange(int(depth[0])), side="left")
+    t = np.ones(busy.size, dtype=alpha.dtype)
+    for r, m in enumerate(active):
+        at = first[:m] + r
+        t_before[at] = t[:m]
+        t[:m] *= one_minus[at]
+    t_final[busy] = t
+    return t_before, t_final
 
 
-def _pixel_sums(values: np.ndarray, frag_start: np.ndarray) -> np.ndarray:
-    """Per-pixel sums of pixel-sorted fragment rows: one sequential reduceat
-    pass in canonical fragment order, so results never depend on tiling.
+def _pixel_sums(weights: np.ndarray, rows: np.ndarray, table: np.ndarray,
+                frag_start: np.ndarray) -> np.ndarray:
+    """Per-pixel sums of weights[:, None] * table[rows] over pixel-sorted
+    fragments. Each pixel's rows are summed by np.add.reduceat in its own
+    order, which depends on that pixel's fragments alone; blocks of whole
+    pixels bound the temporaries without changing any sum.
 
-    Empty pixels are skipped up front; consecutive nonempty starts then bound
-    exactly one pixel's fragment slice each (reduceat's final segment runs to
-    the end of the array).
+    Empty pixels are skipped; within a block, consecutive nonempty starts
+    bound exactly one pixel's fragment slice each.
     """
     npix = frag_start.size - 1
-    out = np.zeros((npix,) + values.shape[1:], dtype=values.dtype)
-    if values.shape[0] == 0:
+    out = np.zeros((npix, table.shape[1]), dtype=table.dtype)
+    total = int(frag_start[-1])
+    if total == 0:
         return out
-    nonempty = np.diff(frag_start) > 0
-    starts = frag_start[:-1][nonempty]
-    out[nonempty] = np.add.reduceat(values, starts, axis=0)
+    busy = np.flatnonzero(np.diff(frag_start))
+    starts = frag_start[busy]
+    for p0, p1 in _blocks(starts, total):
+        lo = starts[p0]
+        hi = starts[p1] if p1 < busy.size else total
+        vals = weights[lo:hi, None] * table[rows[lo:hi]]
+        out[busy[p0:p1]] = np.add.reduceat(vals, starts[p0:p1] - lo, axis=0)
     return out
 
 
@@ -214,59 +215,24 @@ def render(cloud: GaussianCloud, cam: CameraView, background=(0.0, 0.0, 0.0),
                            alpha_cutoff=opts.alpha_cutoff)
     opac = cloud.opacities[splats.index]
 
-    tiles = [(xl, xh, yl, yh)
-             for yl, yh in _tile_ranges(h, opts.tile)
-             for xl, xh in _tile_ranges(w, opts.tile)]
-
-    def run(tile):
-        return _render_tile(*tile, splats, opac, opts, dt)
-
-    threads = opts.threads if opts.threads is not None else worker_count()
-    if threads > 1 and len(tiles) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, tiles))
-    else:
-        results = [run(t) for t in tiles]
-
-    t_final = np.empty((h, w), dtype=dt)
-    counts = np.zeros(h * w, dtype=np.int64)
-    for (xl, xh, yl, yh), res in zip(tiles, results):
-        t_final[yl:yh, xl:xh] = res[0].reshape(yh - yl, xh - xl)
-        pix_rows = (np.arange(yl, yh)[:, None] * w + np.arange(xl, xh)[None, :]).ravel()
-        counts[pix_rows] = res[1]
-
+    alpha, key = _fragments(splats, opac, w, opts, dt)
+    order = np.argsort(key)
+    key = key[order]
+    frag_alpha = alpha[order]
+    pix, frag_splat = np.divmod(key, max(splats.count, 1))
+    frag_source = splats.index[frag_splat]
     frag_start = np.zeros(h * w + 1, dtype=np.int64)
-    np.cumsum(counts, out=frag_start[1:])
-    total = int(frag_start[-1])
-    frag_source = np.empty(total, dtype=np.int64)
-    frag_alpha = np.empty(total, dtype=dt)
-    frag_tb = np.empty(total, dtype=dt)
-    frag_splat = np.empty(total, dtype=np.int64)
-    for (xl, xh, yl, yh), res in zip(tiles, results):
-        t_counts, t_src, t_alpha, t_tb, t_splat = res[1], res[2], res[3], res[4], res[5]
-        if t_src.size == 0:
-            continue
-        pix_rows = (np.arange(yl, yh)[:, None] * w + np.arange(xl, xh)[None, :]).ravel()
-        dest = np.repeat(frag_start[pix_rows], t_counts)
-        within = np.arange(t_src.size) - np.repeat(
-            np.concatenate([[0], np.cumsum(t_counts[:-1])]), t_counts)
-        dest = dest + within
-        frag_source[dest] = t_src
-        frag_alpha[dest] = t_alpha
-        frag_tb[dest] = t_tb
-        frag_splat[dest] = t_splat
+    np.cumsum(np.bincount(pix, minlength=h * w), out=frag_start[1:])
 
-    weights = frag_alpha * frag_tb
-    vals = np.empty((total, 3 + cloud.dim), dtype=dt)
-    vals[:, :3] = weights[:, None] * cloud.colors[frag_source]
-    vals[:, 3:] = weights[:, None] * cloud.encodings[frag_source]
-    sums = _pixel_sums(vals, frag_start)
+    frag_tb, t_final = _transmittance(frag_alpha, frag_start)
+    table = np.concatenate([cloud.colors, cloud.encodings], axis=1)
+    sums = _pixel_sums(frag_alpha * frag_tb, frag_source, table, frag_start)
     color = sums[:, :3] + t_final.reshape(-1, 1) * bg
     ident = sums[:, 3:]
 
     return RenderOutput(color.reshape(h, w, 3), ident.reshape(h, w, cloud.dim),
-                        t_final, frag_start, frag_source, frag_alpha, frag_tb,
-                        frag_splat, splats, bg, opts)
+                        t_final.reshape(h, w), frag_start, frag_source, frag_alpha,
+                        frag_tb, frag_splat, splats, bg, opts)
 
 
 def _render_groups(cloud: GaussianCloud, cam: CameraView,

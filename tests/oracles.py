@@ -1,0 +1,198 @@
+"""Reference implementations that used to live in the engine.
+
+`pixel_alpha`, `Fragment` and `fragments_at` are the scalar per-pixel views
+of a render; `tiled_render` is the dense per-tile compositor the engine's
+bbox-driven rasterizer replaced. Its bodies are unchanged apart from the
+thread pool: every tile still evaluates all (splat, pixel) pairs densely and
+composites them with a cumulative product, so `render` must match it byte
+for byte at every tile size.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from gradiseg.camera import Splat2D, project_cloud
+from gradiseg.render import (ALPHA_CLAMP, ALPHA_CUTOFF, RenderOptions,
+                             RenderOutput)
+from gradiseg.scene import GaussianCloud
+
+DEFAULT_TILE = 16
+
+
+@dataclass
+class Fragment:
+    """One splat's contribution to one pixel."""
+
+    source_index: int
+    alpha: float
+    transmittance_before: float
+
+
+def fragments_at(out: RenderOutput, x: int, y: int) -> list[Fragment]:
+    h, w = out.shape
+    pix = y * w + x
+    lo, hi = out.frag_start[pix], out.frag_start[pix + 1]
+    return [Fragment(int(out.frag_source[k]), float(out.frag_alpha[k]),
+                     float(out.frag_t_before[k])) for k in range(lo, hi)]
+
+
+def pixel_alpha(splat: Splat2D, opacity: float, pixel,
+                alpha_clamp: float = ALPHA_CLAMP,
+                alpha_cutoff: float = ALPHA_CUTOFF) -> float:
+    """Blending weight of one splat at one pixel.
+
+    alpha = min(alpha_clamp, opacity * exp(-0.5 d^T cov2d^-1 d)); values below
+    alpha_cutoff are dropped (returned as 0).
+    """
+    cov = np.asarray(splat.cov2d, dtype=np.float64)
+    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
+    if det <= 0:
+        raise FloatingPointError("singular 2D covariance")
+    d = np.asarray(pixel, dtype=np.float64) - splat.mean2d
+    q = (cov[1, 1] * d[0] * d[0] - 2 * cov[0, 1] * d[0] * d[1]
+         + cov[0, 0] * d[1] * d[1]) / det
+    alpha = min(alpha_clamp, opacity * np.exp(-0.5 * q))
+    return float(alpha) if alpha >= alpha_cutoff else 0.0
+
+
+def _tile_ranges(size: int, tile: int):
+    return [(lo, min(lo + tile, size)) for lo in range(0, size, tile)]
+
+
+def _render_tile(x_lo, x_hi, y_lo, y_hi, splats, opac, opts, dt):
+    """Composite one pixel tile: per-pixel transmittance and fragment records.
+
+    Images are assembled later from the fragment list in canonical order so
+    results are bit-independent of the tiling.
+    """
+    npix = (x_hi - x_lo) * (y_hi - y_lo)
+    t_fin = np.ones(npix, dtype=dt)
+    empty = (np.zeros(npix, dtype=np.int64), np.empty(0, dtype=np.int64),
+             np.empty(0, dtype=dt), np.empty(0, dtype=dt), np.empty(0, dtype=np.int64))
+
+    bb = splats.bbox
+    hit = np.nonzero((bb[:, 0] <= x_hi - 1) & (bb[:, 1] >= x_lo)
+                     & (bb[:, 2] <= y_hi - 1) & (bb[:, 3] >= y_lo))[0]
+    if hit.size == 0:
+        return (t_fin, *empty)
+
+    npx = x_hi - x_lo
+    pix_x = np.arange(x_lo, x_hi, dtype=dt)
+    pix_y = np.arange(y_lo, y_hi, dtype=dt)
+    mean = splats.mean2d[hit]
+    d0 = np.tile(pix_x, y_hi - y_lo)[None, :] - mean[:, 0:1]   # (K, P)
+    d1 = np.repeat(pix_y, npx)[None, :] - mean[:, 1:2]
+    ic = splats.inv_cov[hit]
+    q = ic[:, 0, 0, None] * (d0 * d0)
+    q += (2.0 * ic[:, 0, 1, None]) * (d0 * d1)
+    q += ic[:, 1, 1, None] * (d1 * d1)
+
+    o_hit = opac[hit]
+    sig2 = np.inf if opts.cull_sigma is None else dt.type(opts.cull_sigma ** 2)
+    if opts.alpha_cutoff > 0:
+        # coarse superset of admissible fragments in q-space; the exact
+        # alpha/support tests below stay bit-identical to the full evaluation
+        with np.errstate(divide="ignore"):
+            q_lim = 2.0 * np.log(o_hit / dt.type(opts.alpha_cutoff)) + dt.type(1e-5)
+        coarse = q <= np.minimum(q_lim, sig2 + dt.type(1e-5))[:, None]
+    else:
+        coarse = q <= sig2
+
+    # compact evaluation, pixel-major with ascending depth inside each pixel
+    p_idx, k_idx = np.nonzero(coarse.T)
+    qv = q[k_idx, p_idx]
+    g = np.exp(-0.5 * qv)
+    alpha_v = np.minimum(o_hit[k_idx] * g, dt.type(opts.alpha_clamp))
+    fine = alpha_v >= opts.alpha_cutoff if opts.alpha_cutoff > 0 else alpha_v > 0
+    if opts.cull_sigma is not None:
+        fine &= qv <= sig2
+    p_idx, k_idx, alpha_v = p_idx[fine], k_idx[fine], alpha_v[fine]
+
+    one_minus = np.ones_like(q)
+    one_minus[k_idx, p_idx] = 1.0 - alpha_v
+    t_incl = np.cumprod(one_minus, axis=0)
+    t_fin = t_incl[-1]
+    frag_tb = np.where(k_idx > 0, t_incl[np.maximum(k_idx - 1, 0), p_idx],
+                       dt.type(1.0))
+
+    counts = np.bincount(p_idx, minlength=npix)
+    frag_splat = hit[k_idx]
+    frag_source = splats.index[frag_splat]
+    return t_fin, counts, frag_source, alpha_v, frag_tb, frag_splat
+
+
+def _pixel_sums(values: np.ndarray, frag_start: np.ndarray) -> np.ndarray:
+    """Per-pixel sums of pixel-sorted fragment rows: one reduceat pass over
+    the whole fragment list, each pixel summed in reduceat's own order.
+
+    Empty pixels are skipped up front; consecutive nonempty starts then bound
+    exactly one pixel's fragment slice each (reduceat's final segment runs to
+    the end of the array).
+    """
+    npix = frag_start.size - 1
+    out = np.zeros((npix,) + values.shape[1:], dtype=values.dtype)
+    if values.shape[0] == 0:
+        return out
+    nonempty = np.diff(frag_start) > 0
+    starts = frag_start[:-1][nonempty]
+    out[nonempty] = np.add.reduceat(values, starts, axis=0)
+    return out
+
+
+def tiled_render(cloud: GaussianCloud, cam, background=(0.0, 0.0, 0.0),
+                 opts: RenderOptions | None = None,
+                 tile: int = DEFAULT_TILE) -> RenderOutput:
+    """Rasterize tile by tile with dense per-tile evaluation."""
+    opts = opts or RenderOptions()
+    dt = cloud.dtype
+    h, w = cam.height, cam.width
+    bg = np.asarray(background, dtype=dt).reshape(3)
+    splats = project_cloud(cloud, cam, near=opts.near, cull_sigma=opts.cull_sigma,
+                           alpha_cutoff=opts.alpha_cutoff)
+    opac = cloud.opacities[splats.index]
+
+    tiles = [(xl, xh, yl, yh)
+             for yl, yh in _tile_ranges(h, tile)
+             for xl, xh in _tile_ranges(w, tile)]
+    results = [_render_tile(*t, splats, opac, opts, dt) for t in tiles]
+
+    t_final = np.empty((h, w), dtype=dt)
+    counts = np.zeros(h * w, dtype=np.int64)
+    for (xl, xh, yl, yh), res in zip(tiles, results):
+        t_final[yl:yh, xl:xh] = res[0].reshape(yh - yl, xh - xl)
+        pix_rows = (np.arange(yl, yh)[:, None] * w + np.arange(xl, xh)[None, :]).ravel()
+        counts[pix_rows] = res[1]
+
+    frag_start = np.zeros(h * w + 1, dtype=np.int64)
+    np.cumsum(counts, out=frag_start[1:])
+    total = int(frag_start[-1])
+    frag_source = np.empty(total, dtype=np.int64)
+    frag_alpha = np.empty(total, dtype=dt)
+    frag_tb = np.empty(total, dtype=dt)
+    frag_splat = np.empty(total, dtype=np.int64)
+    for (xl, xh, yl, yh), res in zip(tiles, results):
+        t_counts, t_src, t_alpha, t_tb, t_splat = res[1], res[2], res[3], res[4], res[5]
+        if t_src.size == 0:
+            continue
+        pix_rows = (np.arange(yl, yh)[:, None] * w + np.arange(xl, xh)[None, :]).ravel()
+        dest = np.repeat(frag_start[pix_rows], t_counts)
+        within = np.arange(t_src.size) - np.repeat(
+            np.concatenate([[0], np.cumsum(t_counts[:-1])]), t_counts)
+        dest = dest + within
+        frag_source[dest] = t_src
+        frag_alpha[dest] = t_alpha
+        frag_tb[dest] = t_tb
+        frag_splat[dest] = t_splat
+
+    weights = frag_alpha * frag_tb
+    vals = np.empty((total, 3 + cloud.dim), dtype=dt)
+    vals[:, :3] = weights[:, None] * cloud.colors[frag_source]
+    vals[:, 3:] = weights[:, None] * cloud.encodings[frag_source]
+    sums = _pixel_sums(vals, frag_start)
+    color = sums[:, :3] + t_final.reshape(-1, 1) * bg
+    ident = sums[:, 3:]
+
+    return RenderOutput(color.reshape(h, w, 3), ident.reshape(h, w, cloud.dim),
+                        t_final, frag_start, frag_source, frag_alpha, frag_tb,
+                        frag_splat, splats, bg, opts)

@@ -221,7 +221,7 @@ def test_criterion_2_forward_oracle():
     assert color_err <= 1e-6, color_err
     assert ident_err <= 1e-6, ident_err
     assert cons_err <= 1e-5, cons_err
-    report(2, f"20 scenes: max |tiled - naive| color {color_err:.2e}, identity "
+    report(2, f"20 scenes: max |render - naive| color {color_err:.2e}, identity "
               f"{ident_err:.2e}; weight conservation {cons_err:.2e}")
 
 

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+import gradiseg.render as render_module
 from conftest import random_cloud, reference_render, test_camera
 from gradiseg.camera import Splat2D
-from gradiseg.render import (RenderOptions, pixel_alpha, render,
-                             render_group_weights)
+from gradiseg.render import RenderOptions, render, render_group_weights
 from gradiseg.scene import GaussianCloud
+from oracles import fragments_at, pixel_alpha, tiled_render
 
 
 def make_splat(mean=(0.0, 0.0), cov=np.eye(2)):
@@ -122,7 +123,7 @@ class TestRenderOracle:
         _, _, _, ref_frags = reference_render(cloud, cam)
         for y in range(16):
             for x in range(16):
-                got = out.fragments_at(x, y)
+                got = fragments_at(out, x, y)
                 want = ref_frags[y][x]
                 assert len(got) == len(want)
                 for f, (i, a, t) in zip(got, want):
@@ -149,7 +150,7 @@ class TestRenderInvariants:
         for y in range(12):
             for x in range(12):
                 t = 1.0
-                for f in out.fragments_at(x, y):
+                for f in fragments_at(out, x, y):
                     assert f.transmittance_before == pytest.approx(t, abs=1e-6)
                     assert f.alpha <= 0.99
                     t *= 1.0 - f.alpha
@@ -160,7 +161,7 @@ class TestRenderInvariants:
         out = render(cloud, cam)
         for y in range(16):
             for x in range(16):
-                frags = out.fragments_at(x, y)
+                frags = fragments_at(out, x, y)
                 if frags and frags[0].alpha >= 0.989:
                     for f in frags[1:]:
                         assert f.alpha * f.transmittance_before < 0.011
@@ -185,24 +186,129 @@ class TestRenderInvariants:
         np.testing.assert_allclose(a.color, b.color, atol=1e-12)
         np.testing.assert_allclose(a.identity, b.identity, atol=1e-12)
 
-    def test_tiling_invariance(self, rng):
-        cam = test_camera(width=33, height=17)  # non-multiple of tile sizes
-        cloud = random_cloud(rng, 60, dim=4)
-        base = render(cloud, cam, opts=RenderOptions(tile=16))
-        for tile in (4, 8, 64):
-            alt = render(cloud, cam, opts=RenderOptions(tile=tile))
-            np.testing.assert_array_equal(base.color, alt.color)
-            np.testing.assert_array_equal(base.identity, alt.identity)
-            np.testing.assert_array_equal(base.frag_source, alt.frag_source)
-            np.testing.assert_array_equal(base.frag_alpha, alt.frag_alpha)
 
-    def test_thread_invariance(self, rng):
-        cam = test_camera(width=32, height=32)
-        cloud = random_cloud(rng, 60, dim=4)
-        serial = render(cloud, cam, opts=RenderOptions(threads=1))
-        threaded = render(cloud, cam, opts=RenderOptions(threads=4))
-        np.testing.assert_array_equal(serial.color, threaded.color)
-        np.testing.assert_array_equal(serial.frag_alpha, threaded.frag_alpha)
+OUTPUT_ARRAYS = ("color", "identity", "final_transmittance", "frag_start",
+                 "frag_source", "frag_alpha", "frag_t_before", "frag_splat",
+                 "background")
+
+
+def assert_same_bytes(got, want):
+    for name in OUTPUT_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestTiledOracle:
+    """The bbox-driven rasterizer reproduces the dense per-tile compositor
+    byte for byte, whatever the tile size and block size."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("smooth", [False, True], ids=["default", "smooth"])
+    @pytest.mark.parametrize("size", [(33, 17), (32, 32), (5, 40)],
+                             ids=["33x17", "32x32", "5x40"])
+    def test_matches_tiled_oracle(self, rng, dtype, smooth, size):
+        cam = test_camera(width=size[0], height=size[1])
+        opts = RenderOptions.smooth() if smooth else RenderOptions()
+        cloud = random_cloud(rng, 60, dim=4, dtype=dtype)
+        out = render(cloud, cam, background=(0.1, 0.2, 0.3), opts=opts)
+        assert out.frag_source.size > 0
+        for tile in (4, 16, 64):
+            assert_same_bytes(out, tiled_render(cloud, cam, background=(0.1, 0.2, 0.3),
+                                                opts=opts, tile=tile))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fragments_lie_in_splat_bbox(self, rng, dtype):
+        # the dense oracle tests every pixel of a 64-pixel tile, so a fragment
+        # outside its splat's bbox would show here and be missed by render
+        cam = test_camera(width=48, height=40)
+        for _ in range(4):
+            cloud = random_cloud(rng, 80, dim=4, dtype=dtype, scale_range=(0.01, 0.5))
+            out = tiled_render(cloud, cam, tile=64)
+            pix = np.repeat(np.arange(48 * 40), np.diff(out.frag_start))
+            x, y = pix % 48, pix // 48
+            bb = out.splats.bbox[out.frag_splat]
+            assert np.all((bb[:, 0] <= x) & (x <= bb[:, 1])
+                          & (bb[:, 2] <= y) & (y <= bb[:, 3]))
+
+    @pytest.mark.parametrize("smooth", [False, True], ids=["default", "smooth"])
+    def test_block_independence(self, rng, monkeypatch, smooth):
+        cam = test_camera(width=33, height=17)
+        opts = RenderOptions.smooth() if smooth else RenderOptions()
+        cloud = random_cloud(rng, 60, dim=4, dtype=np.float32)
+        base = render(cloud, cam, background=(0.1, 0.2, 0.3), opts=opts)
+        for block in (1, 7, 10 ** 6):
+            monkeypatch.setattr(render_module, "BLOCK", block)
+            assert_same_bytes(render(cloud, cam, background=(0.1, 0.2, 0.3), opts=opts),
+                              base)
+
+
+class TestRenderEdgeCases:
+    def test_empty_cloud(self):
+        cam = test_camera(width=7, height=5)
+        cloud = GaussianCloud.empty(dim=4, dtype=np.float32)
+        out = render(cloud, cam, background=(0.2, 0.4, 0.6))
+        assert_same_bytes(out, tiled_render(cloud, cam, background=(0.2, 0.4, 0.6)))
+        assert out.frag_start.tolist() == [0] * 36
+        assert np.all(out.final_transmittance == 1.0)
+
+    def test_every_splat_culled(self, rng):
+        cam = test_camera(width=16, height=16)
+        cloud = random_cloud(rng, 30, dim=4)
+        cloud.positions[:15, 0] += 50.0      # far off screen
+        cloud.positions[15:, 2] -= 10.0      # behind the camera
+        out = render(cloud, cam, background=(0.2, 0.4, 0.6))
+        assert out.splats.count == 0
+        assert out.frag_source.size == 0
+        assert_same_bytes(out, tiled_render(cloud, cam, background=(0.2, 0.4, 0.6)))
+
+    @pytest.mark.parametrize("smooth", [False, True], ids=["default", "smooth"])
+    def test_single_pixel_camera(self, rng, smooth):
+        cam = test_camera(width=1, height=1, fov_scale=20.0)
+        opts = RenderOptions.smooth() if smooth else RenderOptions()
+        cloud = random_cloud(rng, 40, dim=4)
+        out = render(cloud, cam, opts=opts)
+        assert out.frag_source.size > 0
+        assert_same_bytes(out, tiled_render(cloud, cam, opts=opts))
+        if not smooth:
+            ref_color, _, ref_t, _ = reference_render(cloud, cam)
+            np.testing.assert_allclose(out.color, ref_color, atol=1e-6)
+            np.testing.assert_allclose(out.final_transmittance, ref_t, atol=1e-6)
+
+    def test_deep_pixel_stack(self):
+        # 320 fragments on one pixel: the depth-rank sweep runs 320 steps
+        n = 320
+        cloud = stacked_cloud([(0.03, (k / n, 0.5, 1.0 - k / n), np.full(4, k / n))
+                               for k in range(n)]).astype(np.float32)
+        cam = centered_camera()
+        out = render(cloud, cam, background=(0.2, 0.4, 0.6))
+        assert_same_bytes(out, tiled_render(cloud, cam, background=(0.2, 0.4, 0.6)))
+        center = 4 * 9 + 4
+        assert out.frag_start[center + 1] - out.frag_start[center] == n
+        t = np.float32(1.0)
+        for f in fragments_at(out, 4, 4):
+            assert np.float32(f.transmittance_before) == t
+            t = t * (np.float32(1.0) - np.float32(f.alpha))
+        assert out.final_transmittance[4, 4] == t
+
+    def test_splat_larger_than_a_block(self, rng):
+        cam = test_camera(width=160, height=150)
+        cloud = random_cloud(rng, 12, dim=4, dtype=np.float32)
+        cloud.scales[0] = 0.8            # one splat covers most of the image
+        cloud.opacities[0] = 0.9
+        out = render(cloud, cam, background=(0.1, 0.2, 0.3))
+        bb = out.splats.bbox
+        area = (bb[:, 1] - bb[:, 0] + 1) * (bb[:, 3] - bb[:, 2] + 1)
+        assert area.max() > render_module.BLOCK
+        assert_same_bytes(out, tiled_render(cloud, cam, background=(0.1, 0.2, 0.3)))
+
+    def test_more_than_65536_pixels(self, rng):
+        cam = test_camera(width=300, height=240)
+        cloud = random_cloud(rng, 50, dim=4, dtype=np.float32)
+        out = render(cloud, cam, background=(0.1, 0.2, 0.3))
+        assert cam.width * cam.height > 65536
+        assert out.frag_start[-1] == out.frag_source.size > 0
+        assert_same_bytes(out, tiled_render(cloud, cam, background=(0.1, 0.2, 0.3)))
 
 
 class TestGroupWeights:
@@ -237,7 +343,7 @@ class TestGroupWeights:
         expect = np.zeros_like(weights)
         for y in range(16):
             for x in range(16):
-                for f in out.fragments_at(x, y):
+                for f in fragments_at(out, x, y):
                     g = cloud.group_ids[f.source_index]
                     expect[y, x, g] += f.alpha * f.transmittance_before
         np.testing.assert_allclose(weights, expect, atol=1e-9)

@@ -6,6 +6,7 @@ import pytest
 from gradiseg.netpbm import read_pgm, read_ppm
 from gradiseg.render import render
 from gradiseg.synth import ObjectSpec, SceneSpec, default_scene_spec, generate
+from oracles import fragments_at
 
 
 def single_sphere_spec(seed=0):
@@ -74,7 +75,7 @@ class TestGenerate:
         for k in sel:
             y, x = int(ys[k]), int(xs[k])
             weights = {}
-            for f in out.fragments_at(x, y):
+            for f in fragments_at(out, x, y):
                 g = int(cloud.group_ids[f.source_index])
                 weights[g] = weights.get(g, 0.0) + f.alpha * f.transmittance_before
             winner = max(weights.items(), key=lambda kv: (kv[1], -kv[0]))[0]
