@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraView
-from .render import RenderOutput
+from .render import ALPHA_CLAMP, RenderOutput
 from .rotation import rot_grad_to_quat_grad
 from .scene import GaussianCloud
 
@@ -116,7 +116,7 @@ def backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutput,
     one_minus = 1.0 - alpha
     g_alpha = (dot_c + dot_e) * t_before - (B + suffix_e) / one_minus
 
-    # alpha = min(clamp, o * G); clamped fragments pass no gradient
+    # alpha = min(ALPHA_CLAMP, o * G); clamped fragments pass no gradient
     o_src = cloud.opacities[src]
     pix_xy = np.stack([frag_pix % w, frag_pix // w], axis=1).astype(dt)
     dvec = pix_xy - splats.mean2d[srow]
@@ -125,7 +125,7 @@ def backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutput,
     pd1 = ic[:, 1, 0] * dvec[:, 0] + ic[:, 1, 1] * dvec[:, 1]
     q = pd0 * dvec[:, 0] + pd1 * dvec[:, 1]
     g_val = np.exp(-0.5 * q)
-    unclamped = (o_src * g_val) < out.opts.alpha_clamp
+    unclamped = (o_src * g_val) < ALPHA_CLAMP
     g_pre = np.where(unclamped, g_alpha, dt.type(0.0))
     coef = g_pre * o_src * g_val
     half = 0.5 * coef

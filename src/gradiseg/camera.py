@@ -7,12 +7,12 @@ or u = fx*tx + cx (orthographic). Depth is camera-space z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .rotation import quat_to_rot
-from .scene import Gaussian, GaussianCloud
+from .scene import GaussianCloud
 
 NEAR_PLANE = 0.01
 COV_DILATION = 0.3   # px^2 added to the cov2d diagonal (anti-aliasing floor)
@@ -99,27 +99,17 @@ class ProjectedSplats:
         return self.index.shape[0]
 
 
-@dataclass
-class Splat2D:
-    """A single projected Gaussian (public per-splat view of ProjectedSplats)."""
-
-    mean2d: np.ndarray
-    cov2d: np.ndarray
-    depth: float
-    source_index: int
-
-
 def project_cloud(cloud: GaussianCloud, cam: CameraView,
-                  near: float = NEAR_PLANE, cull_sigma: float | None = CULL_SIGMA,
-                  dilation: float = COV_DILATION,
+                  cull_sigma: float | None = CULL_SIGMA,
                   alpha_cutoff: float = 0.0) -> ProjectedSplats:
     """Project every Gaussian, cull, and depth-sort (ties by source index).
 
-    Culling removes Gaussians with depth <= near and, when cull_sigma is not
-    None, those whose cull_sigma-sigma screen ellipse misses the image. With
-    alpha_cutoff > 0 the rasterizer's candidate bboxes shrink to the radius where alpha
-    can still reach the cutoff (opacity-dependent); visibility itself stays
-    determined by the cull_sigma ellipse.
+    Culling removes Gaussians with depth <= NEAR_PLANE and, when cull_sigma
+    is not None, those whose cull_sigma-sigma screen ellipse misses the image.
+    COV_DILATION is added to every cov2d diagonal. With alpha_cutoff > 0 the
+    rasterizer's candidate bboxes shrink to the radius where alpha can still
+    reach the cutoff (opacity-dependent); visibility itself stays determined
+    by the cull_sigma ellipse.
     """
     dt = cloud.dtype
     n = cloud.n
@@ -129,7 +119,7 @@ def project_cloud(cloud: GaussianCloud, cam: CameraView,
 
     t = cloud.positions @ Rcw.T + tcw  # camera-space centers
     depth = t[:, 2]
-    alive = depth > near
+    alive = depth > NEAR_PLANE
 
     # screen means and projection Jacobians
     mean2d = np.empty((n, 2), dtype=dt)
@@ -154,8 +144,8 @@ def project_cloud(cloud: GaussianCloud, cam: CameraView,
     cov3d = M @ np.swapaxes(M, 1, 2)
     A = J @ Rcw
     cov2d = A @ cov3d @ np.swapaxes(A, 1, 2)
-    cov2d[:, 0, 0] += dilation
-    cov2d[:, 1, 1] += dilation
+    cov2d[:, 0, 0] += COV_DILATION
+    cov2d[:, 1, 1] += COV_DILATION
 
     # 3-sigma screen radius from the largest eigenvalue of cov2d
     a, b, c = cov2d[:, 0, 0], cov2d[:, 0, 1], cov2d[:, 1, 1]
@@ -211,27 +201,3 @@ def project_cloud(cloud: GaussianCloud, cam: CameraView,
         R=R[idx], cov3d=cov3d[idx], scales=cloud.scales[idx], cam=cam,
         n_source=n,
     )
-
-
-def project_gaussian(g: Gaussian, cam: CameraView, near: float = NEAR_PLANE):
-    """Project a single Gaussian. Returns a Splat2D, or None when culled."""
-    cloud = GaussianCloud(
-        g.position[None].astype(np.float64), g.scale[None], g.rotation[None],
-        np.array([g.opacity]), g.color[None], g.encoding[None])
-    splats = project_cloud(cloud, cam, near=near)
-    if splats.count == 0:
-        return None
-    return Splat2D(mean2d=splats.mean2d[0].copy(), cov2d=splats.cov2d[0].copy(),
-                   depth=float(splats.depth[0]), source_index=0)
-
-
-def depth_sort(depths, source_indices=None) -> np.ndarray:
-    """Indices sorting splats by ascending depth, ties by ascending source index."""
-    depths = np.asarray(depths)
-    if depths.size and not np.all(np.isfinite(depths)):
-        raise ValueError("NaN or infinite depth")
-    if source_indices is None:
-        source_indices = np.arange(depths.shape[0])
-    source_indices = np.asarray(source_indices)
-    order = np.lexsort((source_indices, depths))
-    return order

@@ -1,8 +1,9 @@
 """Command-line entry point: gen | train | render | segment | eval | edit.
 
 Every run writes a run.json next to its output echoing the resolved
-configuration and seed. Exit codes: 0 success, 2 validation/usage error,
-1 internal error.
+configuration and seed. Exit codes: 0 success, 2 validation/usage error
+(including a malformed scene, dataset or config file, or a schedule that
+does not validate), 1 internal error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import dataclasses
 import json
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,36 @@ def _require_file(path, what: str) -> Path:
     if not p.exists():
         raise ValidationError(f"{what} not found: {p}")
     return p
+
+
+@contextmanager
+def _reading(what: str):
+    """Report errors raised while reading user input as validation errors."""
+    from .netpbm import PnmError
+    from .scene import SceneFormatError
+
+    try:
+        yield
+    except KeyError as e:
+        raise ValidationError(f"{what}: missing key {e}") from e
+    except (SceneFormatError, PnmError, TypeError, ValueError) as e:
+        raise ValidationError(f"{what}: {e}") from e
+
+
+def _read_scene(path):
+    from .scene import load_scene
+
+    path = _require_file(path, "scene file")
+    with _reading(f"scene file {path}"):
+        return load_scene(path)
+
+
+def _read_dataset(data_dir):
+    from .dataset import load_dataset
+
+    manifest = _require_file(Path(data_dir) / "manifest.json", "dataset manifest")
+    with _reading(f"dataset {manifest.parent}"):
+        return manifest, load_dataset(manifest)
 
 
 def _load_scene_spec(path):
@@ -62,22 +94,21 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     from .config import load_train_config
-    from .dataset import load_dataset
     from .trainer import train
 
-    manifest = _require_file(Path(args.data) / "manifest.json", "dataset manifest")
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.iters is not None:
         overrides["total_iters"] = args.iters
-    sched = load_train_config(args.config, overrides)
-    dataset = load_dataset(manifest)
+    with _reading("training configuration"):
+        sched = load_train_config(args.config, overrides).resolved()
+    manifest, dataset = _read_dataset(args.data)
     out = Path(args.out)
     result = train(dataset, sched, out)
     _write_run_json(out / "run.json", "train",
                     {"seed": sched.seed, "data": str(manifest),
-                     "config": dataclasses.asdict(sched.resolved())})
+                     "config": dataclasses.asdict(sched)})
     last = result.metrics_rows[-1] if result.metrics_rows else None
     if last:
         print(f"trained {sched.total_iters} iters; N={last[4]} "
@@ -85,20 +116,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_scene_and_view(args, need_view=True):
-    from .dataset import load_dataset
-    from .scene import load_scene
-
-    cloud, head = load_scene(_require_file(args.scene, "scene file"))
-    view = None
-    if need_view:
-        manifest = _require_file(Path(args.data) / "manifest.json", "dataset manifest")
-        dataset = load_dataset(manifest)
-        if not (0 <= args.view < len(dataset.views)):
-            raise ValidationError(
-                f"view {args.view} out of range (dataset has {len(dataset.views)})")
-        view = dataset.views[args.view]
-    return cloud, head, view
+def _load_scene_and_view(args):
+    cloud, head = _read_scene(args.scene)
+    _, dataset = _read_dataset(args.data)
+    if not (0 <= args.view < len(dataset.views)):
+        raise ValidationError(
+            f"view {args.view} out of range (dataset has {len(dataset.views)})")
+    return cloud, head, dataset.views[args.view]
 
 
 def cmd_render(args) -> int:
@@ -132,15 +156,12 @@ def cmd_segment(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .dataset import load_dataset
     from .metrics import evaluate_masks, psnr
     from .render import render
-    from .scene import load_scene
     from .semantic import segment_mask
 
-    cloud, head = load_scene(_require_file(args.scene, "scene file"))
-    manifest = _require_file(Path(args.data) / "manifest.json", "dataset manifest")
-    dataset = load_dataset(manifest)
+    cloud, head = _read_scene(args.scene)
+    _, dataset = _read_dataset(args.data)
     preds, gts, psnrs = [], [], []
     for view in dataset.views:
         out = render(cloud, view)
@@ -161,9 +182,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_edit(args) -> int:
-    from .scene import extract_group, load_scene, recolor_group, remove_group, save_scene
+    from .scene import extract_group, recolor_group, remove_group, save_scene
 
-    cloud, head = load_scene(_require_file(args.scene, "scene file"))
+    cloud, head = _read_scene(args.scene)
     ops = [o for o in (args.remove, args.recolor, args.extract) if o is not None]
     if len(ops) != 1:
         raise ValidationError("exactly one of --remove/--recolor/--extract is required")

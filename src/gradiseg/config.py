@@ -1,7 +1,7 @@
 """Flat key = value run configuration files mapping onto TrainSchedule fields.
 
 Lines are `key = value` (or `key=value`); blank lines and #-comments are
-ignored. Values are parsed as bool/int/float/string by field type.
+ignored. Values are parsed as bool/int/float by the field's annotation.
 """
 
 from __future__ import annotations
@@ -10,6 +10,10 @@ from dataclasses import fields
 from pathlib import Path
 
 from .trainer import TrainSchedule
+
+# field annotations are strings such as "int" or "int | None"
+_KINDS = {"bool": bool, "int": int, "float": float}
+_FIELD_KINDS = {f.name: _KINDS[f.type.split(" |")[0]] for f in fields(TrainSchedule)}
 
 
 def _parse_value(raw: str, kind):
@@ -20,24 +24,11 @@ def _parse_value(raw: str, kind):
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ValueError(f"cannot parse {raw!r} as bool")
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    if kind is tuple:
-        return tuple(float(x) for x in raw.split(","))
-    return raw
+    return kind(raw)
 
 
 def load_train_config(path, overrides: dict | None = None) -> TrainSchedule:
     """TrainSchedule from a key=value file (path may be None for defaults)."""
-    known = {f.name: f for f in fields(TrainSchedule)}
-    kinds = {}
-    for name, f in known.items():
-        default = f.default
-        kinds[name] = type(default) if default is not None else (
-            int if name in ("densify_end", "igd_end", "knn_switch") else float)
-
     values: dict = {}
     if path is not None:
         for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -47,9 +38,9 @@ def load_train_config(path, overrides: dict | None = None) -> TrainSchedule:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, raw = (s.strip() for s in line.split("=", 1))
-            if key not in known:
+            if key not in _FIELD_KINDS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _parse_value(raw, kinds[key])
+            values[key] = _parse_value(raw, _FIELD_KINDS[key])
     if overrides:
         values.update(overrides)
     return TrainSchedule(**values)

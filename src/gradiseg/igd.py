@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rotation import quat_to_rot
-from .scene import MONITORS, Gaussian, GaussianCloud
+from .scene import MONITORS, GaussianCloud
 
 
 @dataclass
@@ -44,37 +44,6 @@ class IgdResult:
     threshold: float
 
 
-def _split_axis(scale: np.ndarray, rotation: np.ndarray) -> np.ndarray:
-    """World-space unit vector of the largest-scale principal axis.
-
-    Equal scales tie-break to the lowest axis index.
-    """
-    axis = int(np.argmax(scale))
-    return quat_to_rot(rotation.astype(np.float64))[:, axis]
-
-
-def split_gaussian(g: Gaussian, cfg: IgdConfig) -> tuple[Gaussian, Gaussian]:
-    """Split one Gaussian into two children on either side of the boundary.
-
-    Children sit at p +- split_offset_frac * s_max * v, v the major principal
-    axis, with all scale components divided by split_scale_div; rotation,
-    opacity, color and identity encoding are copied. Degenerate scales
-    (s_max < 1e-9) clone in place without offset or shrink.
-    """
-    s_max = float(np.max(g.scale))
-    if s_max < 1e-9:
-        return (Gaussian(g.position.copy(), g.scale.copy(), g.rotation.copy(),
-                         g.opacity, g.color.copy(), g.encoding.copy()),
-                Gaussian(g.position.copy(), g.scale.copy(), g.rotation.copy(),
-                         g.opacity, g.color.copy(), g.encoding.copy()))
-    v = _split_axis(g.scale, g.rotation)
-    offset = (cfg.split_offset_frac * s_max * v).astype(g.position.dtype)
-    new_scale = (g.scale / cfg.split_scale_div).astype(g.scale.dtype)
-    mk = lambda p: Gaussian(p, new_scale.copy(), g.rotation.copy(), g.opacity,
-                            g.color.copy(), g.encoding.copy())
-    return mk(g.position + offset), mk(g.position - offset)
-
-
 def split_rows(cloud: GaussianCloud, rows: np.ndarray, offsets: np.ndarray,
                scales: np.ndarray) -> GaussianCloud:
     """Two children per parent in `rows`, parent by parent.
@@ -97,7 +66,10 @@ def igd_step(cloud: GaussianCloud, cfg: IgdConfig,
 
     Rows whose mean monitor (accumulated identity-gradient norm per visible
     iteration) exceeds the tau_percentile of the surviving visible rows are
-    split along their major principal axis, as split_gaussian does.
+    split in two. The children sit at p +- split_offset_frac * s_max * v, v
+    the world-space axis of the largest scale component (ties to the lowest
+    axis), with every scale component divided by split_scale_div. A row with
+    s_max < 1e-9 gives two unshrunk copies at p.
     """
     if scene_extent is None:
         scene_extent = cloud.scene_extent()

@@ -2,15 +2,16 @@
 
 The direction-aware variant keeps only candidates with a strictly positive
 projection distance d_j = (p_j - p_i) . u onto the query direction u and takes
-the K smallest, so neighbors behind or perpendicular to u are excluded. Both
-search modes are contractually identical to exhaustive search, including the
-ascending-index tie rule.
+the K smallest, so neighbors behind or perpendicular to u are excluded. u is
+the target's negated, normalized position-gradient EMA; targets whose EMA is
+(numerically) zero fall back to global search. Both search modes are
+contractually identical to exhaustive search, including the ascending-index
+tie rule (tests/oracles.py holds the scalar reference searches).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,41 +21,6 @@ from .semantic import ClassifierHead, classify
 PROB_FLOOR = 1e-12
 EMA_FLOOR = 1e-12
 _CHUNK = 128
-
-
-@dataclass
-class NeighborQuery:
-    """One neighbor lookup: K neighbors of target_index, optionally restricted
-    to the half-space along unit direction u (mode 'local-adaptive')."""
-
-    target_index: int
-    K: int = 5
-    mode: str = "global"
-    direction: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        if self.mode not in ("global", "local-adaptive"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "local-adaptive":
-            if self.direction is None:
-                raise ValueError("local-adaptive mode requires a direction")
-            if abs(np.linalg.norm(self.direction) - 1.0) > 1e-9:
-                raise ValueError("direction must be a unit vector")
-
-
-def neighbor_direction(cloud: GaussianCloud, i: int) -> np.ndarray | None:
-    """Unit vector opposite the position-gradient EMA of Gaussian i.
-
-    Returns None when the EMA is (numerically) zero; callers fall back to
-    global search for that Gaussian.
-    """
-    g = cloud.pos_grad_ema[i]
-    norm = np.linalg.norm(g)
-    if norm < EMA_FLOOR:
-        return None
-    return -g / norm
 
 
 def _smallest_k(dist_row: np.ndarray, k: int) -> np.ndarray:
@@ -74,40 +40,12 @@ def _smallest_k(dist_row: np.ndarray, k: int) -> np.ndarray:
     return out[np.lexsort((out, dist_row[out]))]
 
 
-def local_adaptive_neighbors(cloud: GaussianCloud, i: int, u: np.ndarray,
-                             k: int) -> np.ndarray:
-    """K nearest neighbors of i by smallest strictly positive projection distance."""
-    if k < 1:
-        raise ValueError("K must be >= 1")
-    u = np.asarray(u, dtype=np.float64)
-    d = (cloud.positions.astype(np.float64) - cloud.positions[i].astype(np.float64)) @ u
-    d[i] = -np.inf
-    d = np.where(d > 0, d, np.inf)
-    return _smallest_k(d, k)
-
-
-def global_neighbors(cloud: GaussianCloud, i: int, k: int) -> np.ndarray:
-    """K nearest neighbors of i by Euclidean distance, ties by ascending index."""
-    if k < 1:
-        raise ValueError("K must be >= 1")
-    diff = cloud.positions.astype(np.float64) - cloud.positions[i].astype(np.float64)
-    d = np.einsum("nj,nj->n", diff, diff)
-    d[i] = np.inf
-    return _smallest_k(d, k)
-
-
-def find_neighbors(cloud: GaussianCloud, query: NeighborQuery) -> np.ndarray:
-    if query.mode == "global":
-        return global_neighbors(cloud, query.target_index, query.K)
-    return local_adaptive_neighbors(cloud, query.target_index, query.direction, query.K)
-
-
 def _neighbor_pairs(cloud: GaussianCloud, targets: np.ndarray, k: int,
                     mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized neighbor selection for many targets. Returns flat (i, j) pairs.
 
     Uses argpartition per chunk; rows with ties at the selection boundary (or
-    fewer than k candidates) are repaired with the exact scalar path so the
+    fewer than k candidates) are repaired with _smallest_k so the
     ascending-index tie rule always holds.
     """
     pos = cloud.positions

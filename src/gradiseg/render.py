@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CULL_SIGMA, NEAR_PLANE, CameraView, ProjectedSplats, project_cloud
+from .camera import CULL_SIGMA, CameraView, ProjectedSplats, project_cloud
 from .scene import GaussianCloud
 
 ALPHA_CLAMP = 0.99
@@ -36,13 +36,15 @@ BLOCK = 1 << 14   # candidates or fragments per block
 
 @dataclass
 class RenderOptions:
-    """Rasterizer knobs. `smooth()` disables the discrete cutoffs so the
-    rendered map is differentiable everywhere (used by gradient checks)."""
+    """The rasterizer's two discrete cutoffs: fragments with alpha below
+    alpha_cutoff are dropped, and with cull_sigma set, splats are culled and
+    supports truncated at cull_sigma standard deviations. `smooth()` turns
+    both off so the rendered map is differentiable everywhere (used by
+    gradient checks). Alpha is always clamped to ALPHA_CLAMP and the near
+    plane is camera.NEAR_PLANE."""
 
-    alpha_clamp: float = ALPHA_CLAMP
     alpha_cutoff: float = ALPHA_CUTOFF
     cull_sigma: float | None = CULL_SIGMA
-    near: float = NEAR_PLANE
 
     @classmethod
     def smooth(cls) -> "RenderOptions":
@@ -60,7 +62,7 @@ class RenderOutput:
 
     def __init__(self, color, identity, final_transmittance, frag_start,
                  frag_source, frag_alpha, frag_t_before, frag_splat,
-                 splats: ProjectedSplats, background, opts: "RenderOptions"):
+                 splats: ProjectedSplats, background):
         self.color = color
         self.identity = identity
         self.final_transmittance = final_transmittance
@@ -71,7 +73,6 @@ class RenderOutput:
         self.frag_splat = frag_splat
         self.splats = splats
         self.background = background
-        self.opts = opts
 
     @property
     def shape(self):
@@ -142,7 +143,7 @@ def _fragments(splats: ProjectedSplats, opac: np.ndarray, width: int,
         hit = np.flatnonzero(q <= q_cap[s])
         qv, sv = q[hit], s[hit]
         g = np.exp(-0.5 * qv)
-        alpha = np.minimum(opac[sv] * g, dt.type(opts.alpha_clamp))
+        alpha = np.minimum(opac[sv] * g, dt.type(ALPHA_CLAMP))
         fine = alpha >= opts.alpha_cutoff if opts.alpha_cutoff > 0 else alpha > 0
         if opts.cull_sigma is not None:
             fine &= qv <= sig2
@@ -211,7 +212,7 @@ def render(cloud: GaussianCloud, cam: CameraView, background=(0.0, 0.0, 0.0),
     dt = cloud.dtype
     h, w = cam.height, cam.width
     bg = np.asarray(background, dtype=dt).reshape(3)
-    splats = project_cloud(cloud, cam, near=opts.near, cull_sigma=opts.cull_sigma,
+    splats = project_cloud(cloud, cam, cull_sigma=opts.cull_sigma,
                            alpha_cutoff=opts.alpha_cutoff)
     opac = cloud.opacities[splats.index]
 
@@ -232,7 +233,7 @@ def render(cloud: GaussianCloud, cam: CameraView, background=(0.0, 0.0, 0.0),
 
     return RenderOutput(color.reshape(h, w, 3), ident.reshape(h, w, cloud.dim),
                         t_final.reshape(h, w), frag_start, frag_source, frag_alpha,
-                        frag_tb, frag_splat, splats, bg, opts)
+                        frag_tb, frag_splat, splats, bg)
 
 
 def _render_groups(cloud: GaussianCloud, cam: CameraView,

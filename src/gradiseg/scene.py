@@ -25,18 +25,6 @@ class SceneFormatError(Exception):
 
 
 @dataclass
-class Gaussian:
-    """A single Gaussian: position, scale, rotation (wxyz), opacity, color, identity encoding."""
-
-    position: np.ndarray
-    scale: np.ndarray
-    rotation: np.ndarray
-    opacity: float
-    color: np.ndarray
-    encoding: np.ndarray
-
-
-@dataclass
 class GroupTable:
     """Display metadata per group id. Id 0 is reserved for background."""
 
@@ -53,13 +41,6 @@ class GroupTable:
             raise ValueError(f"group id {gid} outside [0, {self.num_classes})")
         self.colors[gid] = tuple(float(c) for c in color)
         self.labels[gid] = label
-
-    def color_of(self, gid: int) -> tuple[float, float, float]:
-        if gid in self.colors:
-            return self.colors[gid]
-        # deterministic fallback palette
-        rng = np.random.default_rng(gid)
-        return tuple(rng.uniform(0.2, 1.0, 3))
 
 
 # Every per-Gaussian row field, in constructor order: name, trailing shape
@@ -143,16 +124,6 @@ class GaussianCloud:
     def empty(cls, dim: int = 16, dtype=np.float32) -> "GaussianCloud":
         z = lambda *shape: np.zeros(shape, dtype=dtype)
         return cls(z(0, 3), z(0, 3), z(0, 4), z(0), z(0, 3), z(0, dim))
-
-    def gaussian(self, i: int) -> Gaussian:
-        return Gaussian(
-            position=self.positions[i].copy(),
-            scale=self.scales[i].copy(),
-            rotation=self.rotations[i].copy(),
-            opacity=float(self.opacities[i]),
-            color=self.colors[i].copy(),
-            encoding=self.encodings[i].copy(),
-        )
 
     def copy(self) -> "GaussianCloud":
         return self._map(np.copy)
@@ -320,26 +291,16 @@ def load_scene(path):
 # -- grouping and edits --------------------------------------------------------
 
 
-def assign_groups(cloud: GaussianCloud, head, min_confidence: float | None = None) -> GaussianCloud:
-    """Set each Gaussian's group_id to the argmax class of head logits on its encoding.
-
-    Ties resolve to the lowest class index. With `min_confidence`, Gaussians whose
-    softmax confidence falls below it stay at -1 (unassigned).
-    """
+def assign_groups(cloud: GaussianCloud, head) -> GaussianCloud:
+    """Set each Gaussian's group_id to the argmax class of head logits on its
+    encoding. Ties resolve to the lowest class index."""
     if not np.all(np.isfinite(head.weights)) or not np.all(np.isfinite(head.biases)):
         raise ValueError("classifier head must be finite")
     out = cloud.copy()
     if cloud.n == 0:
         return out
     logits = cloud.encodings @ head.weights.T + head.biases
-    gids = np.argmax(logits, axis=1).astype(np.int32)
-    if min_confidence is not None:
-        z = logits - logits.max(axis=1, keepdims=True)
-        p = np.exp(z)
-        p /= p.sum(axis=1, keepdims=True)
-        conf = p[np.arange(cloud.n), gids]
-        gids = np.where(conf >= min_confidence, gids, np.int32(-1))
-    out.group_ids = gids
+    out.group_ids = np.argmax(logits, axis=1).astype(np.int32)
     return out
 
 

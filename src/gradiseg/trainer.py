@@ -30,7 +30,7 @@ from .dataset import Dataset, infer_scene_bounds
 from .igd import IgdConfig, igd_step, split_rows
 from .laknn import loss_3d
 from .metrics import psnr
-from .render import RenderOptions, render
+from .render import render
 from .rotation import quat_to_rot
 from .scene import GaussianCloud, assign_groups, save_scene
 from .semantic import ClassifierHead, loss_2d
@@ -59,8 +59,7 @@ class TrainSchedule:
     knn_samples: int = 1000
     seed: int = 42
 
-    # learning rates; lr_position is scaled by scene extent when None
-    lr_position: float | None = None
+    # learning rates; the position rate is lr_position_frac * scene extent
     lr_position_frac: float = 1.6e-4
     lr_scale: float = 5e-3
     lr_rotation: float = 1e-3
@@ -72,24 +71,16 @@ class TrainSchedule:
     init_count: int = 2000
     init_opacity: float = 0.1
     encoding_dim: int = 16
-    num_classes: int = 256
-    background: tuple = (0.0, 0.0, 0.0)
 
     densify_grad_frac: float = 2e-4     # of scene extent, per visible iteration
     densify_percent_dense: float = 0.01  # clone below, split above this size
     opacity_eps: float = 0.005
-    igd_tau_percentile: float = 99.0
-    igd_too_large_frac: float = 0.1
-    igd_split_scale_div: float = 1.6
-    igd_split_offset_frac: float = 0.5
 
     use_igd: bool = True
     use_laknn: bool = True              # False: global neighbors throughout
-    laknn_head_grads: bool = False
 
     checkpoint_interval: int = 500
     log_interval: int = 50
-    dtype: str = "float32"
 
     def resolved(self) -> "TrainSchedule":
         s = TrainSchedule(**{f.name: getattr(self, f.name) for f in fields(self)})
@@ -120,16 +111,6 @@ class TrainSchedule:
             raise ValueError("loss weights must be >= 0")
         if self.densify_interval < 1 or self.igd_interval < 1:
             raise ValueError("densify_interval and igd_interval must be >= 1")
-
-    def igd_config(self) -> IgdConfig:
-        return IgdConfig(
-            tau_percentile=self.igd_tau_percentile, opacity_eps=self.opacity_eps,
-            too_large_frac=self.igd_too_large_frac,
-            split_scale_div=self.igd_split_scale_div,
-            split_offset_frac=self.igd_split_offset_frac)
-
-    def np_dtype(self):
-        return np.float64 if self.dtype == "float64" else np.float32
 
 
 class AdamOptimizer:
@@ -206,27 +187,22 @@ def l1_loss(rendered: np.ndarray, target: np.ndarray):
 
 def total_loss(cloud: GaussianCloud, cam, out, head: ClassifierHead,
                alpha: float, beta: float, knn_mode: str, knn_k: int,
-               knn_samples: int, rng_seed, laknn_head_grads: bool = False):
+               knn_samples: int, rng_seed):
     """Joint objective L1 + alpha*L2d + beta*L3d with all gradients.
 
-    Returns (parts dict, ParamGrads, (head_w_grad, head_b_grad)).
+    Returns (parts dict, ParamGrads, (head_w_grad, head_b_grad)). L3d treats
+    the classifier head as a constant, so only L2d reaches the head.
     """
     l1, d_color = l1_loss(out.color, cam.image)
     l2d, d_ident, (hw2, hb2) = loss_2d(out.identity, cam.mask, head)
-    l3d, ge3, hg3 = loss_3d(cloud, head, knn_samples, knn_k, knn_mode, rng_seed,
-                            head_grads=laknn_head_grads)
+    l3d, ge3, _ = loss_3d(cloud, head, knn_samples, knn_k, knn_mode, rng_seed)
     pixel_grads = np.concatenate(
         [d_color, np.asarray(alpha, dtype=out.identity.dtype) * d_ident], axis=2)
     grads = backward(cloud, cam, out, pixel_grads)
     grads.encodings += beta * ge3
-    head_w = alpha * hw2
-    head_b = alpha * hb2
-    if laknn_head_grads and hg3 is not None:
-        head_w = head_w + beta * hg3[0]
-        head_b = head_b + beta * hg3[1]
     parts = {"l1": l1, "l2d": l2d, "l3d": l3d,
              "total": l1 + alpha * l2d + beta * l3d}
-    return parts, grads, (head_w, head_b)
+    return parts, grads, (alpha * hw2, alpha * hb2)
 
 
 def init_cloud(bbox: np.ndarray, count: int, dim: int, rng: np.random.Generator,
@@ -322,7 +298,7 @@ def train(dataset: Dataset, schedule: TrainSchedule, out_dir) -> TrainResult:
         raise ValueError("need at least 2 views (one is held out)")
     train_views = dataset.views[:-1]
     holdout = dataset.views[-1]
-    dt = sched.np_dtype()
+    dt = np.float32
 
     rng = np.random.default_rng(sched.seed)
     bbox = dataset.scene_bbox
@@ -332,9 +308,8 @@ def train(dataset: Dataset, schedule: TrainSchedule, out_dir) -> TrainResult:
                        opacity=sched.init_opacity, dtype=dt)
     head = ClassifierHead.zeros(dataset.num_classes, sched.encoding_dim, dtype=dt)
     scene_extent = cloud.scene_extent()
-    lr_pos = (sched.lr_position if sched.lr_position is not None
-              else sched.lr_position_frac * scene_extent)
-    lrs = {"positions": lr_pos, "log_scales": sched.lr_scale,
+    lrs = {"positions": sched.lr_position_frac * scene_extent,
+           "log_scales": sched.lr_scale,
            "rotations": sched.lr_rotation, "logit_opacities": sched.lr_opacity,
            "colors": sched.lr_color, "encodings": sched.lr_encoding,
            "head_weights": sched.lr_head, "head_biases": sched.lr_head}
@@ -342,13 +317,11 @@ def train(dataset: Dataset, schedule: TrainSchedule, out_dir) -> TrainResult:
     shapes.update(head_weights=head.weights.shape, head_biases=head.biases.shape)
     opt = AdamOptimizer(shapes, lrs, dt)
     stats = DensifyStats(cloud.n, dt)
-    opts = RenderOptions()
-    bg = np.asarray(sched.background, dtype=dt)
 
     metrics_rows = []
 
     def log_metrics(it, parts):
-        hold = render(cloud, holdout, background=bg, opts=opts)
+        hold = render(cloud, holdout)
         p = psnr(np.clip(hold.color, 0.0, 1.0), holdout.image)
         metrics_rows.append((it, parts["l1"], parts["l2d"], parts["l3d"],
                              cloud.n, p))
@@ -360,13 +333,12 @@ def train(dataset: Dataset, schedule: TrainSchedule, out_dir) -> TrainResult:
     parts = {"l1": 0.0, "l2d": 0.0, "l3d": 0.0, "total": 0.0}
     for it in range(sched.total_iters):
         cam = train_views[it % len(train_views)]
-        out = render(cloud, cam, background=bg, opts=opts)
+        out = render(cloud, cam)
         knn_mode = ("local-adaptive" if (sched.use_laknn and it >= sched.knn_switch)
                     else "global")
         parts, grads, (hw, hb) = total_loss(
             cloud, cam, out, head, sched.alpha_2d, sched.beta_3d, knn_mode,
-            sched.knn_k, min(sched.knn_samples, cloud.n), (sched.seed, it),
-            laknn_head_grads=sched.laknn_head_grads)
+            sched.knn_k, min(sched.knn_samples, cloud.n), (sched.seed, it))
         if not np.isfinite(parts["total"]):
             raise FloatingPointError(f"training diverged at iteration {it}")
 
@@ -388,7 +360,8 @@ def train(dataset: Dataset, schedule: TrainSchedule, out_dir) -> TrainResult:
                 sched.densify_percent_dense, sched.opacity_eps, rng)
         elif (sched.use_igd and sched.densify_end <= nxt < sched.igd_end
               and nxt % sched.igd_interval == 0):
-            res = igd_step(cloud, sched.igd_config(), scene_extent)
+            res = igd_step(cloud, IgdConfig(opacity_eps=sched.opacity_eps),
+                           scene_extent)
             edit = res.cloud, res.kept
         if edit is not None:
             cloud, kept = edit

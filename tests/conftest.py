@@ -27,7 +27,7 @@ def random_cloud(rng, n, dim=8, dtype=np.float64, z_range=(-0.4, 0.4),
                          col.astype(dtype), enc.astype(dtype))
 
 
-def test_camera(width=32, height=32, distance=3.0, fov_scale=1.0):
+def make_camera(width=32, height=32, distance=3.0, fov_scale=1.0):
     focal = fov_scale * width * 1.2
     return CameraView(look_at((0.0, 0.0, -distance), (0.0, 0.0, 0.0)),
                       fx=focal, fy=focal, cx=width / 2.0, cy=height / 2.0,

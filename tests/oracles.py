@@ -1,23 +1,80 @@
 """Reference implementations that used to live in the engine.
 
-`pixel_alpha`, `Fragment` and `fragments_at` are the scalar per-pixel views
-of a render; `tiled_render` is the dense per-tile compositor the engine's
-bbox-driven rasterizer replaced. Its bodies are unchanged apart from the
-thread pool: every tile still evaluates all (splat, pixel) pairs densely and
-composites them with a cumulative product, so `render` must match it byte
-for byte at every tile size.
+Scalar, one-at-a-time versions of what the engine does for many rows at
+once, kept here as test oracles with their bodies unchanged:
+
+- `Gaussian` and `gaussian(cloud, i)`: one Gaussian as a record;
+- `Splat2D` and `project_gaussian`: projection of one Gaussian;
+- `pixel_alpha`, `Fragment` and `fragments_at`: one pixel of a render;
+- `neighbor_direction`, `local_adaptive_neighbors` and `global_neighbors`:
+  the neighbour search of one target;
+- `split_gaussian` and `_split_axis`: the IGD split of one Gaussian;
+- `tiled_render`: the dense per-tile compositor the engine's bbox-driven
+  rasterizer replaced. Its bodies are unchanged apart from the thread
+  pool: every tile still evaluates all (splat, pixel) pairs densely and
+  composites them with a cumulative product, so `render` must match it
+  byte for byte at every tile size.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from gradiseg.camera import Splat2D, project_cloud
+from gradiseg.camera import CameraView, project_cloud
+from gradiseg.igd import IgdConfig
+from gradiseg.laknn import EMA_FLOOR, _smallest_k
 from gradiseg.render import (ALPHA_CLAMP, ALPHA_CUTOFF, RenderOptions,
                              RenderOutput)
+from gradiseg.rotation import quat_to_rot
 from gradiseg.scene import GaussianCloud
 
 DEFAULT_TILE = 16
+
+
+@dataclass
+class Gaussian:
+    """A single Gaussian: position, scale, rotation (wxyz), opacity, color, identity encoding."""
+
+    position: np.ndarray
+    scale: np.ndarray
+    rotation: np.ndarray
+    opacity: float
+    color: np.ndarray
+    encoding: np.ndarray
+
+
+def gaussian(cloud: GaussianCloud, i: int) -> Gaussian:
+    """Row i of the cloud as a Gaussian record (copies)."""
+    return Gaussian(
+        position=cloud.positions[i].copy(),
+        scale=cloud.scales[i].copy(),
+        rotation=cloud.rotations[i].copy(),
+        opacity=float(cloud.opacities[i]),
+        color=cloud.colors[i].copy(),
+        encoding=cloud.encodings[i].copy(),
+    )
+
+
+@dataclass
+class Splat2D:
+    """A single projected Gaussian (public per-splat view of ProjectedSplats)."""
+
+    mean2d: np.ndarray
+    cov2d: np.ndarray
+    depth: float
+    source_index: int
+
+
+def project_gaussian(g: Gaussian, cam: CameraView):
+    """Project a single Gaussian. Returns a Splat2D, or None when culled."""
+    cloud = GaussianCloud(
+        g.position[None].astype(np.float64), g.scale[None], g.rotation[None],
+        np.array([g.opacity]), g.color[None], g.encoding[None])
+    splats = project_cloud(cloud, cam)
+    if splats.count == 0:
+        return None
+    return Splat2D(mean2d=splats.mean2d[0].copy(), cov2d=splats.cov2d[0].copy(),
+                   depth=float(splats.depth[0]), source_index=0)
 
 
 @dataclass
@@ -54,6 +111,72 @@ def pixel_alpha(splat: Splat2D, opacity: float, pixel,
          + cov[0, 0] * d[1] * d[1]) / det
     alpha = min(alpha_clamp, opacity * np.exp(-0.5 * q))
     return float(alpha) if alpha >= alpha_cutoff else 0.0
+
+
+def neighbor_direction(cloud: GaussianCloud, i: int) -> np.ndarray | None:
+    """Unit vector opposite the position-gradient EMA of Gaussian i.
+
+    Returns None when the EMA is (numerically) zero; callers fall back to
+    global search for that Gaussian.
+    """
+    g = cloud.pos_grad_ema[i]
+    norm = np.linalg.norm(g)
+    if norm < EMA_FLOOR:
+        return None
+    return -g / norm
+
+
+def local_adaptive_neighbors(cloud: GaussianCloud, i: int, u: np.ndarray,
+                             k: int) -> np.ndarray:
+    """K nearest neighbors of i by smallest strictly positive projection distance."""
+    if k < 1:
+        raise ValueError("K must be >= 1")
+    u = np.asarray(u, dtype=np.float64)
+    d = (cloud.positions.astype(np.float64) - cloud.positions[i].astype(np.float64)) @ u
+    d[i] = -np.inf
+    d = np.where(d > 0, d, np.inf)
+    return _smallest_k(d, k)
+
+
+def global_neighbors(cloud: GaussianCloud, i: int, k: int) -> np.ndarray:
+    """K nearest neighbors of i by Euclidean distance, ties by ascending index."""
+    if k < 1:
+        raise ValueError("K must be >= 1")
+    diff = cloud.positions.astype(np.float64) - cloud.positions[i].astype(np.float64)
+    d = np.einsum("nj,nj->n", diff, diff)
+    d[i] = np.inf
+    return _smallest_k(d, k)
+
+
+def _split_axis(scale: np.ndarray, rotation: np.ndarray) -> np.ndarray:
+    """World-space unit vector of the largest-scale principal axis.
+
+    Equal scales tie-break to the lowest axis index.
+    """
+    axis = int(np.argmax(scale))
+    return quat_to_rot(rotation.astype(np.float64))[:, axis]
+
+
+def split_gaussian(g: Gaussian, cfg: IgdConfig) -> tuple[Gaussian, Gaussian]:
+    """Split one Gaussian into two children on either side of the boundary.
+
+    Children sit at p +- split_offset_frac * s_max * v, v the major principal
+    axis, with all scale components divided by split_scale_div; rotation,
+    opacity, color and identity encoding are copied. Degenerate scales
+    (s_max < 1e-9) clone in place without offset or shrink.
+    """
+    s_max = float(np.max(g.scale))
+    if s_max < 1e-9:
+        return (Gaussian(g.position.copy(), g.scale.copy(), g.rotation.copy(),
+                         g.opacity, g.color.copy(), g.encoding.copy()),
+                Gaussian(g.position.copy(), g.scale.copy(), g.rotation.copy(),
+                         g.opacity, g.color.copy(), g.encoding.copy()))
+    v = _split_axis(g.scale, g.rotation)
+    offset = (cfg.split_offset_frac * s_max * v).astype(g.position.dtype)
+    new_scale = (g.scale / cfg.split_scale_div).astype(g.scale.dtype)
+    mk = lambda p: Gaussian(p, new_scale.copy(), g.rotation.copy(), g.opacity,
+                            g.color.copy(), g.encoding.copy())
+    return mk(g.position + offset), mk(g.position - offset)
 
 
 def _tile_ranges(size: int, tile: int):
@@ -103,7 +226,7 @@ def _render_tile(x_lo, x_hi, y_lo, y_hi, splats, opac, opts, dt):
     p_idx, k_idx = np.nonzero(coarse.T)
     qv = q[k_idx, p_idx]
     g = np.exp(-0.5 * qv)
-    alpha_v = np.minimum(o_hit[k_idx] * g, dt.type(opts.alpha_clamp))
+    alpha_v = np.minimum(o_hit[k_idx] * g, dt.type(ALPHA_CLAMP))
     fine = alpha_v >= opts.alpha_cutoff if opts.alpha_cutoff > 0 else alpha_v > 0
     if opts.cull_sigma is not None:
         fine &= qv <= sig2
@@ -148,7 +271,7 @@ def tiled_render(cloud: GaussianCloud, cam, background=(0.0, 0.0, 0.0),
     dt = cloud.dtype
     h, w = cam.height, cam.width
     bg = np.asarray(background, dtype=dt).reshape(3)
-    splats = project_cloud(cloud, cam, near=opts.near, cull_sigma=opts.cull_sigma,
+    splats = project_cloud(cloud, cam, cull_sigma=opts.cull_sigma,
                            alpha_cutoff=opts.alpha_cutoff)
     opac = cloud.opacities[splats.index]
 
@@ -195,4 +318,4 @@ def tiled_render(cloud: GaussianCloud, cam, background=(0.0, 0.0, 0.0),
 
     return RenderOutput(color.reshape(h, w, 3), ident.reshape(h, w, cloud.dim),
                         t_final, frag_start, frag_source, frag_alpha, frag_tb,
-                        frag_splat, splats, bg, opts)
+                        frag_splat, splats, bg)

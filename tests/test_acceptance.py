@@ -14,15 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_cloud, reference_render, test_camera
+from conftest import make_camera, random_cloud, reference_render
 from gradiseg.backward import backward
 from gradiseg.camera import CameraView, look_at
-from gradiseg.laknn import (global_neighbors, kl_pairs_loss,
-                            local_adaptive_neighbors, loss_3d)
+from gradiseg.laknn import kl_pairs_loss, loss_3d
 from gradiseg.render import RenderOptions, render
 from gradiseg.scene import GaussianCloud
 from gradiseg.semantic import ClassifierHead, loss_2d
 from gradiseg.trainer import l1_loss
+from oracles import global_neighbors, local_adaptive_neighbors
 
 RNG_BASE = 20260810
 
@@ -199,7 +199,7 @@ def test_criterion_1_gradient_correctness():
 def _check_forward_scene(seed):
     rng = np.random.default_rng((RNG_BASE, 2, seed))
     cloud = random_cloud(rng, 40, dim=4, dtype=np.float64)
-    cam = test_camera(width=24, height=24)
+    cam = make_camera(width=24, height=24)
     bg = rng.uniform(0, 1, 3)
     out = render(cloud, cam, background=bg)
     ref_color, ref_ident, ref_t, _ = reference_render(cloud, cam, background=bg)
@@ -317,8 +317,9 @@ def test_criterion_4_kl_properties():
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_densification_suite():
-    from gradiseg.igd import IgdConfig, igd_step, split_gaussian
+    from gradiseg.igd import IgdConfig, igd_step
     from gradiseg.trainer import PER_GAUSSIAN, AdamOptimizer
+    from oracles import Gaussian, split_gaussian
 
     rng = np.random.default_rng((RNG_BASE, 5))
     n = 120
@@ -363,7 +364,6 @@ def test_criterion_5_densification_suite():
         assert not np.any(opt.m[k][-2:])
 
     # split arithmetic example
-    from gradiseg.scene import Gaussian
     g = Gaussian(np.zeros(3), np.array([2.0, 1.0, 1.0]),
                  np.array([1.0, 0.0, 0.0, 0.0]), 0.8,
                  np.array([0.5, 0.5, 0.5]), np.zeros(4))

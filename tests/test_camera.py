@@ -1,12 +1,12 @@
-"""Projection geometry: screen means, EWA covariance, culling, depth sort."""
+"""Projection geometry: screen means, EWA covariance, culling, depth order."""
 
 import numpy as np
 import pytest
 
 from conftest import random_cloud, quat_rotation_ref
-from gradiseg.camera import (CameraView, depth_sort, look_at, project_cloud,
-                             project_gaussian)
-from gradiseg.scene import Gaussian
+from gradiseg.camera import CameraView, look_at, project_cloud
+from gradiseg.scene import GaussianCloud
+from oracles import Gaussian, project_gaussian
 
 
 def identity_camera(**kw):
@@ -98,24 +98,49 @@ class TestProjection:
             np.linalg.cholesky(cov)  # raises if not PD
 
 
+def depth_cloud(positions):
+    positions = np.asarray(positions, dtype=np.float64)
+    n = len(positions)
+    return GaussianCloud(positions, np.full((n, 3), 0.05),
+                         np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)), np.full(n, 0.5),
+                         np.full((n, 3), 0.5), np.zeros((n, 4)))
+
+
 class TestDepthSort:
+    """The order project_cloud emits: the camera is the identity, so each
+    splat's depth is exactly its z coordinate."""
+
     def test_basic_order(self):
-        np.testing.assert_array_equal(depth_sort([3.0, 1.0, 2.0]), [1, 2, 0])
+        cloud = depth_cloud([[0.0, 0.0, 3.0], [0.0, 0.0, 1.0], [0.0, 0.0, 2.0]])
+        splats = project_cloud(cloud, identity_camera())
+        np.testing.assert_array_equal(splats.index, [1, 2, 0])
+        assert np.all(np.diff(splats.depth) >= 0)
 
     def test_tie_by_source_index(self):
-        order = depth_sort([2.0, 2.0], source_indices=[5, 3])
-        np.testing.assert_array_equal(order, [1, 0])  # index 3 first
+        # rows 0 and 2 share a depth behind row 1
+        cloud = depth_cloud([[0.1, 0.0, 2.0], [0.0, 0.0, 1.0], [-0.1, 0.0, 2.0]])
+        splats = project_cloud(cloud, identity_camera())
+        np.testing.assert_array_equal(splats.index, [1, 0, 2])
 
     def test_matches_reference_sort(self, rng):
-        depths = rng.uniform(0.1, 10.0, 1000)
-        depths[rng.integers(0, 1000, 50)] = 2.5  # inject ties
-        idx = np.arange(1000)
-        expect = sorted(range(1000), key=lambda k: (depths[k], idx[k]))
-        np.testing.assert_array_equal(depth_sort(depths, idx), expect)
+        n = 1000
+        z = rng.uniform(1.0, 10.0, n)
+        z[rng.integers(0, n, 50)] = 2.5  # inject ties
+        xy = rng.uniform(-0.2, 0.2, (n, 2))
+        splats = project_cloud(depth_cloud(np.column_stack([xy, z])),
+                               identity_camera())
+        assert splats.count == n
+        expect = sorted(range(n), key=lambda k: (z[k], k))
+        np.testing.assert_array_equal(splats.index, expect)
+        np.testing.assert_array_equal(splats.depth, z[expect])
 
-    def test_nan_depth_rejected(self):
-        with pytest.raises(ValueError, match="depth"):
-            depth_sort([1.0, np.nan])
+    def test_culled_rows_absent(self):
+        # behind the near plane, behind the camera, off screen, then visible
+        cloud = depth_cloud([[0.0, 0.0, 0.005], [0.0, 0.0, -1.0],
+                             [50.0, 0.0, 1.0], [0.0, 0.0, 2.0], [0.1, 0.0, 1.5]])
+        splats = project_cloud(cloud, identity_camera())
+        np.testing.assert_array_equal(splats.index, [4, 3])
+        assert splats.n_source == 5
 
 
 class TestCameraValidation:

@@ -1,6 +1,7 @@
 """CLI wiring: exit codes, run.json echoes, end-to-end smoke."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -131,6 +132,75 @@ class TestErrors:
 
     def test_unknown_command_exit_2(self):
         assert main(["frobnicate"]) == 2
+
+
+def copy_dataset(dataset_dir, tmp_path):
+    return shutil.copytree(dataset_dir, tmp_path / "ds",
+                           ignore=shutil.ignore_patterns("run.json"))
+
+
+def assert_input_error(argv, capsys, *words):
+    """Exit 2 with one `error: ...` line on stderr naming `words`."""
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for word in words:
+        assert word in err
+
+
+class TestMalformedInput:
+    """Errors raised while reading the scene, the dataset or the config, or
+    while resolving the schedule, exit 2 rather than 1."""
+
+    def test_edit_non_gseg_scene(self, tmp_path, capsys):
+        scene = tmp_path / "bad.gseg"
+        scene.write_bytes(b"hello")
+        assert_input_error(["edit", "--scene", str(scene), "--remove", "1",
+                            "--out", str(tmp_path / "out.gseg")], capsys,
+                           "GSEG1")
+
+    def test_eval_truncated_ppm(self, dataset_dir, tmp_path, capsys):
+        ds = copy_dataset(dataset_dir, tmp_path)
+        ppm = ds / "view_000.ppm"
+        ppm.write_bytes(ppm.read_bytes()[:-10])
+        assert_input_error(["eval", "--scene", str(ds / "gt_scene.gseg"),
+                            "--data", str(ds), "--out", str(tmp_path / "r.json")],
+                           capsys, "truncated")
+
+    def test_eval_manifest_view_missing_fx(self, dataset_dir, tmp_path, capsys):
+        ds = copy_dataset(dataset_dir, tmp_path)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        del manifest["views"][0]["fx"]
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        assert_input_error(["eval", "--scene", str(ds / "gt_scene.gseg"),
+                            "--data", str(ds), "--out", str(tmp_path / "r.json")],
+                           capsys, "missing key 'fx'")
+
+    def test_train_unknown_config_key(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("total_iters = 2\nbogus_key = 1\n")
+        assert_input_error(["train", "--data", str(dataset_dir), "--config",
+                            str(cfg), "--out", str(tmp_path / "run")], capsys,
+                           "unknown config key 'bogus_key'")
+        assert not (tmp_path / "run").exists()
+
+    def test_train_negative_iterations(self, dataset_dir, tmp_path, capsys):
+        assert_input_error(["train", "--data", str(dataset_dir), "--iters", "-5",
+                            "--out", str(tmp_path / "run")], capsys,
+                           "total_iters")
+        assert not (tmp_path / "run").exists()
+
+    def test_later_errors_stay_internal(self, dataset_dir, tmp_path, capsys):
+        # a dataset of one view reads fine; training it fails afterwards
+        ds = copy_dataset(dataset_dir, tmp_path)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        manifest["views"] = manifest["views"][:1]
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        rc = main(["train", "--data", str(ds), "--iters", "0",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("internal error: ValueError")
 
 
 class TestTrainSmoke:

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_cloud, test_camera
-from gradiseg.igd import IgdConfig, igd_step, split_gaussian
+from conftest import make_camera, random_cloud
+from gradiseg.igd import IgdConfig, igd_step
 from gradiseg.render import render
-from gradiseg.scene import Gaussian, GaussianCloud
+from gradiseg.scene import GaussianCloud
 from gradiseg.trainer import AdamOptimizer, PER_GAUSSIAN
+from oracles import Gaussian, gaussian, split_gaussian
 
 
 def plain_gaussian(scale=(2.0, 1.0, 1.0), rotation=(1.0, 0.0, 0.0, 0.0)):
@@ -168,14 +169,14 @@ class TestIgdStep:
 
     def test_render_perturbation_bounded(self, rng):
         # splitting one mid-scene Gaussian changes the image by a bounded amount
-        cam = test_camera(width=32, height=32)
+        cam = make_camera(width=32, height=32)
         cfg = IgdConfig()
         deltas = []
         for _ in range(10):
             cloud = random_cloud(rng, 30, dim=4)
             before = render(cloud, cam).color
             target = int(rng.integers(30))
-            ga, gb = split_gaussian(cloud.gaussian(target), cfg)
+            ga, gb = split_gaussian(gaussian(cloud, target), cfg)
             keep = np.ones(30, dtype=bool)
             keep[target] = False
             kids = GaussianCloud(

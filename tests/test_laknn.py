@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_cloud
-from gradiseg.laknn import (NeighborQuery, find_neighbors, global_neighbors,
-                            kl_pairs_loss, local_adaptive_neighbors, loss_3d,
-                            neighbor_direction)
+from gradiseg.laknn import kl_pairs_loss, loss_3d
 from gradiseg.scene import GaussianCloud
 from gradiseg.semantic import ClassifierHead
+from oracles import global_neighbors, local_adaptive_neighbors, neighbor_direction
 
 
 def points_cloud(points, dim=4):
@@ -118,16 +117,6 @@ class TestGlobal:
         cloud = points_cloud(pts)
         got = global_neighbors(cloud, 2, 99)
         assert sorted(got.tolist()) == [0, 1, 3, 4, 5]
-
-    def test_query_dispatch(self, rng):
-        pts = rng.standard_normal((30, 3))
-        cloud = points_cloud(pts)
-        q = NeighborQuery(target_index=4, K=3, mode="global")
-        np.testing.assert_array_equal(find_neighbors(cloud, q),
-                                      global_neighbors(cloud, 4, 3))
-        with pytest.raises(ValueError, match="unit"):
-            NeighborQuery(target_index=0, K=2, mode="local-adaptive",
-                          direction=np.array([1.0, 1.0, 0.0]))
 
 
 class TestLoss3d:

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 import gradiseg.render as render_module
-from conftest import random_cloud, reference_render, test_camera
-from gradiseg.camera import Splat2D
+from conftest import make_camera, random_cloud, reference_render
 from gradiseg.render import RenderOptions, render, render_group_weights
 from gradiseg.scene import GaussianCloud
-from oracles import fragments_at, pixel_alpha, tiled_render
+from oracles import Splat2D, fragments_at, pixel_alpha, tiled_render
 
 
 def make_splat(mean=(0.0, 0.0), cov=np.eye(2)):
@@ -106,7 +105,7 @@ class TestRenderClosedForm:
 
 class TestRenderOracle:
     def test_matches_naive_compositing(self, rng):
-        cam = test_camera(width=32, height=32)
+        cam = make_camera(width=32, height=32)
         for trial in range(3):
             cloud = random_cloud(rng, 50, dim=4)
             out = render(cloud, cam, background=(0.1, 0.2, 0.3))
@@ -117,7 +116,7 @@ class TestRenderOracle:
             np.testing.assert_allclose(out.final_transmittance, ref_t, atol=1e-6)
 
     def test_fragment_records_match_oracle(self, rng):
-        cam = test_camera(width=16, height=16)
+        cam = make_camera(width=16, height=16)
         cloud = random_cloud(rng, 30, dim=4)
         out = render(cloud, cam)
         _, _, _, ref_frags = reference_render(cloud, cam)
@@ -134,7 +133,7 @@ class TestRenderOracle:
 
 class TestRenderInvariants:
     def test_weight_conservation(self, rng):
-        cam = test_camera(width=24, height=24)
+        cam = make_camera(width=24, height=24)
         cloud = random_cloud(rng, 80, dim=4)
         out = render(cloud, cam)
         total = np.zeros(24 * 24)
@@ -144,7 +143,7 @@ class TestRenderInvariants:
             total + out.final_transmittance.ravel(), 1.0, atol=1e-5)
 
     def test_transmittance_before_is_running_product(self, rng):
-        cam = test_camera(width=12, height=12)
+        cam = make_camera(width=12, height=12)
         cloud = random_cloud(rng, 40, dim=4)
         out = render(cloud, cam)
         for y in range(12):
@@ -156,7 +155,7 @@ class TestRenderInvariants:
                     t *= 1.0 - f.alpha
 
     def test_occlusion_by_front_fragment(self, rng):
-        cam = test_camera(width=16, height=16)
+        cam = make_camera(width=16, height=16)
         cloud = random_cloud(rng, 40, dim=4, opacity_range=(0.99, 1.0))
         out = render(cloud, cam)
         for y in range(16):
@@ -168,7 +167,7 @@ class TestRenderInvariants:
 
     def test_shared_encoding_property(self, rng):
         # every Gaussian carries the same e -> E_id = e * (1 - T_final)
-        cam = test_camera(width=16, height=16)
+        cam = make_camera(width=16, height=16)
         cloud = random_cloud(rng, 60, dim=4)
         e = np.array([0.3, -0.7, 1.1, 0.05])
         cloud.encodings[:] = e
@@ -177,7 +176,7 @@ class TestRenderInvariants:
         np.testing.assert_allclose(out.identity, expect, atol=1e-5)
 
     def test_permutation_invariance(self, rng):
-        cam = test_camera(width=16, height=16)
+        cam = make_camera(width=16, height=16)
         cloud = random_cloud(rng, 50, dim=4)
         perm = rng.permutation(50)
         shuffled = cloud.select(perm)
@@ -208,7 +207,7 @@ class TestTiledOracle:
     @pytest.mark.parametrize("size", [(33, 17), (32, 32), (5, 40)],
                              ids=["33x17", "32x32", "5x40"])
     def test_matches_tiled_oracle(self, rng, dtype, smooth, size):
-        cam = test_camera(width=size[0], height=size[1])
+        cam = make_camera(width=size[0], height=size[1])
         opts = RenderOptions.smooth() if smooth else RenderOptions()
         cloud = random_cloud(rng, 60, dim=4, dtype=dtype)
         out = render(cloud, cam, background=(0.1, 0.2, 0.3), opts=opts)
@@ -221,7 +220,7 @@ class TestTiledOracle:
     def test_fragments_lie_in_splat_bbox(self, rng, dtype):
         # the dense oracle tests every pixel of a 64-pixel tile, so a fragment
         # outside its splat's bbox would show here and be missed by render
-        cam = test_camera(width=48, height=40)
+        cam = make_camera(width=48, height=40)
         for _ in range(4):
             cloud = random_cloud(rng, 80, dim=4, dtype=dtype, scale_range=(0.01, 0.5))
             out = tiled_render(cloud, cam, tile=64)
@@ -233,7 +232,7 @@ class TestTiledOracle:
 
     @pytest.mark.parametrize("smooth", [False, True], ids=["default", "smooth"])
     def test_block_independence(self, rng, monkeypatch, smooth):
-        cam = test_camera(width=33, height=17)
+        cam = make_camera(width=33, height=17)
         opts = RenderOptions.smooth() if smooth else RenderOptions()
         cloud = random_cloud(rng, 60, dim=4, dtype=np.float32)
         base = render(cloud, cam, background=(0.1, 0.2, 0.3), opts=opts)
@@ -245,7 +244,7 @@ class TestTiledOracle:
 
 class TestRenderEdgeCases:
     def test_empty_cloud(self):
-        cam = test_camera(width=7, height=5)
+        cam = make_camera(width=7, height=5)
         cloud = GaussianCloud.empty(dim=4, dtype=np.float32)
         out = render(cloud, cam, background=(0.2, 0.4, 0.6))
         assert_same_bytes(out, tiled_render(cloud, cam, background=(0.2, 0.4, 0.6)))
@@ -253,7 +252,7 @@ class TestRenderEdgeCases:
         assert np.all(out.final_transmittance == 1.0)
 
     def test_every_splat_culled(self, rng):
-        cam = test_camera(width=16, height=16)
+        cam = make_camera(width=16, height=16)
         cloud = random_cloud(rng, 30, dim=4)
         cloud.positions[:15, 0] += 50.0      # far off screen
         cloud.positions[15:, 2] -= 10.0      # behind the camera
@@ -264,7 +263,7 @@ class TestRenderEdgeCases:
 
     @pytest.mark.parametrize("smooth", [False, True], ids=["default", "smooth"])
     def test_single_pixel_camera(self, rng, smooth):
-        cam = test_camera(width=1, height=1, fov_scale=20.0)
+        cam = make_camera(width=1, height=1, fov_scale=20.0)
         opts = RenderOptions.smooth() if smooth else RenderOptions()
         cloud = random_cloud(rng, 40, dim=4)
         out = render(cloud, cam, opts=opts)
@@ -292,7 +291,7 @@ class TestRenderEdgeCases:
         assert out.final_transmittance[4, 4] == t
 
     def test_splat_larger_than_a_block(self, rng):
-        cam = test_camera(width=160, height=150)
+        cam = make_camera(width=160, height=150)
         cloud = random_cloud(rng, 12, dim=4, dtype=np.float32)
         cloud.scales[0] = 0.8            # one splat covers most of the image
         cloud.opacities[0] = 0.9
@@ -303,7 +302,7 @@ class TestRenderEdgeCases:
         assert_same_bytes(out, tiled_render(cloud, cam, background=(0.1, 0.2, 0.3)))
 
     def test_more_than_65536_pixels(self, rng):
-        cam = test_camera(width=300, height=240)
+        cam = make_camera(width=300, height=240)
         cloud = random_cloud(rng, 50, dim=4, dtype=np.float32)
         out = render(cloud, cam, background=(0.1, 0.2, 0.3))
         assert cam.width * cam.height > 65536
@@ -331,11 +330,11 @@ class TestGroupWeights:
     def test_unassigned_rejected(self, rng):
         cloud = random_cloud(rng, 5, dim=4)
         with pytest.raises(ValueError, match="assigned"):
-            render_group_weights(cloud, test_camera())
+            render_group_weights(cloud, make_camera())
 
     def test_matches_fragment_regrouping(self, rng):
         # regroup oracle: sum fragment weights per group id per pixel
-        cam = test_camera(width=16, height=16)
+        cam = make_camera(width=16, height=16)
         cloud = random_cloud(rng, 40, dim=4)
         cloud.group_ids[:] = rng.integers(0, 5, 40)
         weights = render_group_weights(cloud, cam)
@@ -348,10 +347,3 @@ class TestGroupWeights:
                     expect[y, x, g] += f.alpha * f.transmittance_before
         np.testing.assert_allclose(weights, expect, atol=1e-9)
 
-
-def test_package_attribute_is_the_render_module():
-    import importlib
-
-    import gradiseg
-    assert gradiseg.render is importlib.import_module("gradiseg.render")
-    assert callable(gradiseg.render.render)

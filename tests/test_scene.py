@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import random_cloud, test_camera
+from conftest import make_camera, random_cloud
 from gradiseg.render import render
 from gradiseg.scene import (GaussianCloud, GroupTable, SceneFormatError,
                             assign_groups, extract_group, load_scene,

@@ -110,8 +110,8 @@ class TestTotalLoss:
 
     def test_additivity_of_gradients(self, rng):
         # total gradient equals the weighted sum of sub-loss gradients
-        from conftest import test_camera
-        cam = test_camera(width=12, height=12)
+        from conftest import make_camera
+        cam = make_camera(width=12, height=12)
         cloud = random_cloud(rng, 8, dim=4)
         cam.image = rng.uniform(0, 1, (12, 12, 3))
         cam.mask = rng.integers(0, 5, (12, 12)).astype(np.uint8)
