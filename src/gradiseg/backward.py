@@ -1,11 +1,15 @@
 """Reverse-mode gradients of the rasterizer, hand-derived for this pipeline.
 
-Given upstream per-pixel gradients dL/dC (3 channels) and dL/dE_id (D
-channels), propagates through the compositing weights w_i = alpha_i *
-prod_{j<i}(1 - alpha_j), the Gaussian falloff, the EWA covariance projection
-and the perspective Jacobian, down to every Gaussian parameter in its
-optimizer coordinates (log-scale, logit-opacity, tangent-projected raw
-quaternion) plus the monitor quantities consumed by densification.
+The forward pass blends one feature table f = [colors | encodings] through
+the sparse operator W of RenderOutput.weights, [C | E_id] = W @ f, with no
+background term. Given the upstream per-pixel gradients G = [dL/dC | dL/dE_id]
+(3 + D channels), the feature gradients are W.T @ G. The alpha gradient
+follows the compositing weights w_i = alpha_i * prod_{j<i}(1 - alpha_j) from
+one per-fragment dot <G, f> and its suffix sums within each pixel; from alpha
+it flows through the Gaussian falloff, the EWA covariance projection and the
+perspective Jacobian, down to every Gaussian parameter in its optimizer
+coordinates (log-scale, logit-opacity, tangent-projected raw quaternion).
+backward also reports per-Gaussian visibility for densification's monitors.
 """
 
 from __future__ import annotations
@@ -45,22 +49,14 @@ class ParamGrads:
 
 def _segment_suffix_sum(values: np.ndarray, frag_start: np.ndarray,
                         seg_of_frag: np.ndarray) -> np.ndarray:
-    """Per-fragment sum of the values strictly after it within its pixel segment.
+    """Per-fragment sum of the values strictly after it within its pixel segment:
+    the running sum at the segment's last fragment minus the running sum here.
 
     values: (F,); frag_start: CSR offsets (P+1,); seg_of_frag: segment id per
     fragment.
     """
-    if values.shape[0] == 0:
-        return np.zeros_like(values)
-    incl = np.cumsum(values, axis=0)
-    start_idx = frag_start[:-1][seg_of_frag]
-    base = np.zeros_like(values)
-    has_prev = start_idx > 0
-    base[has_prev] = incl[start_idx[has_prev] - 1]
-    prefix_incl = incl - base
-    end_idx = frag_start[1:][seg_of_frag] - 1
-    totals = incl[end_idx] - base
-    return totals - prefix_incl
+    incl = np.cumsum(values)
+    return incl[frag_start[1:][seg_of_frag] - 1] - incl
 
 
 def backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutput,
@@ -83,40 +79,29 @@ def backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutput,
         raise ValueError(f"pixel_grads must have shape {(h, w, 3 + d_feat)}")
 
     grads = ParamGrads.zeros(n, d_feat, dt)
-    F = out.frag_source.shape[0]
-    if F == 0:
+    if out.frag_source.size == 0:
         return grads
-    grads.visible[np.unique(out.frag_source)] = True
+    grads.visible[out.frag_source] = True
 
     splats = out.splats
-    dC = pixel_grads[..., :3].reshape(-1, 3)
-    dE = pixel_grads[..., 3:].reshape(-1, d_feat)
+    G = pixel_grads.reshape(h * w, 3 + d_feat)
+    feat_grads = out.weights.T @ G        # dL/df = W^T G
+    grads.colors[:] = feat_grads[:, :3]
+    grads.encodings[:] = feat_grads[:, 3:]
 
     frag_pix = np.repeat(np.arange(h * w), np.diff(out.frag_start))
-    src = out.frag_source
-    srow = out.frag_splat
-    alpha = out.frag_alpha
-    t_before = out.frag_t_before
-    weight = alpha * t_before
+    src, srow = out.frag_source, out.frag_splat
+    alpha, t_before = out.frag_alpha, out.frag_t_before
+    table = np.concatenate([cloud.colors, cloud.encodings], axis=1)
 
-    c_src = cloud.colors[src]
-    e_src = cloud.encodings[src]
+    # alpha gradient: dL/da_k = <G, f_k> T_k - <G, B_k> / (1 - a_k) with
+    # B_k = sum_{i>k} w_i f_i. G is constant within a pixel, so the suffix
+    # dot product is a scalar suffix sum of per-fragment dots.
+    dot = np.einsum("fk,fk->f", G[frag_pix], table[src])
+    suffix = _segment_suffix_sum(alpha * t_before * dot, out.frag_start, frag_pix)
+    g_alpha = dot * t_before - suffix / (1.0 - alpha)
 
-    # alpha gradient: dL/da_k = <dC, c_k*T_k - B_k/(1-a_k)> + <dE, e_k*T_k - Be_k/(1-a_k)>
-    # with B_k = sum_{i>k} w_i c_i + T_final*bg and Be_k = sum_{i>k} w_i e_i.
-    # dC/dE are constant within a pixel, so the suffix dot products reduce to
-    # scalar suffix sums of per-fragment dotted contributions.
-    dot_c = np.einsum("fk,fk->f", dC[frag_pix], c_src)
-    dot_e = np.einsum("fk,fk->f", dE[frag_pix], e_src)
-    suffix_c = _segment_suffix_sum(weight * dot_c, out.frag_start, frag_pix)
-    suffix_e = _segment_suffix_sum(weight * dot_e, out.frag_start, frag_pix)
-    t_final_flat = out.final_transmittance.reshape(-1)
-    bg_dot = dC @ out.background  # per-pixel <dC, bg>
-    B = suffix_c + t_final_flat[frag_pix] * bg_dot[frag_pix]
-    one_minus = 1.0 - alpha
-    g_alpha = (dot_c + dot_e) * t_before - (B + suffix_e) / one_minus
-
-    # alpha = min(ALPHA_CLAMP, o * G); clamped fragments pass no gradient
+    # alpha = min(ALPHA_CLAMP, o * g); clamped fragments pass no gradient
     o_src = cloud.opacities[src]
     pix_xy = np.stack([frag_pix % w, frag_pix // w], axis=1).astype(dt)
     dvec = pix_xy - splats.mean2d[srow]
@@ -130,17 +115,10 @@ def backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutput,
     coef = g_pre * o_src * g_val
     half = 0.5 * coef
 
-    # direct linear terms: dL/dc = w * dL/dC, dL/de = w * dL/dE
-    gc_frag = weight[:, None] * dC[frag_pix]
-    ge_frag = weight[:, None] * dE[frag_pix]
-    for j in range(3):
-        grads.colors[:, j] = np.bincount(src, weights=gc_frag[:, j], minlength=n)
-    for j in range(d_feat):
-        grads.encodings[:, j] = np.bincount(src, weights=ge_frag[:, j], minlength=n)
     grads.logit_opacities[:] = np.bincount(
         src, weights=g_pre * g_val * o_src * (1.0 - o_src), minlength=n)
 
-    # dG/dmu = G * (P d); dG/dSigma2 = (G/2) * (P d)(P d)^T
+    # dg/dmu = g * (P d); dg/dSigma2 = (g/2) * (P d)(P d)^T
     S = splats.count
     gmu = np.empty((S, 2), dtype=dt)
     gmu[:, 0] = np.bincount(srow, weights=coef * pd0, minlength=S)

@@ -32,9 +32,17 @@ def _write_run_json(dest: Path, command: str, payload: dict) -> None:
 
 def _require_file(path, what: str) -> Path:
     p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"{what} not found: {p}")
+    if not p.is_file():
+        problem = "is not a regular file" if p.exists() else "not found"
+        raise ValidationError(f"{what} {problem}: {p}")
     return p
+
+
+def _output_file(path) -> Path:
+    """An output file path, checked before any work is done."""
+    if Path(path).is_dir():
+        raise ValidationError(f"output path is a directory: {path}")
+    return Path(path)
 
 
 @contextmanager
@@ -129,9 +137,9 @@ def cmd_render(args) -> int:
     from .netpbm import write_ppm
     from .render import render
 
+    dest = _output_file(args.out)
     cloud, _, view = _load_scene_and_view(args)
     out = render(cloud, view)
-    dest = Path(args.out)
     dest.parent.mkdir(parents=True, exist_ok=True)
     write_ppm(dest, out.color)
     _write_run_json(dest.parent / "run.json", "render",
@@ -144,10 +152,10 @@ def cmd_segment(args) -> int:
     from .render import render
     from .semantic import segment_mask
 
+    dest = _output_file(args.out)
     cloud, head, view = _load_scene_and_view(args)
     out = render(cloud, view)
     mask = segment_mask(out.identity, out.final_transmittance, head)
-    dest = Path(args.out)
     dest.parent.mkdir(parents=True, exist_ok=True)
     write_pgm(dest, mask)
     _write_run_json(dest.parent / "run.json", "segment",
@@ -160,6 +168,7 @@ def cmd_eval(args) -> int:
     from .render import render
     from .semantic import segment_mask
 
+    dest = _output_file(args.out)
     cloud, head = _read_scene(args.scene)
     _, dataset = _read_dataset(args.data)
     preds, gts, psnrs = [], [], []
@@ -171,7 +180,6 @@ def cmd_eval(args) -> int:
     report = evaluate_masks(preds, gts)
     report.psnr_per_view = [float(p) for p in psnrs]
     report.psnr_mean = float(np.mean(psnrs))
-    dest = Path(args.out)
     dest.parent.mkdir(parents=True, exist_ok=True)
     dest.write_text(report.to_json())
     _write_run_json(dest.parent / "run.json", "eval",
@@ -184,6 +192,7 @@ def cmd_eval(args) -> int:
 def cmd_edit(args) -> int:
     from .scene import extract_group, recolor_group, remove_group, save_scene
 
+    dest = _output_file(args.out)
     cloud, head = _read_scene(args.scene)
     ops = [o for o in (args.remove, args.recolor, args.extract) if o is not None]
     if len(ops) != 1:
@@ -207,7 +216,6 @@ def cmd_edit(args) -> int:
                 raise ValidationError("--recolor expects GID:R,G,B") from None
             cloud = recolor_group(cloud, gid, rgb)
             action = {"recolor": gid, "rgb": rgb}
-    dest = Path(args.out)
     dest.parent.mkdir(parents=True, exist_ok=True)
     save_scene(cloud, head, dest)
     _write_run_json(dest.parent / "run.json", "edit",

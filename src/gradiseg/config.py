@@ -18,13 +18,13 @@ _FIELD_KINDS = {f.name: _KINDS[f.type.split(" |")[0]] for f in fields(TrainSched
 
 def _parse_value(raw: str, kind):
     raw = raw.strip().strip('"').strip("'")
-    if kind is bool or raw.lower() in ("true", "false"):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"cannot parse {raw!r} as bool")
-    return kind(raw)
+    if kind is not bool:
+        return kind(raw)
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"cannot parse {raw!r} as bool")
 
 
 def load_train_config(path, overrides: dict | None = None) -> TrainSchedule:
@@ -40,7 +40,10 @@ def load_train_config(path, overrides: dict | None = None) -> TrainSchedule:
             key, raw = (s.strip() for s in line.split("=", 1))
             if key not in _FIELD_KINDS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _parse_value(raw, _FIELD_KINDS[key])
+            try:
+                values[key] = _parse_value(raw, _FIELD_KINDS[key])
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {key}: {e}") from None
     if overrides:
         values.update(overrides)
     return TrainSchedule(**values)

@@ -1,10 +1,14 @@
 """Forward rasterization: alpha-blended color and identity-feature images.
 
-Per pixel, depth-ordered fragments composite front to back:
+Colors and identity encodings form one (3 + D)-channel feature table
+f_i = [c_i | e_i], and per pixel the depth-ordered fragments blend it:
 
-    C    = sum_i c_i * w_i + T_final * background
-    E_id = sum_i e_i * w_i                      (no background term)
-    w_i  = alpha_i * prod_{j<i} (1 - alpha_j)
+    [C | E_id] = sum_i w_i * f_i,    w_i = alpha_i * prod_{j<i} (1 - alpha_j)
+
+Empty and partly covered pixels blend toward black: there is no background
+term. The weights form one sparse operator W (pixels x Gaussians, one entry
+per fragment), so the images are W @ [colors | encodings] and the backward
+pass takes W.T of the upstream gradients.
 
 A splat contributes a fragment at a pixel when alpha >= alpha_cutoff and the
 pixel lies within the splat's support ellipse (cull_sigma standard deviations;
@@ -15,9 +19,9 @@ backward pass.
 
 Candidate (splat, pixel) pairs are tested in blocks of about BLOCK pairs
 and sorted once into pixel-major order. A sweep over depth rank then carries
-each pixel's transmittance front to back, and per-pixel sums reduce blocks of
-about BLOCK fragments of whole pixels. Blocks keep temporaries cache-sized;
-no result depends on the block size.
+each pixel's transmittance front to back, and the sparse product adds each
+pixel's fragments one after another, front to back. Blocks keep temporaries
+cache-sized; no result depends on the block size.
 """
 
 from __future__ import annotations
@@ -25,13 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .camera import CULL_SIGMA, CameraView, ProjectedSplats, project_cloud
 from .scene import GaussianCloud
+from .semantic import FOREGROUND_THRESHOLD
 
 ALPHA_CLAMP = 0.99
 ALPHA_CUTOFF = 1.0 / 255.0
-BLOCK = 1 << 14   # candidates or fragments per block
+BLOCK = 1 << 14   # candidates per block
 
 
 @dataclass
@@ -58,11 +64,13 @@ class RenderOutput:
     Fragments are flattened in pixel-major order (within a pixel: ascending
     depth): frag_start (H*W+1,) offsets into frag_source/frag_alpha/
     frag_t_before/frag_splat, where frag_splat indexes rows of `splats`.
+    weights: the blend operator, a (H*W, N) CSR array with indptr frag_start,
+    indices frag_source and data frag_alpha * frag_t_before.
     """
 
     def __init__(self, color, identity, final_transmittance, frag_start,
                  frag_source, frag_alpha, frag_t_before, frag_splat,
-                 splats: ProjectedSplats, background):
+                 splats: ProjectedSplats, weights: csr_array):
         self.color = color
         self.identity = identity
         self.final_transmittance = final_transmittance
@@ -72,7 +80,7 @@ class RenderOutput:
         self.frag_t_before = frag_t_before
         self.frag_splat = frag_splat
         self.splats = splats
-        self.background = background
+        self.weights = weights
 
     @property
     def shape(self):
@@ -180,38 +188,12 @@ def _transmittance(alpha: np.ndarray, frag_start: np.ndarray):
     return t_before, t_final
 
 
-def _pixel_sums(weights: np.ndarray, rows: np.ndarray, table: np.ndarray,
-                frag_start: np.ndarray) -> np.ndarray:
-    """Per-pixel sums of weights[:, None] * table[rows] over pixel-sorted
-    fragments. Each pixel's rows are summed by np.add.reduceat in its own
-    order, which depends on that pixel's fragments alone; blocks of whole
-    pixels bound the temporaries without changing any sum.
-
-    Empty pixels are skipped; within a block, consecutive nonempty starts
-    bound exactly one pixel's fragment slice each.
-    """
-    npix = frag_start.size - 1
-    out = np.zeros((npix, table.shape[1]), dtype=table.dtype)
-    total = int(frag_start[-1])
-    if total == 0:
-        return out
-    busy = np.flatnonzero(np.diff(frag_start))
-    starts = frag_start[busy]
-    for p0, p1 in _blocks(starts, total):
-        lo = starts[p0]
-        hi = starts[p1] if p1 < busy.size else total
-        vals = weights[lo:hi, None] * table[rows[lo:hi]]
-        out[busy[p0:p1]] = np.add.reduceat(vals, starts[p0:p1] - lo, axis=0)
-    return out
-
-
-def render(cloud: GaussianCloud, cam: CameraView, background=(0.0, 0.0, 0.0),
+def render(cloud: GaussianCloud, cam: CameraView,
            opts: RenderOptions | None = None) -> RenderOutput:
     """Rasterize the cloud into color and identity images with fragment records."""
     opts = opts or RenderOptions()
     dt = cloud.dtype
     h, w = cam.height, cam.width
-    bg = np.asarray(background, dtype=dt).reshape(3)
     splats = project_cloud(cloud, cam, cull_sigma=opts.cull_sigma,
                            alpha_cutoff=opts.alpha_cutoff)
     opac = cloud.opacities[splats.index]
@@ -226,18 +208,18 @@ def render(cloud: GaussianCloud, cam: CameraView, background=(0.0, 0.0, 0.0),
     np.cumsum(np.bincount(pix, minlength=h * w), out=frag_start[1:])
 
     frag_tb, t_final = _transmittance(frag_alpha, frag_start)
-    table = np.concatenate([cloud.colors, cloud.encodings], axis=1)
-    sums = _pixel_sums(frag_alpha * frag_tb, frag_source, table, frag_start)
-    color = sums[:, :3] + t_final.reshape(-1, 1) * bg
-    ident = sums[:, 3:]
+    # frag_source is unique per splat, so each pixel row holds a source once
+    weights = csr_array((frag_alpha * frag_tb, frag_source, frag_start),
+                        shape=(h * w, cloud.n))
+    feats = weights @ np.concatenate([cloud.colors, cloud.encodings], axis=1)
+    color = feats[:, :3].copy()   # a kept image must not pin the identity channels
 
-    return RenderOutput(color.reshape(h, w, 3), ident.reshape(h, w, cloud.dim),
+    return RenderOutput(color.reshape(h, w, 3), feats[:, 3:].reshape(h, w, cloud.dim),
                         t_final.reshape(h, w), frag_start, frag_source, frag_alpha,
-                        frag_tb, frag_splat, splats, bg)
+                        frag_tb, frag_splat, splats, weights)
 
 
-def _render_groups(cloud: GaussianCloud, cam: CameraView,
-                   opts: RenderOptions | None = None) -> RenderOutput:
+def _render_groups(cloud: GaussianCloud, cam: CameraView) -> RenderOutput:
     """Render with one-hot group vectors in place of identity encodings."""
     if cloud.n and np.any(cloud.group_ids < 0):
         raise ValueError("all Gaussians must have assigned groups")
@@ -246,26 +228,23 @@ def _render_groups(cloud: GaussianCloud, cam: CameraView,
     onehot[np.arange(cloud.n), cloud.group_ids] = 1.0
     proxy = cloud.copy()
     proxy.encodings = onehot
-    return render(proxy, cam, background=(0.0, 0.0, 0.0), opts=opts)
+    return render(proxy, cam)
 
 
-def render_group_weights(cloud: GaussianCloud, cam: CameraView,
-                         opts: RenderOptions | None = None) -> np.ndarray:
+def render_group_weights(cloud: GaussianCloud, cam: CameraView) -> np.ndarray:
     """Per-pixel blended weight per group: (H, W, G) with G = max group id + 1.
 
     Computed by blending one-hot group vectors through the standard compositing
     path, so weights match fragment-level regrouping exactly.
     """
-    return _render_groups(cloud, cam, opts=opts).identity
+    return _render_groups(cloud, cam).identity
 
 
-def group_weight_mask(cloud: GaussianCloud, cam: CameraView,
-                      bg_threshold: float = 0.5,
-                      opts: RenderOptions | None = None) -> np.ndarray:
+def group_weight_mask(cloud: GaussianCloud, cam: CameraView) -> np.ndarray:
     """Instance-id mask from group weights: argmax group per pixel, background
     (id 0) where the total foreground weight 1 - T_final falls below
-    bg_threshold."""
-    out = _render_groups(cloud, cam, opts=opts)
+    semantic.FOREGROUND_THRESHOLD."""
+    out = _render_groups(cloud, cam)
     mask = np.argmax(out.identity, axis=2).astype(np.uint8)
-    mask[(1.0 - out.final_transmittance) < bg_threshold] = 0
+    mask[(1.0 - out.final_transmittance) < FOREGROUND_THRESHOLD] = 0
     return mask

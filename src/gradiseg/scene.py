@@ -241,8 +241,9 @@ def load_scene(path):
         raise SceneFormatError(f"unsupported version {version}")
     counts_f4 = [n * 3, n * 3, n * 4, n, n * 3, n * d]
     total = 21 + 4 * (sum(counts_f4) + n + c * d + c)
-    if len(blob) < total:
-        raise SceneFormatError("truncated payload")
+    if len(blob) != total:
+        raise SceneFormatError("truncated payload" if len(blob) < total
+                               else f"{len(blob) - total} trailing bytes after payload")
 
     off = 21
     arrs = []

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# a pixel is foreground when its blended weight 1 - T_final reaches this
+FOREGROUND_THRESHOLD = 0.5
+
 
 class ClassifierHead:
     """Linear map from identity-feature space to class logits (C x D + bias)."""
@@ -51,13 +54,13 @@ def classify(features: np.ndarray, head: ClassifierHead) -> np.ndarray:
 
 
 def segment_mask(identity_map: np.ndarray, final_transmittance: np.ndarray,
-                 head: ClassifierHead, bg_threshold: float = 0.5) -> np.ndarray:
+                 head: ClassifierHead) -> np.ndarray:
     """Instance-id mask: per-pixel argmax class of the rendered identity
     features, forced to background (0) where the total blended foreground
-    weight 1 - T_final falls below bg_threshold."""
+    weight 1 - T_final falls below FOREGROUND_THRESHOLD."""
     logits = head.logits(identity_map)
     mask = np.argmax(logits, axis=-1).astype(np.uint8)
-    mask[(1.0 - final_transmittance) < bg_threshold] = 0
+    mask[(1.0 - final_transmittance) < FOREGROUND_THRESHOLD] = 0
     return mask
 
 

@@ -14,11 +14,9 @@ import numpy as np
 
 from .camera import CameraView, look_at
 from .dataset import Dataset, save_dataset
-from .render import RenderOptions, render
+from .render import render
 from .scene import GaussianCloud, GroupTable
 from .semantic import ClassifierHead, segment_mask
-
-BG_WEIGHT_THRESHOLD = 0.5
 
 
 @dataclass
@@ -151,8 +149,8 @@ def generate(spec: SceneSpec, out_dir=None):
     """Build the ground-truth cloud and render the multi-view dataset.
 
     Masks come from the blended per-group weights (argmax, background where
-    the total foreground weight is below 0.5), so they are multi-view
-    consistent by construction. Returns (gt_cloud, head, dataset, group_table);
+    the total foreground weight is below semantic.FOREGROUND_THRESHOLD), so
+    they are multi-view consistent by construction. Returns (gt_cloud, head, dataset, group_table);
     with out_dir set, also writes the dataset + gt scene to disk.
     """
     rng = np.random.default_rng(spec.seed)
@@ -162,17 +160,15 @@ def generate(spec: SceneSpec, out_dir=None):
     for g, obj in enumerate(spec.objects, start=1):
         table.set_group(g, obj.color, obj.label or f"object_{g}")
 
-    opts = RenderOptions()
     views = []
     lo = cloud.positions.min(axis=0) - cloud.scales.max() * 3
     hi = cloud.positions.max(axis=0) + cloud.scales.max() * 3
     for cam in ring_cameras(spec):
-        out = render(cloud, cam, background=(0.0, 0.0, 0.0), opts=opts)
-        # group-weight argmax with the 0.5 background rule; the one-hot
+        out = render(cloud, cam)
+        # group-weight argmax with the foreground rule; the one-hot
         # encodings make this the classifier path verbatim, so re-segmenting
         # the saved scene reproduces the masks bit-for-bit
-        mask = segment_mask(out.identity, out.final_transmittance, head,
-                            BG_WEIGHT_THRESHOLD)
+        mask = segment_mask(out.identity, out.final_transmittance, head)
         views.append(CameraView(
             world_to_camera=cam.world_to_camera, fx=cam.fx, fy=cam.fy,
             cx=cam.cx, cy=cam.cy, width=cam.width, height=cam.height,

@@ -44,8 +44,7 @@ def quat_rotation_ref(q):
     ])
 
 
-def reference_render(cloud, cam, background=(0.0, 0.0, 0.0),
-                     alpha_clamp=0.99, alpha_cutoff=1.0 / 255.0,
+def reference_render(cloud, cam, alpha_clamp=0.99, alpha_cutoff=1.0 / 255.0,
                      cull_sigma=3.0, near=0.01, dilation=0.3):
     """Naive sequential per-pixel compositing, scalar math throughout.
 
@@ -53,7 +52,6 @@ def reference_render(cloud, cam, background=(0.0, 0.0, 0.0),
     per_pixel_fragments[y][x] is a list of (source, alpha, t_before).
     """
     h, w = cam.height, cam.width
-    bg = np.asarray(background, dtype=np.float64)
     R_cw = cam.world_to_camera[:3, :3]
     t_cw = cam.world_to_camera[:3, 3]
 
@@ -109,7 +107,6 @@ def reference_render(cloud, cam, background=(0.0, 0.0, 0.0),
                 color[y, x] += wgt * cloud.colors[i].astype(np.float64)
                 ident[y, x] += wgt * cloud.encodings[i].astype(np.float64)
                 T *= 1.0 - alpha
-            color[y, x] += T * bg
             t_final[y, x] = T
     return color, ident, t_final, frags
 

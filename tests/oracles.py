@@ -10,15 +10,17 @@ once, kept here as test oracles with their bodies unchanged:
   the neighbour search of one target;
 - `split_gaussian` and `_split_axis`: the IGD split of one Gaussian;
 - `tiled_render`: the dense per-tile compositor the engine's bbox-driven
-  rasterizer replaced. Its bodies are unchanged apart from the thread
-  pool: every tile still evaluates all (splat, pixel) pairs densely and
-  composites them with a cumulative product, so `render` must match it
-  byte for byte at every tile size.
+  rasterizer replaced. Every tile evaluates all (splat, pixel) pairs
+  densely and composites them with a cumulative product; the per-pixel
+  sums then add each pixel's fragments front to back, one pass per depth
+  rank, with no background term. `render` must match it byte for byte at
+  every tile size.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from gradiseg.camera import CameraView, project_cloud
 from gradiseg.igd import IgdConfig
@@ -246,31 +248,25 @@ def _render_tile(x_lo, x_hi, y_lo, y_hi, splats, opac, opts, dt):
 
 
 def _pixel_sums(values: np.ndarray, frag_start: np.ndarray) -> np.ndarray:
-    """Per-pixel sums of pixel-sorted fragment rows: one reduceat pass over
-    the whole fragment list, each pixel summed in reduceat's own order.
-
-    Empty pixels are skipped up front; consecutive nonempty starts then bound
-    exactly one pixel's fragment slice each (reduceat's final segment runs to
-    the end of the array).
+    """Per-pixel sums of pixel-sorted fragment rows, added front to back:
+    pass r adds the r-th fragment of every pixel that has one, so each
+    pixel's sum runs through its fragments in depth order.
     """
     npix = frag_start.size - 1
     out = np.zeros((npix,) + values.shape[1:], dtype=values.dtype)
-    if values.shape[0] == 0:
-        return out
-    nonempty = np.diff(frag_start) > 0
-    starts = frag_start[:-1][nonempty]
-    out[nonempty] = np.add.reduceat(values, starts, axis=0)
+    counts = np.diff(frag_start)
+    for r in range(int(counts.max(initial=0))):
+        deep = np.flatnonzero(counts > r)
+        out[deep] += values[frag_start[deep] + r]
     return out
 
 
-def tiled_render(cloud: GaussianCloud, cam, background=(0.0, 0.0, 0.0),
-                 opts: RenderOptions | None = None,
+def tiled_render(cloud: GaussianCloud, cam, opts: RenderOptions | None = None,
                  tile: int = DEFAULT_TILE) -> RenderOutput:
     """Rasterize tile by tile with dense per-tile evaluation."""
     opts = opts or RenderOptions()
     dt = cloud.dtype
     h, w = cam.height, cam.width
-    bg = np.asarray(background, dtype=dt).reshape(3)
     splats = project_cloud(cloud, cam, cull_sigma=opts.cull_sigma,
                            alpha_cutoff=opts.alpha_cutoff)
     opac = cloud.opacities[splats.index]
@@ -313,9 +309,8 @@ def tiled_render(cloud: GaussianCloud, cam, background=(0.0, 0.0, 0.0),
     vals[:, :3] = weights[:, None] * cloud.colors[frag_source]
     vals[:, 3:] = weights[:, None] * cloud.encodings[frag_source]
     sums = _pixel_sums(vals, frag_start)
-    color = sums[:, :3] + t_final.reshape(-1, 1) * bg
-    ident = sums[:, 3:]
+    blend = csr_array((weights, frag_source, frag_start), shape=(h * w, cloud.n))
 
-    return RenderOutput(color.reshape(h, w, 3), ident.reshape(h, w, cloud.dim),
+    return RenderOutput(sums[:, :3].reshape(h, w, 3), sums[:, 3:].reshape(h, w, cloud.dim),
                         t_final, frag_start, frag_source, frag_alpha, frag_tb,
-                        frag_splat, splats, bg)
+                        frag_splat, splats, blend)

@@ -200,9 +200,8 @@ def _check_forward_scene(seed):
     rng = np.random.default_rng((RNG_BASE, 2, seed))
     cloud = random_cloud(rng, 40, dim=4, dtype=np.float64)
     cam = make_camera(width=24, height=24)
-    bg = rng.uniform(0, 1, 3)
-    out = render(cloud, cam, background=bg)
-    ref_color, ref_ident, ref_t, _ = reference_render(cloud, cam, background=bg)
+    out = render(cloud, cam)
+    ref_color, ref_ident, ref_t, _ = reference_render(cloud, cam)
     color_err = float(np.abs(out.color - ref_color).max())
     ident_err = float(np.abs(out.identity - ref_ident).max())
     total = np.zeros(24 * 24)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_cloud
+from conftest import make_camera, random_cloud
 from gradiseg.backward import ParamGrads, accumulate_monitors, backward
 from gradiseg.camera import CameraView, look_at
 from gradiseg.render import RenderOptions, render
@@ -20,9 +20,9 @@ def small_camera(w=8, h=8):
                       fx=28.0, fy=30.0, cx=w / 2.0, cy=h / 2.0, width=w, height=h)
 
 
-def render_dot(cloud, cam, pixel_grads, bg):
+def render_dot(cloud, cam, pixel_grads):
     """Scalar objective sum(pixel_grads * [C, E]) under the smooth renderer."""
-    out = render(cloud, cam, background=bg, opts=RenderOptions.smooth())
+    out = render(cloud, cam, opts=RenderOptions.smooth())
     d = cloud.dim
     return float(np.sum(pixel_grads[..., :3] * out.color)
                  + np.sum(pixel_grads[..., 3:] * out.identity))
@@ -67,13 +67,12 @@ def assert_gradients_close(analytic, numeric, context=""):
 class TestBackwardFiniteDifferences:
     def test_all_families_random_configs(self, rng):
         cam = small_camera()
-        bg = np.array([0.25, 0.4, 0.1])
         for trial in range(4):
             cloud = random_cloud(rng, 6, dim=5, opacity_range=(0.1, 0.85))
             pg = rng.standard_normal((8, 8, 8))
-            out = render(cloud, cam, background=bg, opts=RenderOptions.smooth())
+            out = render(cloud, cam, opts=RenderOptions.smooth())
             grads = backward(cloud, cam, out, pg)
-            loss = lambda c: render_dot(c, cam, pg, bg)
+            loss = lambda c: render_dot(c, cam, pg)
             for family in ("positions", "log_scales", "rotations",
                            "logit_opacities", "colors", "encodings"):
                 numeric = fd_gradient(cloud, family, loss)
@@ -87,10 +86,9 @@ class TestBackwardFiniteDifferences:
                          mode="orthographic")
         cloud = random_cloud(rng, 5, dim=4)
         pg = rng.standard_normal((8, 8, 7))
-        bg = np.zeros(3)
-        out = render(cloud, cam, background=bg, opts=RenderOptions.smooth())
+        out = render(cloud, cam, opts=RenderOptions.smooth())
         grads = backward(cloud, cam, out, pg)
-        loss = lambda c: render_dot(c, cam, pg, bg)
+        loss = lambda c: render_dot(c, cam, pg)
         for family in ("positions", "log_scales", "rotations"):
             numeric = fd_gradient(cloud, family, loss)
             assert_gradients_close(getattr(grads, family), numeric, family)
@@ -113,6 +111,32 @@ class TestBackwardStructure:
         frag = fragments_at(out, 4, 4)[0]
         w1 = frag.alpha * frag.transmittance_before
         np.testing.assert_allclose(grads.encodings[0], w1 * vec, rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_feature_grads_match_fragment_loop(self, rng, dtype):
+        # dL/d[c | e] = sum over a Gaussian's fragments of w * [dC | dE], here
+        # summed in float64 one fragment at a time; the engine accumulates in
+        # the cloud's dtype, so each entry may differ by the summation error
+        # bound (fragments - 1) * eps * sum |w * g| plus the rounding of w
+        cam = make_camera(width=20, height=16)
+        cloud = random_cloud(rng, 30, dim=5, dtype=dtype)
+        out = render(cloud, cam)
+        pg = rng.standard_normal((16, 20, 8)).astype(dtype)
+        grads = backward(cloud, cam, out, pg)
+        want = np.zeros((30, 8))
+        bound = np.zeros((30, 8))
+        count = np.zeros(30)
+        for y in range(16):
+            for x in range(20):
+                for f in fragments_at(out, x, y):
+                    term = float(f.alpha) * float(f.transmittance_before) * pg[y, x]
+                    want[f.source_index] += term
+                    bound[f.source_index] += np.abs(term)
+                    count[f.source_index] += 1
+        assert count.max() > 10
+        got = np.concatenate([grads.colors, grads.encodings], axis=1)
+        tol = (count[:, None] + 2) * np.finfo(dtype).eps * bound
+        assert np.all(np.abs(got - want) <= tol)
 
     def test_zero_pixel_grads_zero_out(self, rng):
         cam = small_camera()

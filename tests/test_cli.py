@@ -160,6 +160,23 @@ class TestMalformedInput:
                             "--out", str(tmp_path / "out.gseg")], capsys,
                            "GSEG1")
 
+    def test_edit_trailing_bytes(self, dataset_dir, tmp_path, capsys):
+        scene = tmp_path / "long.gseg"
+        scene.write_bytes((dataset_dir / "gt_scene.gseg").read_bytes() + b"junk")
+        assert_input_error(["edit", "--scene", str(scene), "--remove", "1",
+                            "--out", str(tmp_path / "out.gseg")], capsys,
+                           "4 trailing bytes")
+
+    def test_edit_scene_is_directory(self, tmp_path, capsys):
+        assert_input_error(["edit", "--scene", str(tmp_path), "--remove", "1",
+                            "--out", str(tmp_path / "out.gseg")], capsys,
+                           "scene file is not a regular file")
+
+    def test_eval_out_is_directory(self, dataset_dir, tmp_path, capsys):
+        assert_input_error(["eval", "--scene", str(dataset_dir / "gt_scene.gseg"),
+                            "--data", str(dataset_dir), "--out", str(tmp_path)],
+                           capsys, "output path is a directory")
+
     def test_eval_truncated_ppm(self, dataset_dir, tmp_path, capsys):
         ds = copy_dataset(dataset_dir, tmp_path)
         ppm = ds / "view_000.ppm"
@@ -183,6 +200,14 @@ class TestMalformedInput:
         assert_input_error(["train", "--data", str(dataset_dir), "--config",
                             str(cfg), "--out", str(tmp_path / "run")], capsys,
                            "unknown config key 'bogus_key'")
+        assert not (tmp_path / "run").exists()
+
+    def test_train_boolean_for_int_key(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("knn_k = true\n")
+        assert_input_error(["train", "--data", str(dataset_dir), "--config",
+                            str(cfg), "--iters", "0", "--out", str(tmp_path / "run")],
+                           capsys, "knn_k", "'true'")
         assert not (tmp_path / "run").exists()
 
     def test_train_negative_iterations(self, dataset_dir, tmp_path, capsys):

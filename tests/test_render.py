@@ -73,7 +73,7 @@ class TestRenderClosedForm:
 
     def test_single_opaque_fragment_clamped(self):
         cloud = stacked_cloud([(1.0, (0.0, 0.0, 1.0), np.zeros(4))])
-        out = render(cloud, self.cam(), background=(0.0, 0.0, 0.0))
+        out = render(cloud, self.cam())
         center = out.color[4, 4]  # projection of (0,0,*) is the center pixel
         np.testing.assert_allclose(center, [0.0, 0.0, 0.99], atol=1e-9)
 
@@ -82,25 +82,27 @@ class TestRenderClosedForm:
             (0.5, (1.0, 0.0, 0.0), np.zeros(4)),
             (0.5, (0.0, 1.0, 0.0), np.zeros(4)),
         ])
-        out = render(cloud, self.cam(), background=(0.0, 0.0, 0.0))
+        out = render(cloud, self.cam())
         np.testing.assert_allclose(out.color[4, 4], [0.5, 0.25, 0.0], atol=1e-9)
 
     def test_two_fragment_identity(self):
         e1 = np.array([1.0, 0.0, 0.0, 0.0])
         e2 = np.array([0.0, 1.0, 0.0, 0.0])
         cloud = stacked_cloud([(0.6, (0.5,) * 3, e1), (1.0, (0.5,) * 3, e2)])
-        out = render(cloud, self.cam(), background=(0.0, 0.0, 0.0))
-        # w1 = 0.6; w2 = clamp(1.0)=0.99 * (1-0.6) = 0.396... identity has no bg
+        out = render(cloud, self.cam())
+        # w1 = 0.6; w2 = clamp(1.0)=0.99 * (1-0.6) = 0.396...
         np.testing.assert_allclose(out.color.shape, (9, 9, 3))
         np.testing.assert_allclose(out.identity[4, 4],
                                    [0.6, 0.4 * 0.99, 0.0, 0.0], atol=1e-9)
 
-    def test_background_fills_empty(self):
-        cloud = GaussianCloud.empty(dim=4, dtype=np.float64)
-        out = render(cloud, self.cam(), background=(0.2, 0.4, 0.6))
-        assert np.allclose(out.color, [0.2, 0.4, 0.6])
-        assert np.allclose(out.identity, 0.0)
-        assert np.allclose(out.final_transmittance, 1.0)
+    def test_empty_pixels_black(self):
+        cloud = stacked_cloud([(0.6, (0.5, 0.7, 0.9), np.ones(4))])
+        out = render(cloud, self.cam())
+        empty = np.diff(out.frag_start).reshape(9, 9) == 0
+        assert empty[0, 0] and not empty[4, 4]
+        assert np.all(out.color[empty] == 0.0)
+        assert np.all(out.identity[empty] == 0.0)
+        assert np.all(out.final_transmittance[empty] == 1.0)
 
 
 class TestRenderOracle:
@@ -108,9 +110,9 @@ class TestRenderOracle:
         cam = make_camera(width=32, height=32)
         for trial in range(3):
             cloud = random_cloud(rng, 50, dim=4)
-            out = render(cloud, cam, background=(0.1, 0.2, 0.3))
+            out = render(cloud, cam)
             ref_color, ref_ident, ref_t, _ = reference_render(
-                cloud, cam, background=(0.1, 0.2, 0.3))
+                cloud, cam)
             np.testing.assert_allclose(out.color, ref_color, atol=1e-6)
             np.testing.assert_allclose(out.identity, ref_ident, atol=1e-6)
             np.testing.assert_allclose(out.final_transmittance, ref_t, atol=1e-6)
@@ -132,6 +134,18 @@ class TestRenderOracle:
 
 
 class TestRenderInvariants:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weights_operator_format(self, rng, dtype):
+        cam = make_camera(width=20, height=14)
+        cloud = random_cloud(rng, 40, dim=4, dtype=dtype)
+        out = render(cloud, cam)
+        W = out.weights
+        assert W.shape == (20 * 14, 40)
+        assert np.array_equal(W.indptr, out.frag_start)
+        assert np.array_equal(W.indices, out.frag_source)
+        assert W.data.dtype == dtype
+        assert W.data.tobytes() == (out.frag_alpha * out.frag_t_before).tobytes()
+
     def test_weight_conservation(self, rng):
         cam = make_camera(width=24, height=24)
         cloud = random_cloud(rng, 80, dim=4)
@@ -187,8 +201,7 @@ class TestRenderInvariants:
 
 
 OUTPUT_ARRAYS = ("color", "identity", "final_transmittance", "frag_start",
-                 "frag_source", "frag_alpha", "frag_t_before", "frag_splat",
-                 "background")
+                 "frag_source", "frag_alpha", "frag_t_before", "frag_splat")
 
 
 def assert_same_bytes(got, want):
@@ -210,11 +223,10 @@ class TestTiledOracle:
         cam = make_camera(width=size[0], height=size[1])
         opts = RenderOptions.smooth() if smooth else RenderOptions()
         cloud = random_cloud(rng, 60, dim=4, dtype=dtype)
-        out = render(cloud, cam, background=(0.1, 0.2, 0.3), opts=opts)
+        out = render(cloud, cam, opts=opts)
         assert out.frag_source.size > 0
         for tile in (4, 16, 64):
-            assert_same_bytes(out, tiled_render(cloud, cam, background=(0.1, 0.2, 0.3),
-                                                opts=opts, tile=tile))
+            assert_same_bytes(out, tiled_render(cloud, cam, opts=opts, tile=tile))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_fragments_lie_in_splat_bbox(self, rng, dtype):
@@ -235,19 +247,18 @@ class TestTiledOracle:
         cam = make_camera(width=33, height=17)
         opts = RenderOptions.smooth() if smooth else RenderOptions()
         cloud = random_cloud(rng, 60, dim=4, dtype=np.float32)
-        base = render(cloud, cam, background=(0.1, 0.2, 0.3), opts=opts)
+        base = render(cloud, cam, opts=opts)
         for block in (1, 7, 10 ** 6):
             monkeypatch.setattr(render_module, "BLOCK", block)
-            assert_same_bytes(render(cloud, cam, background=(0.1, 0.2, 0.3), opts=opts),
-                              base)
+            assert_same_bytes(render(cloud, cam, opts=opts), base)
 
 
 class TestRenderEdgeCases:
     def test_empty_cloud(self):
         cam = make_camera(width=7, height=5)
         cloud = GaussianCloud.empty(dim=4, dtype=np.float32)
-        out = render(cloud, cam, background=(0.2, 0.4, 0.6))
-        assert_same_bytes(out, tiled_render(cloud, cam, background=(0.2, 0.4, 0.6)))
+        out = render(cloud, cam)
+        assert_same_bytes(out, tiled_render(cloud, cam))
         assert out.frag_start.tolist() == [0] * 36
         assert np.all(out.final_transmittance == 1.0)
 
@@ -256,10 +267,10 @@ class TestRenderEdgeCases:
         cloud = random_cloud(rng, 30, dim=4)
         cloud.positions[:15, 0] += 50.0      # far off screen
         cloud.positions[15:, 2] -= 10.0      # behind the camera
-        out = render(cloud, cam, background=(0.2, 0.4, 0.6))
+        out = render(cloud, cam)
         assert out.splats.count == 0
         assert out.frag_source.size == 0
-        assert_same_bytes(out, tiled_render(cloud, cam, background=(0.2, 0.4, 0.6)))
+        assert_same_bytes(out, tiled_render(cloud, cam))
 
     @pytest.mark.parametrize("smooth", [False, True], ids=["default", "smooth"])
     def test_single_pixel_camera(self, rng, smooth):
@@ -280,8 +291,8 @@ class TestRenderEdgeCases:
         cloud = stacked_cloud([(0.03, (k / n, 0.5, 1.0 - k / n), np.full(4, k / n))
                                for k in range(n)]).astype(np.float32)
         cam = centered_camera()
-        out = render(cloud, cam, background=(0.2, 0.4, 0.6))
-        assert_same_bytes(out, tiled_render(cloud, cam, background=(0.2, 0.4, 0.6)))
+        out = render(cloud, cam)
+        assert_same_bytes(out, tiled_render(cloud, cam))
         center = 4 * 9 + 4
         assert out.frag_start[center + 1] - out.frag_start[center] == n
         t = np.float32(1.0)
@@ -295,19 +306,19 @@ class TestRenderEdgeCases:
         cloud = random_cloud(rng, 12, dim=4, dtype=np.float32)
         cloud.scales[0] = 0.8            # one splat covers most of the image
         cloud.opacities[0] = 0.9
-        out = render(cloud, cam, background=(0.1, 0.2, 0.3))
+        out = render(cloud, cam)
         bb = out.splats.bbox
         area = (bb[:, 1] - bb[:, 0] + 1) * (bb[:, 3] - bb[:, 2] + 1)
         assert area.max() > render_module.BLOCK
-        assert_same_bytes(out, tiled_render(cloud, cam, background=(0.1, 0.2, 0.3)))
+        assert_same_bytes(out, tiled_render(cloud, cam))
 
     def test_more_than_65536_pixels(self, rng):
         cam = make_camera(width=300, height=240)
         cloud = random_cloud(rng, 50, dim=4, dtype=np.float32)
-        out = render(cloud, cam, background=(0.1, 0.2, 0.3))
+        out = render(cloud, cam)
         assert cam.width * cam.height > 65536
         assert out.frag_start[-1] == out.frag_source.size > 0
-        assert_same_bytes(out, tiled_render(cloud, cam, background=(0.1, 0.2, 0.3)))
+        assert_same_bytes(out, tiled_render(cloud, cam))
 
 
 class TestGroupWeights:

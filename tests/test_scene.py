@@ -78,6 +78,13 @@ class TestPersistence:
         with pytest.raises(SceneFormatError, match="truncated"):
             load_scene(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.gseg"
+        save_scene(one_gaussian_cloud(), ClassifierHead.zeros(4, 16), path)
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(SceneFormatError, match="4 trailing bytes"):
+            load_scene(path)
+
     def test_opacity_out_of_range_rejected(self, tmp_path):
         cloud = one_gaussian_cloud()
         head = ClassifierHead.zeros(4, 16)
@@ -252,7 +259,7 @@ class TestEditRendering:
         only = extract_group(cloud, 1)
         for view in dataset.views[:2]:
             silhouette = group_weight_mask(silhouette_src, view) == 1
-            out = render(only, view, background=(0.0, 0.0, 0.0))
+            out = render(only, view)
             lit = out.color.sum(axis=2) > 1e-3
             allowed = binary_dilation(silhouette, np.ones((7, 7), dtype=bool))
             assert not (lit & ~allowed).any()
