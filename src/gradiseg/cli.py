@@ -45,6 +45,15 @@ def _output_file(path) -> Path:
     return Path(path)
 
 
+def _output_dir(path) -> Path:
+    """An output directory path, checked before any work is done."""
+    p = Path(path)
+    existing = next(q for q in (p, *p.parents) if q.exists())
+    if not existing.is_dir():
+        raise ValidationError(f"output path is not a directory: {existing}")
+    return p
+
+
 @contextmanager
 def _reading(what: str):
     """Report errors raised while reading user input as validation errors."""
@@ -89,10 +98,10 @@ def _load_scene_spec(path):
 def cmd_gen(args) -> int:
     from .synth import generate
 
+    out = _output_dir(args.out)
     spec = _load_scene_spec(args.spec)
     if args.seed is not None:
         spec.seed = args.seed
-    out = Path(args.out)
     generate(spec, out_dir=out)
     _write_run_json(out / "run.json", "gen",
                     {"seed": spec.seed, "spec": dataclasses.asdict(spec)})
@@ -104,6 +113,7 @@ def cmd_train(args) -> int:
     from .config import load_train_config
     from .trainer import train
 
+    out = _output_dir(args.out)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -112,7 +122,6 @@ def cmd_train(args) -> int:
     with _reading("training configuration"):
         sched = load_train_config(args.config, overrides).resolved()
     manifest, dataset = _read_dataset(args.data)
-    out = Path(args.out)
     result = train(dataset, sched, out)
     _write_run_json(out / "run.json", "train",
                     {"seed": sched.seed, "data": str(manifest),

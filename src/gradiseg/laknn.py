@@ -7,6 +7,13 @@ the target's negated, normalized position-gradient EMA; targets whose EMA is
 (numerically) zero fall back to global search. Both search modes are
 contractually identical to exhaustive search, including the ascending-index
 tie rule (tests/oracles.py holds the scalar reference searches).
+
+Pair order is part of the contract, since the KL loss sums pairs in order:
+pairs are grouped by target in sampling order, and each target's neighbors
+are ordered by (distance, index). The batched search bounds each row's K-th
+smallest admissible distance by the K-th smallest among every _STRIDE-th
+column and sorts only the entries at or below that bound, which is exact for
+any stride.
 """
 
 from __future__ import annotations
@@ -21,32 +28,22 @@ from .semantic import ClassifierHead, classify
 PROB_FLOOR = 1e-12
 EMA_FLOOR = 1e-12
 _CHUNK = 128
-
-
-def _smallest_k(dist_row: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest finite entries, ties by ascending index."""
-    finite = np.isfinite(dist_row)
-    avail = int(finite.sum())
-    take = min(k, avail)
-    if take == 0:
-        return np.empty(0, dtype=np.int64)
-    part = np.argpartition(dist_row, take - 1)[:take]
-    vals = dist_row[part]
-    kth = vals.max()
-    strict = np.nonzero(dist_row < kth)[0]
-    need = take - strict.size
-    at_kth = np.nonzero(dist_row == kth)[0][:need]
-    out = np.concatenate([strict, at_kth])
-    return out[np.lexsort((out, dist_row[out]))]
+_STRIDE = 8
 
 
 def _neighbor_pairs(cloud: GaussianCloud, targets: np.ndarray, k: int,
                     mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized neighbor selection for many targets. Returns flat (i, j) pairs.
+    """Vectorized neighbor selection for many targets. Returns flat (i, j)
+    pairs, grouped by target in the order of `targets`, each target's
+    neighbors ordered by (distance, index).
 
-    Uses argpartition per chunk; rows with ties at the selection boundary (or
-    fewer than k candidates) are repaired with _smallest_k so the
-    ascending-index tie rule always holds.
+    A row admits d > floor: floor is 0 for a direction-aware row and -inf for
+    a global or zero-EMA row, and d must be finite. The row's bound tau is
+    its take-th smallest admissible value among columns 0, _STRIDE,
+    2*_STRIDE, ...; those are admissible entries of the row, so its own
+    take-th smallest is at most tau. The entries with floor < d <= tau are
+    sorted by (value, index) and cut to take. A row whose sample holds fewer
+    than take admissible values is bounded by the largest finite value.
     """
     pos = cloud.positions
     n = cloud.n
@@ -57,6 +54,7 @@ def _neighbor_pairs(cloud: GaussianCloud, targets: np.ndarray, k: int,
     pair_i, pair_j = [], []
     for lo in range(0, targets.size, _CHUNK):
         tgt = targets[lo:lo + _CHUNK]
+        floor = np.full(tgt.size, -np.inf, dtype=pos.dtype)
         if mode == "local-adaptive":
             ema = cloud.pos_grad_ema[tgt]
             norms = np.linalg.norm(ema, axis=1)
@@ -64,7 +62,7 @@ def _neighbor_pairs(cloud: GaussianCloud, targets: np.ndarray, k: int,
             u = np.zeros_like(ema)
             u[local] = -ema[local] / norms[local, None]
             d = u @ pos.T - np.einsum("tj,tj->t", u, pos[tgt])[:, None]
-            d = np.where(d > 0, d, np.inf)
+            floor[local] = 0.0
             # zero-EMA targets fall back to global euclidean search
             if not local.all():
                 sub = tgt[~local]
@@ -74,34 +72,28 @@ def _neighbor_pairs(cloud: GaussianCloud, targets: np.ndarray, k: int,
             d = sq[None, :] - 2.0 * (pos[tgt] @ pos.T) + sq[tgt][:, None]
         d[np.arange(tgt.size), tgt] = np.inf
 
-        part = np.argpartition(d, take - 1, axis=1)[:, :take]
-        vals = np.take_along_axis(d, part, axis=1)
-        # canonical order inside the selection: by (value, index) via two
-        # stable argsorts
-        ord1 = np.argsort(part, axis=1, kind="stable")
-        part = np.take_along_axis(part, ord1, axis=1)
-        vals = np.take_along_axis(vals, ord1, axis=1)
-        ord2 = np.argsort(vals, axis=1, kind="stable")
-        part = np.take_along_axis(part, ord2, axis=1)
-        vals = np.take_along_axis(vals, ord2, axis=1)
+        # a row's inadmissible sampled values sort before its admissible
+        # ones and inf after them, so its bound sits at its own offset
+        sample = np.sort(d[:, ::_STRIDE], axis=1)
+        at = (sample <= floor[:, None]).sum(axis=1) + take - 1
+        sampled = at < sample.shape[1]
+        tau = np.full(tgt.size, np.inf, dtype=d.dtype)
+        tau[sampled] = sample[sampled, at[sampled]]
+        tau = np.minimum(tau, np.finfo(d.dtype).max)
 
-        kth = vals[:, -1]
-        finite_kth = np.isfinite(kth)
-        n_at_kth_row = (d == kth[:, None]).sum(axis=1)
-        n_at_kth_sel = (vals == kth[:, None]).sum(axis=1)
-        needs_repair = ~finite_kth | (n_at_kth_row != n_at_kth_sel)
-
-        if not needs_repair.any():
-            pair_i.append(np.repeat(tgt, take))
-            pair_j.append(part.reshape(-1))
-        else:
-            ok = np.nonzero(~needs_repair)[0]
-            pair_i.append(np.repeat(tgt[ok], take))
-            pair_j.append(part[ok].reshape(-1))
-            for row in np.nonzero(needs_repair)[0]:
-                nb = _smallest_k(d[row], take)
-                pair_i.append(np.full(nb.size, tgt[row], dtype=np.int64))
-                pair_j.append(nb)
+        flat = np.flatnonzero((d > floor[:, None]) & (d <= tau[:, None]))
+        row, col = np.divmod(flat, n)
+        counts = np.bincount(row, minlength=tgt.size)
+        start = np.cumsum(counts) - counts
+        slot = np.arange(flat.size) - np.repeat(start, counts)
+        # candidates enter each inf-padded row in index order, so a stable
+        # sort orders them by (value, index)
+        vals = np.full((tgt.size, counts.max(initial=0)), np.inf, dtype=d.dtype)
+        vals[row, slot] = d.ravel()[flat]
+        first = np.argsort(vals, axis=1, kind="stable")[:, :take]
+        kept = np.arange(first.shape[1]) < counts[:, None]
+        pair_i.append(np.repeat(tgt, np.minimum(counts, take)))
+        pair_j.append(col[(start[:, None] + first)[kept]])
     return np.concatenate(pair_i), np.concatenate(pair_j)
 
 

@@ -7,7 +7,8 @@ once, kept here as test oracles with their bodies unchanged:
 - `Splat2D` and `project_gaussian`: projection of one Gaussian;
 - `pixel_alpha`, `Fragment` and `fragments_at`: one pixel of a render;
 - `neighbor_direction`, `local_adaptive_neighbors` and `global_neighbors`:
-  the neighbour search of one target;
+  the neighbour search of one target, and `_smallest_k`, the selection
+  they share (the k smallest finite entries, ordered by (value, index));
 - `split_gaussian` and `_split_axis`: the IGD split of one Gaussian;
 - `tiled_render`: the dense per-tile compositor the engine's bbox-driven
   rasterizer replaced. Every tile evaluates all (splat, pixel) pairs
@@ -24,7 +25,7 @@ from scipy.sparse import csr_array
 
 from gradiseg.camera import CameraView, project_cloud
 from gradiseg.igd import IgdConfig
-from gradiseg.laknn import EMA_FLOOR, _smallest_k
+from gradiseg.laknn import EMA_FLOOR
 from gradiseg.render import (ALPHA_CLAMP, ALPHA_CUTOFF, RenderOptions,
                              RenderOutput)
 from gradiseg.rotation import quat_to_rot
@@ -113,6 +114,23 @@ def pixel_alpha(splat: Splat2D, opacity: float, pixel,
          + cov[0, 0] * d[1] * d[1]) / det
     alpha = min(alpha_clamp, opacity * np.exp(-0.5 * q))
     return float(alpha) if alpha >= alpha_cutoff else 0.0
+
+
+def _smallest_k(dist_row: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest finite entries, ties by ascending index."""
+    finite = np.isfinite(dist_row)
+    avail = int(finite.sum())
+    take = min(k, avail)
+    if take == 0:
+        return np.empty(0, dtype=np.int64)
+    part = np.argpartition(dist_row, take - 1)[:take]
+    vals = dist_row[part]
+    kth = vals.max()
+    strict = np.nonzero(dist_row < kth)[0]
+    need = take - strict.size
+    at_kth = np.nonzero(dist_row == kth)[0][:need]
+    out = np.concatenate([strict, at_kth])
+    return out[np.lexsort((out, dist_row[out]))]
 
 
 def neighbor_direction(cloud: GaussianCloud, i: int) -> np.ndarray | None:

@@ -17,7 +17,7 @@ import pytest
 from conftest import make_camera, random_cloud, reference_render
 from gradiseg.backward import backward
 from gradiseg.camera import CameraView, look_at
-from gradiseg.laknn import kl_pairs_loss, loss_3d
+from gradiseg.laknn import _neighbor_pairs, kl_pairs_loss, loss_3d
 from gradiseg.render import RenderOptions, render
 from gradiseg.scene import GaussianCloud
 from gradiseg.semantic import ClassifierHead, loss_2d
@@ -242,27 +242,38 @@ def _exhaustive_global(points, i, k):
 
 
 def _check_knn_cloud(seed):
+    """Each query is checked four ways: the scalar oracles and the engine's
+    batched search (one target, its EMA set to -u), each in both modes."""
     rng = np.random.default_rng((RNG_BASE, 3, seed))
     n = int(rng.integers(50, 2001))
     pts = rng.uniform(-1, 1, (n, 3))
     quat = np.tile([1.0, 0, 0, 0], (n, 1))
     cloud = GaussianCloud(pts, np.full((n, 3), 0.1), quat, np.full(n, 0.5),
                           np.full((n, 3), 0.5), np.zeros((n, 2)))
-    checked = 0
+    oracle_checked = engine_checked = 0
     for _ in range(4):
         i = int(rng.integers(n))
         u = rng.standard_normal(3)
         u /= np.linalg.norm(u)
+        cloud.pos_grad_ema[i] = -u
         for k in (1, 5, 20):
+            want = _exhaustive_local(pts, i, u, k)
+            want_g = _exhaustive_global(pts, i, k)
             got = local_adaptive_neighbors(cloud, i, u, k)
-            if sorted(got.tolist()) != _exhaustive_local(pts, i, u, k):
+            if sorted(got.tolist()) != want:
                 return False, n, i, k, "local"
             assert all((pts[j] - pts[i]) @ u > 0 for j in got)
             got_g = global_neighbors(cloud, i, k)
-            if sorted(got_g.tolist()) != _exhaustive_global(pts, i, k):
+            if sorted(got_g.tolist()) != want_g:
                 return False, n, i, k, "global"
-            checked += 2
-    return True, n, checked, 0, ""
+            oracle_checked += 2
+            for mode, expect in (("local-adaptive", want), ("global", want_g)):
+                pi, pj = _neighbor_pairs(cloud, np.array([i]), k, mode)
+                if np.any(pi != i) or sorted(pj.tolist()) != expect:
+                    return False, n, i, k, f"engine {mode}"
+                engine_checked += 1
+        cloud.pos_grad_ema[i] = 0.0
+    return True, n, oracle_checked, engine_checked, ""
 
 
 def test_criterion_3_knn_oracle():
@@ -270,8 +281,10 @@ def test_criterion_3_knn_oracle():
         results = list(pool.map(_check_knn_cloud, range(50)))
     bad = [r for r in results if not r[0]]
     assert not bad, bad
-    queries = sum(r[2] for r in results)
-    report(3, f"50 clouds (N up to 2000), {queries} queries over K in "
+    oracle_queries = sum(r[2] for r in results)
+    engine_queries = sum(r[3] for r in results)
+    report(3, f"50 clouds (N up to 2000): {oracle_queries} oracle and "
+              f"{engine_queries} engine (_neighbor_pairs) queries over K in "
               f"{{1,5,20}} matched exhaustive search; d<=0 exclusion held")
 
 

@@ -177,6 +177,19 @@ class TestMalformedInput:
                             "--data", str(dataset_dir), "--out", str(tmp_path)],
                            capsys, "output path is a directory")
 
+    def test_gen_out_is_file(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"")
+        assert_input_error(["gen", "--out", str(afile)], capsys,
+                           "output path is not a directory")
+
+    def test_train_out_under_file(self, dataset_dir, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"")
+        assert_input_error(["train", "--data", str(dataset_dir),
+                            "--out", str(afile / "run")], capsys,
+                           "output path is not a directory", str(afile))
+
     def test_eval_truncated_ppm(self, dataset_dir, tmp_path, capsys):
         ds = copy_dataset(dataset_dir, tmp_path)
         ppm = ds / "view_000.ppm"

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import random_cloud
-from gradiseg.laknn import kl_pairs_loss, loss_3d
+from gradiseg import laknn
+from gradiseg.laknn import _neighbor_pairs, kl_pairs_loss, loss_3d
 from gradiseg.scene import GaussianCloud
 from gradiseg.semantic import ClassifierHead
 from oracles import global_neighbors, local_adaptive_neighbors, neighbor_direction
 
 
-def points_cloud(points, dim=4):
-    points = np.asarray(points, dtype=np.float64)
+def points_cloud(points, dim=4, dtype=np.float64):
+    points = np.asarray(points, dtype=dtype)
     n = len(points)
     quat = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
     return GaussianCloud(points, np.full((n, 3), 0.1), quat,
@@ -117,6 +118,109 @@ class TestGlobal:
         cloud = points_cloud(pts)
         got = global_neighbors(cloud, 2, 99)
         assert sorted(got.tolist()) == [0, 1, 3, 4, 5]
+
+
+def oracle_pairs(cloud, targets, k, mode):
+    """Scalar-oracle pairs: grouped by target in the given order, each
+    target's neighbors ordered by (distance, index)."""
+    pair_i, pair_j = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for t in targets:
+        u = neighbor_direction(cloud, t) if mode == "local-adaptive" else None
+        nb = (global_neighbors(cloud, t, k) if u is None
+              else local_adaptive_neighbors(cloud, t, u, k))
+        pair_i.append(np.full(nb.size, t, dtype=np.int64))
+        pair_j.append(nb)
+    return np.concatenate(pair_i), np.concatenate(pair_j)
+
+
+def assert_same_pairs(got, want):
+    assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+
+
+def grid_cloud(rng, n, dtype):
+    """Positions on a 1/64 grid with some exact duplicates, and EMAs that are
+    zero or point along an axis. Every distance and projection the engine
+    forms is then exact in float32 and float64, so the float64 oracles see
+    the engine's values, ties at the K-th value included."""
+    pts = rng.integers(-64, 65, (n, 3)) / 64.0
+    dup = rng.choice(n, n // 5, replace=False)
+    pts[dup] = pts[rng.choice(n, dup.size)]
+    cloud = points_cloud(pts, dtype=dtype)
+    axis = rng.integers(0, 3, n)
+    cloud.pos_grad_ema[np.arange(n), axis] = rng.choice([-2.0, 3.0], n)
+    cloud.pos_grad_ema[rng.random(n) < 0.3] = 0.0
+    return cloud
+
+
+MODES = ("global", "local-adaptive")
+
+
+class TestNeighborPairs:
+    """The engine's batched search against the scalar oracles, pair by pair."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_grid_ties_and_fallback_match_oracle(self, rng, dtype):
+        cloud = grid_cloud(rng, 300, dtype)
+        targets = rng.choice(300, 2 * laknn._CHUNK + 11, replace=False)
+        for mode in MODES:
+            for k in (1, 5, 12):
+                assert_same_pairs(_neighbor_pairs(cloud, targets, k, mode),
+                                  oracle_pairs(cloud, targets, k, mode))
+
+    def test_random_directions_match_oracle(self, rng):
+        cloud = points_cloud(rng.uniform(-1, 1, (400, 3)))
+        cloud.pos_grad_ema[:] = rng.standard_normal((400, 3))
+        cloud.pos_grad_ema[::7] = 0.0
+        targets = rng.choice(400, 300, replace=False)
+        for mode in MODES:
+            assert_same_pairs(_neighbor_pairs(cloud, targets, 5, mode),
+                              oracle_pairs(cloud, targets, 5, mode))
+
+    def test_every_candidate_behind(self):
+        cloud = points_cloud([[x, 0.0, 0.0] for x in range(5)])
+        cloud.pos_grad_ema[:] = [-1.0, 0.0, 0.0]  # u = +x for every target
+        targets = np.array([4, 0, 3])
+        got = _neighbor_pairs(cloud, targets, 2, "local-adaptive")
+        assert got[0].tolist() == [0, 0, 3] and got[1].tolist() == [1, 2, 4]
+        assert_same_pairs(got, oracle_pairs(cloud, targets, 2, "local-adaptive"))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_ties_at_kth_by_ascending_index(self, mode):
+        pts = [[1, 0, 0], [0, 0, 0], [1, 0, 0], [2, 0, 0], [1, 0, 0], [1, 0, 0]]
+        cloud = points_cloud(pts)
+        cloud.pos_grad_ema[1] = [-1.0, 0.0, 0.0]
+        got = _neighbor_pairs(cloud, np.array([1]), 3, mode)
+        assert got[1].tolist() == [0, 2, 4]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fewer_points_than_stride(self, rng, dtype):
+        n = laknn._STRIDE - 3
+        cloud = grid_cloud(rng, n, dtype)
+        cloud.pos_grad_ema[0] = 0.0
+        cloud.pos_grad_ema[1] = [0.0, 0.0, -1.0]
+        targets = rng.permutation(n)
+        for mode in MODES:
+            for k in (1, 2, n - 1, n, 3 * n):
+                assert_same_pairs(_neighbor_pairs(cloud, targets, k, mode),
+                                  oracle_pairs(cloud, targets, k, mode))
+        got = _neighbor_pairs(cloud, targets, n, "global")
+        assert np.bincount(got[0], minlength=n).tolist() == [n - 1] * n
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stride_and_chunk_independence(self, rng, monkeypatch, dtype):
+        cloud = points_cloud(rng.uniform(-1, 1, (300, 3)), dtype=dtype)
+        cloud.pos_grad_ema[:] = rng.standard_normal((300, 3))
+        cloud.pos_grad_ema[::9] = 0.0
+        targets = rng.choice(300, 250, replace=False)
+        for mode in MODES:
+            base = _neighbor_pairs(cloud, targets, 5, mode)
+            for name, values in (("_STRIDE", (1, 3, 10 ** 6)), ("_CHUNK", (1, 7))):
+                for value in values:
+                    with monkeypatch.context() as m:
+                        m.setattr(laknn, name, value)
+                        assert_same_pairs(_neighbor_pairs(cloud, targets, 5, mode), base)
 
 
 class TestLoss3d:
