@@ -14,6 +14,13 @@ are ordered by (distance, index). The batched search bounds each row's K-th
 smallest admissible distance by the K-th smallest among every _STRIDE-th
 column and sorts only the entries at or below that bound, which is exact for
 any stride.
+
+The KL loss is taken in closed form: the classifier head is linear, so every
+per-pair term is D-wide, and the class-space work (a log-softmax giving each
+Gaussian's logsumexp and softmax @ W) runs once per involved Gaussian, never
+per pair. Log-softmax is exact, so no probability floor remains; an
+underflowing class keeps its true log-probability (tests/oracles.py holds the
+floored pairwise form).
 """
 
 from __future__ import annotations
@@ -23,12 +30,20 @@ import warnings
 import numpy as np
 
 from .scene import GaussianCloud
-from .semantic import ClassifierHead, classify
+from .semantic import ClassifierHead, softmax
 
-PROB_FLOOR = 1e-12
 EMA_FLOOR = 1e-12
 _CHUNK = 128
 _STRIDE = 8
+
+
+def _sq_dists(pos: np.ndarray, sq: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Squared distances from pos[rows] to every position, built in place."""
+    d = pos[rows] @ pos.T
+    d *= -2.0
+    d += sq
+    d += sq[rows][:, None]
+    return d
 
 
 def _neighbor_pairs(cloud: GaussianCloud, targets: np.ndarray, k: int,
@@ -61,15 +76,14 @@ def _neighbor_pairs(cloud: GaussianCloud, targets: np.ndarray, k: int,
             local = norms >= EMA_FLOOR
             u = np.zeros_like(ema)
             u[local] = -ema[local] / norms[local, None]
-            d = u @ pos.T - np.einsum("tj,tj->t", u, pos[tgt])[:, None]
+            d = u @ pos.T
+            d -= np.einsum("tj,tj->t", u, pos[tgt])[:, None]
             floor[local] = 0.0
             # zero-EMA targets fall back to global euclidean search
             if not local.all():
-                sub = tgt[~local]
-                d[~local] = (sq[None, :] - 2.0 * (pos[sub] @ pos.T)
-                             + sq[sub][:, None])
+                d[~local] = _sq_dists(pos, sq, tgt[~local])
         else:
-            d = sq[None, :] - 2.0 * (pos[tgt] @ pos.T) + sq[tgt][:, None]
+            d = _sq_dists(pos, sq, tgt)
         d[np.arange(tgt.size), tgt] = np.inf
 
         # a row's inadmissible sampled values sort before its admissible
@@ -113,7 +127,16 @@ def kl_pairs_loss(encodings: np.ndarray, head: ClassifierHead,
     """Mean KL(F(e_i) || F(e_j)) over the given pairs, with encoding gradients.
 
     Returns (loss, dL/dencodings, (dL/dW, dL/db) or None). The classifier is
-    treated as a constant unless head_grads is set.
+    treated as a constant unless head_grads is set. Pairs may repeat, and a
+    Gaussian may appear on both sides.
+
+    The head is linear, so with z = W e + b, lse = logsumexp(z), p =
+    softmax(z) and pw = p @ W, every pair term is D-wide:
+    KL(i||j) = pw_i . (e_i - e_j) - (lse_i - lse_j),
+    dKL/de_j = pw_j - pw_i and
+    dKL/de_i = W^T (p_i * W (e_i - e_j)) - pw_i . (e_i - e_j) pw_i.
+    Class-space work is done once per involved Gaussian r, on
+    S_r = sum over pairs with i = r of (e_r - e_j).
     """
     n, d = encodings.shape
     dt = encodings.dtype
@@ -125,34 +148,40 @@ def kl_pairs_loss(encodings: np.ndarray, head: ClassifierHead,
 
     involved, inv = np.unique(np.concatenate([pair_i, pair_j]), return_inverse=True)
     ii, jj = inv[:pair_i.size], inv[pair_i.size:]
-    p = classify(encodings[involved], head)
-    logp = np.log(np.maximum(p, PROB_FLOOR))
-
-    pi = p[ii]
-    logdiff = logp[ii] - logp[jj]
-    kl = np.einsum("pc,pc->p", pi, logdiff)
+    r = involved.size
     m = pair_i.size
+    e = encodings[involved]
+    if not np.all(np.isfinite(e)):
+        raise ValueError("features must be finite")
+    w = head.weights
+    z = e @ w.T
+    z += head.biases
+    p, lse = softmax(z)
+    pw = p @ w
+
+    de = e[ii] - e[jj]
+    kl = np.einsum("pd,pd->p", pw[ii], de) - (lse[ii] - lse[jj])
     loss = float(kl.sum() / m)
 
-    # d/dz_i KL = P_i * (logdiff - KL);  d/dz_j KL = P_j - P_i.
-    # Only W^T gz reaches the encodings, so project each pair's class-space
-    # gradient through W first and scatter the narrow D-dim rows.
-    w = head.weights.astype(dt)
-    pw = p @ w                    # rows of P @ W per involved Gaussian
-    ge_i = ((pi * logdiff) @ w - kl[:, None] * pw[ii]) / m
-    ge_j = (pw[jj] - pw[ii]) / m
-    ge_rows = np.zeros((involved.size, w.shape[1]), dtype=dt)
-    _scatter_add_rows(ge_rows, ii, ge_i)
-    _scatter_add_rows(ge_rows, jj, ge_j)
+    s = np.zeros((r, d), dtype=dt)
+    _scatter_add_rows(s, ii, de)
+    # gz = p * (S W^T - pw . S): the i-side gradient in class space
+    gz = s @ w.T
+    gz -= np.einsum("rd,rd->r", pw, s)[:, None]
+    gz *= p
+    ge_rows = gz @ w
+    _scatter_add_rows(ge_rows, jj, pw[jj] - pw[ii])
+    ge_rows /= m
     grad_e[involved] = ge_rows
 
     hg = None
     if head_grads:
-        gz = np.zeros_like(p)
-        _scatter_add_rows(gz, ii, pi * (logdiff - kl[:, None]) / m)
-        _scatter_add_rows(gz, jj, (p[jj] - pi) / m)
-        feats = encodings[involved]
-        hg = (gz.T @ feats, gz.sum(axis=0))
+        # row r's logits also take p_r - p_i from each pair (i, r). Against
+        # the encodings that sums to (cnt_j - cnt_i) p e^T + p^T S, since
+        # S_r = cnt_i e_r - (the sum of e_j over pairs (r, j)).
+        cnt = (np.bincount(jj, minlength=r) - np.bincount(ii, minlength=r)).astype(dt)
+        gz += cnt[:, None] * p
+        hg = ((gz.T @ e + p.T @ s) / m, gz.sum(axis=0) / m)
     return loss, grad_e, hg
 
 

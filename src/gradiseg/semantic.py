@@ -38,11 +38,15 @@ class ClassifierHead:
         return features @ self.weights.T + self.biases
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
+def softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax over the last axis, computed in the logits' buffer, and the
+    logsumexp of each row."""
+    zmax = logits.max(axis=-1, keepdims=True)
+    logits -= zmax
+    np.exp(logits, out=logits)
+    total = logits.sum(axis=-1, keepdims=True)
+    logits /= total
+    return logits, (zmax + np.log(total))[..., 0]
 
 
 def classify(features: np.ndarray, head: ClassifierHead) -> np.ndarray:
@@ -50,7 +54,7 @@ def classify(features: np.ndarray, head: ClassifierHead) -> np.ndarray:
     features = np.asarray(features)
     if not np.all(np.isfinite(features)):
         raise ValueError("features must be finite")
-    return softmax(head.logits(features))
+    return softmax(head.logits(features))[0]
 
 
 def segment_mask(identity_map: np.ndarray, final_transmittance: np.ndarray,
@@ -83,7 +87,7 @@ def loss_2d(identity_map: np.ndarray, mask: np.ndarray, head: ClassifierHead):
     eps = np.finfo(p.dtype).tiny
     loss = float(-np.log(np.maximum(p[rows, labels], eps)).mean())
 
-    dlogits = p.copy()
+    dlogits = p  # the loss is taken, so p's buffer becomes the gradient
     dlogits[rows, labels] -= 1.0
     dlogits /= npix
     d_feats = dlogits @ head.weights.astype(p.dtype)

@@ -10,6 +10,10 @@ once, kept here as test oracles with their bodies unchanged:
   the neighbour search of one target, and `_smallest_k`, the selection
   they share (the k smallest finite entries, ordered by (value, index));
 - `split_gaussian` and `_split_axis`: the IGD split of one Gaussian;
+- `pairwise_kl_loss`: the KL consistency loss with one (pairs x classes)
+  row per pair, log-probabilities floored at `PROB_FLOOR`, in float64. It
+  matches the engine's closed form except where a probability falls below
+  the floor;
 - `tiled_render`: the dense per-tile compositor the engine's bbox-driven
   rasterizer replaced. Every tile evaluates all (splat, pixel) pairs
   densely and composites them with a cumulative product; the per-pixel
@@ -25,13 +29,15 @@ from scipy.sparse import csr_array
 
 from gradiseg.camera import CameraView, project_cloud
 from gradiseg.igd import IgdConfig
-from gradiseg.laknn import EMA_FLOOR
+from gradiseg.laknn import EMA_FLOOR, _scatter_add_rows
 from gradiseg.render import (ALPHA_CLAMP, ALPHA_CUTOFF, RenderOptions,
                              RenderOutput)
 from gradiseg.rotation import quat_to_rot
 from gradiseg.scene import GaussianCloud
+from gradiseg.semantic import ClassifierHead, classify
 
 DEFAULT_TILE = 16
+PROB_FLOOR = 1e-12
 
 
 @dataclass
@@ -166,6 +172,52 @@ def global_neighbors(cloud: GaussianCloud, i: int, k: int) -> np.ndarray:
     d = np.einsum("nj,nj->n", diff, diff)
     d[i] = np.inf
     return _smallest_k(d, k)
+
+
+def pairwise_kl_loss(encodings: np.ndarray, head: ClassifierHead,
+                     pair_i: np.ndarray, pair_j: np.ndarray,
+                     head_grads: bool = False):
+    """Mean KL(F(e_i) || F(e_j)) over the given pairs, with encoding gradients,
+    in float64. Returns (loss, dL/dencodings, (dL/dW, dL/db) or None)."""
+    encodings = encodings.astype(np.float64)
+    head = ClassifierHead(head.weights.astype(np.float64), head.biases.astype(np.float64))
+    n, d = encodings.shape
+    dt = encodings.dtype
+    grad_e = np.zeros((n, d), dtype=dt)
+    if pair_i.size == 0:
+        if head_grads:
+            return 0.0, grad_e, (np.zeros_like(head.weights), np.zeros_like(head.biases))
+        return 0.0, grad_e, None
+
+    involved, inv = np.unique(np.concatenate([pair_i, pair_j]), return_inverse=True)
+    ii, jj = inv[:pair_i.size], inv[pair_i.size:]
+    p = classify(encodings[involved], head)
+    logp = np.log(np.maximum(p, PROB_FLOOR))
+
+    pi = p[ii]
+    logdiff = logp[ii] - logp[jj]
+    kl = np.einsum("pc,pc->p", pi, logdiff)
+    m = pair_i.size
+    loss = float(kl.sum() / m)
+
+    # d/dz_i KL = P_i * (logdiff - KL);  d/dz_j KL = P_j - P_i.
+    w = head.weights.astype(dt)
+    pw = p @ w
+    ge_i = ((pi * logdiff) @ w - kl[:, None] * pw[ii]) / m
+    ge_j = (pw[jj] - pw[ii]) / m
+    ge_rows = np.zeros((involved.size, w.shape[1]), dtype=dt)
+    _scatter_add_rows(ge_rows, ii, ge_i)
+    _scatter_add_rows(ge_rows, jj, ge_j)
+    grad_e[involved] = ge_rows
+
+    hg = None
+    if head_grads:
+        gz = np.zeros_like(p)
+        _scatter_add_rows(gz, ii, pi * (logdiff - kl[:, None]) / m)
+        _scatter_add_rows(gz, jj, (p[jj] - pi) / m)
+        feats = encodings[involved]
+        hg = (gz.T @ feats, gz.sum(axis=0))
+    return loss, grad_e, hg
 
 
 def _split_axis(scale: np.ndarray, rotation: np.ndarray) -> np.ndarray:

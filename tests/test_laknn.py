@@ -1,14 +1,18 @@
 """Neighbor selection against exhaustive search; KL consistency loss."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import log_softmax
 
 from conftest import random_cloud
 from gradiseg import laknn
 from gradiseg.laknn import _neighbor_pairs, kl_pairs_loss, loss_3d
 from gradiseg.scene import GaussianCloud
 from gradiseg.semantic import ClassifierHead
-from oracles import global_neighbors, local_adaptive_neighbors, neighbor_direction
+from oracles import (global_neighbors, local_adaptive_neighbors, neighbor_direction,
+                     pairwise_kl_loss)
 
 
 def points_cloud(points, dim=4, dtype=np.float64):
@@ -338,3 +342,94 @@ class TestLoss3d:
         cloud.encodings[:] = rng.standard_normal((6, 4))
         _, _, hg = loss_3d(cloud, self.head(), 4, 2, "global", 0)
         assert hg is None
+
+
+def ungrouped_pairs(rng):
+    """Encodings, a head and unsorted pairs with a repeated pair, a self pair
+    and rows that appear as both i and j."""
+    enc = rng.standard_normal((10, 4)) * 0.7
+    head = ClassifierHead(rng.standard_normal((6, 4)), rng.standard_normal(6))
+    pair_i = np.array([3, 0, 7, 3, 5, 0, 9, 2, 7, 4, 4, 1])
+    pair_j = np.array([8, 3, 0, 8, 3, 9, 0, 7, 2, 4, 6, 3])
+    return enc, head, pair_i, pair_j
+
+
+class TestKlPairsLoss:
+    """The closed-form KL against the pairwise float64 oracle."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ungrouped_pairs_match_oracle(self, rng, dtype):
+        enc, head, pair_i, pair_j = ungrouped_pairs(rng)
+        enc = enc.astype(dtype)
+        head = ClassifierHead(head.weights.astype(dtype), head.biases.astype(dtype))
+        loss, ge, (dw, db) = kl_pairs_loss(enc, head, pair_i, pair_j, head_grads=True)
+        want_loss, want_ge, (want_dw, want_db) = pairwise_kl_loss(
+            enc, head, pair_i, pair_j, head_grads=True)
+        assert ge.dtype == dw.dtype == db.dtype == dtype
+        tol = dict(rtol=1e-4, atol=1e-6) if dtype == np.float32 else dict(rtol=1e-10, atol=1e-13)
+        assert loss == pytest.approx(want_loss, rel=tol["rtol"], abs=tol["atol"])
+        np.testing.assert_allclose(ge, want_ge, **tol)
+        np.testing.assert_allclose(dw, want_dw, **tol)
+        np.testing.assert_allclose(db, want_db, **tol)
+
+    def test_logit_gaps_beyond_the_old_floor(self):
+        # row 1's classes 1 and 2 sit 40 nats below class 0, so their
+        # probabilities (~4e-18) fall under the oracle's 1e-12 floor
+        head = ClassifierHead(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), np.zeros(3))
+        enc = np.array([[0.0, 0.0], [40.0, 0.0], [0.5, -35.0]])
+        pair_i, pair_j = np.array([0, 2, 1, 0]), np.array([1, 1, 2, 2])
+        logits = enc @ head.weights.T + head.biases
+        assert np.ptp(logits, axis=1).max() > 30.0
+        logp = log_softmax(logits, axis=1)
+        exact = np.mean([np.exp(logp[i]) @ (logp[i] - logp[j])
+                         for i, j in zip(pair_i, pair_j)])
+        loss, _, _ = kl_pairs_loss(enc, head, pair_i, pair_j)
+        assert loss == pytest.approx(exact, rel=1e-12)
+        floored, _, _ = pairwise_kl_loss(enc, head, pair_i, pair_j)
+        assert abs(floored - exact) > 1.0
+
+    def test_head_gradients_finite_difference_ungrouped(self, rng):
+        enc, head, pair_i, pair_j = ungrouped_pairs(rng)
+        _, _, (dw, db) = kl_pairs_loss(enc, head, pair_i, pair_j, head_grads=True)
+        h = 1e-6
+
+        def fd(field, ix):
+            hp, hm = head.copy(), head.copy()
+            getattr(hp, field)[ix] += h
+            getattr(hm, field)[ix] -= h
+            lp = kl_pairs_loss(enc, hp, pair_i, pair_j)[0]
+            lm = kl_pairs_loss(enc, hm, pair_i, pair_j)[0]
+            return (lp - lm) / (2 * h)
+
+        for ix in np.ndindex(*head.weights.shape):
+            assert dw[ix] == pytest.approx(fd("weights", ix), rel=1e-4, abs=1e-8)
+        for c in range(head.num_classes):
+            assert db[c] == pytest.approx(fd("biases", c), rel=1e-4, abs=1e-8)
+
+    def test_encoding_gradients_finite_difference_ungrouped(self, rng):
+        enc, head, pair_i, pair_j = ungrouped_pairs(rng)
+        _, ge, _ = kl_pairs_loss(enc, head, pair_i, pair_j)
+        h = 1e-6
+        for ix in np.ndindex(*enc.shape):
+            ep, em = enc.copy(), enc.copy()
+            ep[ix] += h
+            em[ix] -= h
+            fd = (kl_pairs_loss(ep, head, pair_i, pair_j)[0]
+                  - kl_pairs_loss(em, head, pair_i, pair_j)[0]) / (2 * h)
+            assert ge[ix] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+    def test_no_pairs_by_classes_array(self, rng):
+        # 20,000 pairs over 40 Gaussians and 256 classes: one (pairs, C)
+        # float32 array would take 20 MB, so the whole call must peak below it
+        n, d, c, pairs = 40, 4, 256, 20_000
+        enc = rng.standard_normal((n, d)).astype(np.float32)
+        head = ClassifierHead(rng.standard_normal((c, d)).astype(np.float32),
+                              np.zeros(c, dtype=np.float32))
+        pair_i, pair_j = rng.integers(0, n, pairs), rng.integers(0, n, pairs)
+        tracemalloc.start()
+        try:
+            kl_pairs_loss(enc, head, pair_i, pair_j, head_grads=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pairs * c * 4
