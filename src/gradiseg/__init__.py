@@ -1,6 +1,33 @@
 """Differentiable Gaussian-splatting engine with per-Gaussian identity
 encodings for 3D instance segmentation and group-level scene editing."""
 
+
+def _fix_malloc_thresholds() -> None:
+    """Render, the losses and segmentation allocate temporaries of a few MB
+    on every call. glibc serves such blocks by mmap below a threshold that
+    it raises only after some larger block is freed, and it trims the heap
+    top eagerly, so the same run either reuses heap pages or page-faults
+    fresh ones on every call, depending on what it happened to allocate
+    first. Fixing both thresholds (mmap at 32 MB, glibc's 64-bit maximum;
+    trim at 256 MB) keeps those blocks on the heap. The setting is
+    process-wide and glibc-only; other C libraries are left alone."""
+    import ctypes
+    import platform
+
+    if platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, 256 << 20)   # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD
+
+
+_fix_malloc_thresholds()
+
 from .backward import ParamGrads, accumulate_monitors
 from .camera import CameraView, look_at, project_cloud
 from .dataset import Dataset, load_dataset, save_dataset

@@ -2,7 +2,7 @@
 
 The manifest lists one entry per view with intrinsics, a row-major 4x4
 world_to_camera, and relative paths to the image (P6 PPM) and mask (P5 PGM).
-Optional top-level keys: num_classes (default 256) and scene_bbox
+Optional top-level keys: num_classes (1 to 256, default 256) and scene_bbox
 ([[min x,y,z],[max x,y,z]]) used to seed training.
 """
 
@@ -16,6 +16,7 @@ import numpy as np
 
 from .camera import CameraView
 from .netpbm import read_pgm, read_ppm, write_pgm, write_ppm
+from .semantic import MAX_CLASSES
 
 
 @dataclass
@@ -31,6 +32,8 @@ def load_dataset(manifest_path) -> Dataset:
         spec = json.load(f)
     root = manifest_path.parent
     num_classes = int(spec.get("num_classes", 256))
+    if not 1 <= num_classes <= MAX_CLASSES:
+        raise ValueError(f"num_classes {num_classes} outside [1, {MAX_CLASSES}]")
     views = []
     for entry in spec["views"]:
         image = read_ppm(root / entry["image"])

@@ -111,11 +111,13 @@ def psnr(img_a: np.ndarray, img_b: np.ndarray) -> float:
 @dataclass
 class EvalReport:
     """Aggregated scene evaluation: per-class IoU (pixel counts pooled across
-    views), mean IoU / boundary IoU, and per-view PSNR."""
+    views), mean IoU / boundary IoU, and per-view mIoU, mBIoU and PSNR."""
 
     per_class_iou: dict = field(default_factory=dict)
     miou: float = 0.0
     mbiou: float = 0.0
+    miou_per_view: list = field(default_factory=list)
+    mbiou_per_view: list = field(default_factory=list)
     psnr_per_view: list = field(default_factory=list)
     psnr_mean: float = 0.0
     pixel_counts: dict = field(default_factory=dict)
@@ -125,6 +127,8 @@ class EvalReport:
             "per_class_iou": {str(k): v for k, v in self.per_class_iou.items()},
             "miou": self.miou,
             "mbiou": self.mbiou,
+            "miou_per_view": self.miou_per_view,
+            "mbiou_per_view": self.mbiou_per_view,
             "psnr_per_view": self.psnr_per_view,
             "psnr_mean": self.psnr_mean,
             "pixel_counts": {str(k): v for k, v in self.pixel_counts.items()},
@@ -132,12 +136,12 @@ class EvalReport:
 
 
 def evaluate_masks(pred_masks, gt_masks, band_px: int | None = None) -> EvalReport:
-    """Pool intersection/union counts across views per class, plus mean
-    per-view boundary IoU."""
+    """Pool intersection/union counts across views per class, plus each
+    view's mIoU and boundary IoU and the mean of the latter."""
     inter: dict[int, int] = {}
     union: dict[int, int] = {}
     counts: dict[int, int] = {}
-    biou_scores = []
+    iou_scores, biou_scores = [], []
     for pred, gt in zip(pred_masks, gt_masks):
         if pred.shape != gt.shape:
             raise ValueError("mask size mismatch")
@@ -146,9 +150,12 @@ def evaluate_masks(pred_masks, gt_masks, band_px: int | None = None) -> EvalRepo
             inter[c] = inter.get(c, 0) + int(np.logical_and(p, g).sum())
             union[c] = union.get(c, 0) + int(np.logical_or(p, g).sum())
             counts[c] = counts.get(c, 0) + int(g.sum())
+        iou_scores.append(miou(pred, gt))
         biou_scores.append(mbiou(pred, gt, band_px))
     per_class = {int(c): (inter[c] / union[c] if union[c] else 0.0) for c in inter}
-    report = EvalReport(per_class_iou=per_class, pixel_counts={int(c): counts[c] for c in counts})
+    report = EvalReport(per_class_iou=per_class, miou_per_view=iou_scores,
+                        mbiou_per_view=biou_scores,
+                        pixel_counts={int(c): counts[c] for c in counts})
     report.miou = float(np.mean(list(per_class.values()))) if per_class else 1.0
     report.mbiou = float(np.mean(biou_scores)) if biou_scores else 1.0
     return report

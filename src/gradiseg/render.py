@@ -17,10 +17,12 @@ screen bbox are tested, so the cost follows the fragment count rather than
 the image size. Fragments are recorded per pixel in CSR form for the
 backward pass.
 
-Candidate (splat, pixel) pairs are tested in blocks of about BLOCK pairs
-and sorted once into pixel-major order. A sweep over depth rank then carries
-each pixel's transmittance front to back, and the sparse product adds each
-pixel's fragments one after another, front to back. Blocks keep temporaries
+Candidate (splat, pixel) pairs are tested in blocks of about BLOCK pairs.
+Fragments come out in depth-rank order, pixels ascending within a rank, and
+one stable sort by pixel puts them in pixel-major order with ascending depth
+within each pixel. A sweep over depth rank then carries each pixel's
+transmittance front to back, and the sparse product adds each pixel's
+fragments one after another, front to back. Blocks keep temporaries
 cache-sized; no result depends on the block size.
 """
 
@@ -110,18 +112,21 @@ def _row_runs(bbox: np.ndarray, width: int):
 
 def _fragments(splats: ProjectedSplats, opac: np.ndarray, width: int,
                opts: RenderOptions, dt):
-    """Alpha and sort key (pixel * S + depth rank) of every fragment.
+    """Alpha, flat pixel index and splat (depth) rank of every fragment.
 
     Candidates are the pixels of each splat's bbox, visited in blocks of
     whole bbox rows. A coarse q-space bound picks the pairs worth an exp;
     the exact alpha and support tests then decide. Each pair's arithmetic
     reads that pair alone, so the accepted set and its alphas do not depend
     on the blocks, nor on the bbox as long as it holds every fragment.
+    Fragments are returned sorted by (depth rank, pixel), and a splat
+    covers a pixel at most once.
     """
     n_splats = splats.count
     rank, pix0, x0, y, run_len = _row_runs(splats.bbox, width)
     if rank.size == 0:
-        return np.empty(0, dtype=dt), np.empty(0, dtype=np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=dt), empty, empty
     mean, ic = splats.mean2d, splats.inv_cov
     sig2 = np.inf if opts.cull_sigma is None else dt.type(opts.cull_sigma ** 2)
     if opts.alpha_cutoff > 0:
@@ -137,7 +142,7 @@ def _fragments(splats: ProjectedSplats, opac: np.ndarray, width: int,
     q11_run = ic11[rank] * (d1_run * d1_run)
 
     run_start = np.cumsum(run_len) - run_len
-    alphas, keys = [], []
+    alphas, pixels, ranks = [], [], []
     for r0, r1 in _blocks(run_start, int(run_start[-1] + run_len[-1])):
         lens = run_len[r0:r1]
         step = (np.arange(run_start[r0], run_start[r0] + lens.sum())
@@ -156,10 +161,21 @@ def _fragments(splats: ProjectedSplats, opac: np.ndarray, width: int,
         if opts.cull_sigma is not None:
             fine &= qv <= sig2
         hit = hit[fine]
-        pix = np.repeat(pix0[r0:r1], lens)[hit] + step[hit]
         alphas.append(alpha[fine])
-        keys.append(pix * n_splats + sv[fine])
-    return np.concatenate(alphas), np.concatenate(keys)
+        pixels.append(np.repeat(pix0[r0:r1], lens)[hit] + step[hit])
+        ranks.append(sv[fine])
+    return np.concatenate(alphas), np.concatenate(pixels), np.concatenate(ranks)
+
+
+def _pixel_order(pix: np.ndarray, n_pix: int) -> np.ndarray:
+    """Stable order of fragments by pixel: an LSD radix sort over 16-bit
+    digits, the high digit only when some pixel index needs it. Fed
+    _fragments' (depth rank, pixel) order, it yields (pixel, depth rank)."""
+    order = np.argsort(pix.astype(np.uint16), kind="stable")
+    if n_pix > 1 << 16:
+        high = (pix[order] >> 16).astype(np.uint16)
+        order = order[np.argsort(high, kind="stable")]
+    return order
 
 
 def _transmittance(alpha: np.ndarray, frag_start: np.ndarray):
@@ -198,11 +214,10 @@ def render(cloud: GaussianCloud, cam: CameraView,
                            alpha_cutoff=opts.alpha_cutoff)
     opac = cloud.opacities[splats.index]
 
-    alpha, key = _fragments(splats, opac, w, opts, dt)
-    order = np.argsort(key)
-    key = key[order]
+    alpha, pix, rank = _fragments(splats, opac, w, opts, dt)
+    order = _pixel_order(pix, h * w)
     frag_alpha = alpha[order]
-    pix, frag_splat = np.divmod(key, max(splats.count, 1))
+    frag_splat = rank[order]
     frag_source = splats.index[frag_splat]
     frag_start = np.zeros(h * w + 1, dtype=np.int64)
     np.cumsum(np.bincount(pix, minlength=h * w), out=frag_start[1:])

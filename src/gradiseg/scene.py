@@ -7,9 +7,11 @@ every mutation (select/append) moves all arrays in lockstep.
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -190,10 +192,10 @@ class GaussianCloud:
 
 # -- persistence (GSEG1 container) -------------------------------------------
 #
-# Layout: b"GSEG1", u32 version=1, u32 N, u32 D, u32 C, then little-endian
-# float32 arrays positions N*3, scales N*3, rotations N*4, opacities N,
-# colors N*3, encodings N*D, int32 group_ids N, float32 head weights C*D
-# and biases C.
+# Layout: b"GSEG1", u32 version=1, u32 N, u32 D, u32 C (1 to 256), then
+# little-endian float32 arrays positions N*3, scales N*3, rotations N*4,
+# opacities N, colors N*3, encodings N*D, int32 group_ids N, float32 head
+# weights C*D and biases C.
 
 
 def save_scene(cloud: GaussianCloud, head, path) -> None:
@@ -218,8 +220,23 @@ def save_scene(cloud: GaussianCloud, head, path) -> None:
         head.weights.astype("<f4").tobytes(),
         head.biases.astype("<f4").tobytes(),
     ]
-    with open(path, "wb") as f:
-        f.write(b"".join(parts))
+    write_atomic(path, parts)
+
+
+def write_atomic(path, chunks) -> None:
+    """Write the byte strings `chunks` to `path` through a temporary file in
+    the same directory and a rename, so a write that fails or is killed
+    midway leaves any old file at `path` whole."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_scene(path):
@@ -228,7 +245,7 @@ def load_scene(path):
     Quaternions with norm drift up to 1e-4 are renormalized; larger drift,
     out-of-range opacities/colors or non-positive scales are errors.
     """
-    from .semantic import ClassifierHead
+    from .semantic import MAX_CLASSES, ClassifierHead
 
     with open(path, "rb") as f:
         blob = f.read()
@@ -239,6 +256,8 @@ def load_scene(path):
     version, n, d, c = struct.unpack_from("<IIII", blob, 5)
     if version != GSEG_VERSION:
         raise SceneFormatError(f"unsupported version {version}")
+    if not 1 <= c <= MAX_CLASSES:
+        raise SceneFormatError(f"class count {c} outside [1, {MAX_CLASSES}]")
     counts_f4 = [n * 3, n * 3, n * 4, n, n * 3, n * d]
     total = 21 + 4 * (sum(counts_f4) + n + c * d + c)
     if len(blob) != total:

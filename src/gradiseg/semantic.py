@@ -6,6 +6,8 @@ import numpy as np
 
 # a pixel is foreground when its blended weight 1 - T_final reaches this
 FOREGROUND_THRESHOLD = 0.5
+# masks store class ids as uint8, so a head may have at most this many classes
+MAX_CLASSES = 256
 
 
 class ClassifierHead:
@@ -60,11 +62,12 @@ def classify(features: np.ndarray, head: ClassifierHead) -> np.ndarray:
 def segment_mask(identity_map: np.ndarray, final_transmittance: np.ndarray,
                  head: ClassifierHead) -> np.ndarray:
     """Instance-id mask: per-pixel argmax class of the rendered identity
-    features, forced to background (0) where the total blended foreground
-    weight 1 - T_final falls below FOREGROUND_THRESHOLD."""
-    logits = head.logits(identity_map)
-    mask = np.argmax(logits, axis=-1).astype(np.uint8)
-    mask[(1.0 - final_transmittance) < FOREGROUND_THRESHOLD] = 0
+    features where the total blended foreground weight 1 - T_final reaches
+    FOREGROUND_THRESHOLD, background (0) elsewhere. Logits are taken only
+    for the foreground pixels."""
+    fg = (1.0 - final_transmittance) >= FOREGROUND_THRESHOLD
+    mask = np.zeros(fg.shape, dtype=np.uint8)
+    mask[fg] = np.argmax(head.logits(identity_map[fg]), axis=-1)
     return mask
 
 

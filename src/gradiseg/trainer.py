@@ -32,7 +32,7 @@ from .laknn import loss_3d
 from .metrics import psnr
 from .render import render
 from .rotation import quat_to_rot
-from .scene import GaussianCloud, assign_groups, save_scene
+from .scene import GaussianCloud, assign_groups, save_scene, write_atomic
 from .semantic import ClassifierHead, loss_2d
 
 PARAM_FAMILIES = ("positions", "log_scales", "rotations", "logit_opacities",
@@ -385,6 +385,6 @@ def train(dataset: Dataset, schedule: TrainSchedule, out_dir) -> TrainResult:
     for row in metrics_rows:
         writer.writerow([row[0], f"{row[1]:.9g}", f"{row[2]:.9g}", f"{row[3]:.9g}",
                          row[4], f"{row[5]:.9g}"])
-    metrics_path.write_text(buf.getvalue())
+    write_atomic(metrics_path, [buf.getvalue().encode()])
     return TrainResult(cloud=cloud, head=head, metrics_path=metrics_path,
                        metrics_rows=metrics_rows)

@@ -5,6 +5,8 @@ engine: its own projection arithmetic, its own sort, its own per-pixel
 compositing loop. Engine outputs are validated against it.
 """
 
+import errno
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,24 @@ def reference_render(cloud, cam, alpha_clamp=0.99, alpha_cutoff=1.0 / 255.0,
                 T *= 1.0 - alpha
             t_final[y, x] = T
     return color, ident, t_final, frags
+
+
+class HalfWrite:
+    """A file opened for writing whose first write stores half its bytes and
+    then fails, as on a full disk."""
+
+    def __init__(self, path, mode):
+        self.file = open(path, mode)
+
+    def write(self, data):
+        self.file.write(bytes(data)[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
 
 
 @pytest.fixture

@@ -19,7 +19,12 @@ once, kept here as test oracles with their bodies unchanged:
   densely and composites them with a cumulative product; the per-pixel
   sums then add each pixel's fragments front to back, one pass per depth
   rank, with no background term. `render` must match it byte for byte at
-  every tile size.
+  every tile size;
+- `key_order`: the fragment order by one argsort of the int64 key
+  `pixel * S + depth rank`, which the engine's radix sort by pixel replaced;
+- `full_image_segment_mask`: segmentation with logits for every pixel,
+  background forced afterwards, which the engine's foreground-only
+  segmentation replaced.
 """
 
 from dataclasses import dataclass
@@ -34,7 +39,7 @@ from gradiseg.render import (ALPHA_CLAMP, ALPHA_CUTOFF, RenderOptions,
                              RenderOutput)
 from gradiseg.rotation import quat_to_rot
 from gradiseg.scene import GaussianCloud
-from gradiseg.semantic import ClassifierHead, classify
+from gradiseg.semantic import FOREGROUND_THRESHOLD, ClassifierHead, classify
 
 DEFAULT_TILE = 16
 PROB_FLOOR = 1e-12
@@ -384,3 +389,16 @@ def tiled_render(cloud: GaussianCloud, cam, opts: RenderOptions | None = None,
     return RenderOutput(sums[:, :3].reshape(h, w, 3), sums[:, 3:].reshape(h, w, cloud.dim),
                         t_final, frag_start, frag_source, frag_alpha, frag_tb,
                         frag_splat, splats, blend)
+
+
+def key_order(pix: np.ndarray, rank: np.ndarray, n_splats: int) -> np.ndarray:
+    """Fragment order by (pixel, depth rank), from one argsort of the key."""
+    return np.argsort(pix * n_splats + rank)
+
+
+def full_image_segment_mask(identity_map: np.ndarray, final_transmittance: np.ndarray,
+                            head: ClassifierHead) -> np.ndarray:
+    logits = head.logits(identity_map)
+    mask = np.argmax(logits, axis=-1).astype(np.uint8)
+    mask[(1.0 - final_transmittance) < FOREGROUND_THRESHOLD] = 0
+    return mask

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from gradiseg.cli import main
-from gradiseg.netpbm import read_pgm, read_ppm
+from gradiseg.netpbm import read_pgm, read_ppm, write_pgm
+from gradiseg.scene import load_scene, save_scene
+from gradiseg.semantic import ClassifierHead
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +74,23 @@ class TestSegmentRenderEval:
         assert report["miou"] == 1.0
         assert report["mbiou"] == 1.0
         assert report["psnr_mean"] > 45.0  # limited only by 8-bit quantization
+
+    def test_eval_reports_scores_per_view(self, dataset_dir, tmp_path):
+        ds = copy_dataset(dataset_dir, tmp_path)
+        mask = read_pgm(ds / "view_001.pgm")
+        mask[mask != 0] = 0   # view 1 now claims every object is background
+        write_pgm(ds / "view_001.pgm", mask)
+        report_path = tmp_path / "report.json"
+        assert main(["eval", "--scene", str(ds / "gt_scene.gseg"),
+                     "--data", str(ds), "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        views = len(json.loads((ds / "manifest.json").read_text())["views"])
+        for key in ("miou_per_view", "mbiou_per_view", "psnr_per_view"):
+            assert len(report[key]) == views, key
+        for key in ("miou_per_view", "mbiou_per_view"):
+            assert report[key][1] == 0.0
+            assert report[key][:1] + report[key][2:] == [1.0] * (views - 1)
+        assert report["mbiou"] == pytest.approx(np.mean(report["mbiou_per_view"]))
 
     def test_view_out_of_range(self, dataset_dir, tmp_path):
         rc = main(["segment", "--scene", str(dataset_dir / "gt_scene.gseg"),
@@ -189,6 +208,24 @@ class TestMalformedInput:
         assert_input_error(["train", "--data", str(dataset_dir),
                             "--out", str(afile / "run")], capsys,
                            "output path is not a directory", str(afile))
+
+    def test_train_manifest_too_many_classes(self, dataset_dir, tmp_path, capsys):
+        # mask ids are uint8: class 299 would come back from segment_mask as 43
+        ds = copy_dataset(dataset_dir, tmp_path)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        manifest["num_classes"] = 300
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        assert_input_error(["train", "--data", str(ds), "--iters", "0",
+                            "--out", str(tmp_path / "run")], capsys,
+                           "num_classes 300 outside [1, 256]")
+
+    def test_edit_head_too_many_classes(self, dataset_dir, tmp_path, capsys):
+        cloud, head = load_scene(dataset_dir / "gt_scene.gseg")
+        scene = tmp_path / "wide.gseg"
+        save_scene(cloud, ClassifierHead.zeros(300, head.dim), scene)
+        assert_input_error(["edit", "--scene", str(scene), "--remove", "1",
+                            "--out", str(tmp_path / "out.gseg")], capsys,
+                           "class count 300 outside [1, 256]")
 
     def test_eval_truncated_ppm(self, dataset_dir, tmp_path, capsys):
         ds = copy_dataset(dataset_dir, tmp_path)

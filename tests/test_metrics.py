@@ -164,3 +164,6 @@ class TestEvaluateMasks:
         assert report.per_class_iou[1] == pytest.approx(12 / 16)
         assert report.pixel_counts[1] == 16
         assert 0 < report.mbiou < 1
+        assert report.miou_per_view == [1.0, miou(pred_half, gt)] == [1.0, 0.5]
+        assert report.mbiou_per_view == [1.0, mbiou(pred_half, gt)]
+        assert report.mbiou == pytest.approx(np.mean(report.mbiou_per_view))

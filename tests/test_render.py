@@ -1,13 +1,20 @@
 """Forward rasterization against the naive scalar compositing oracle."""
 
+import dataclasses
+import platform
+import resource
+
 import numpy as np
 import pytest
 
 import gradiseg.render as render_module
 from conftest import make_camera, random_cloud, reference_render
+from gradiseg import synth
+from gradiseg.camera import project_cloud
 from gradiseg.render import RenderOptions, render, render_group_weights
 from gradiseg.scene import GaussianCloud
-from oracles import Splat2D, fragments_at, pixel_alpha, tiled_render
+from gradiseg.semantic import segment_mask
+from oracles import Splat2D, fragments_at, key_order, pixel_alpha, tiled_render
 
 
 def make_splat(mean=(0.0, 0.0), cov=np.eye(2)):
@@ -319,6 +326,64 @@ class TestRenderEdgeCases:
         assert cam.width * cam.height > 65536
         assert out.frag_start[-1] == out.frag_source.size > 0
         assert_same_bytes(out, tiled_render(cloud, cam))
+
+
+class TestFragmentOrder:
+    """The radix sort by pixel gives the order of the old int64-key argsort."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [(33, 17), (300, 240)], ids=["33x17", "300x240"])
+    def test_matches_key_argsort(self, rng, dtype, size):
+        cam = make_camera(width=size[0], height=size[1])
+        cloud = random_cloud(rng, 60, dim=4, dtype=dtype)
+        opts = RenderOptions()
+        splats = project_cloud(cloud, cam, cull_sigma=opts.cull_sigma,
+                               alpha_cutoff=opts.alpha_cutoff)
+        _, pix, rank = render_module._fragments(
+            splats, cloud.opacities[splats.index], cam.width, opts, np.dtype(dtype))
+        n_pix = cam.width * cam.height
+        assert pix.size > 0 and (n_pix > 1 << 16) == (size == (300, 240))
+        order = render_module._pixel_order(pix, n_pix)
+        assert np.array_equal(order, key_order(pix, rank, splats.count))
+
+    def test_second_digit(self, rng):
+        # rank-major, pixels ascending within a rank, straddling 16-bit digits
+        n_pix, n_splats = 3 * (1 << 16) + 5, 40
+        per_rank = [np.sort(rng.choice(n_pix, size=int(rng.integers(0, 3000)), replace=False))
+                    for _ in range(n_splats)]
+        per_rank[0] = np.array([0, 65535, 65536, 131071, 131072, n_pix - 1])
+        pix = np.concatenate(per_rank)
+        rank = np.repeat(np.arange(n_splats), [p.size for p in per_rank])
+        order = render_module._pixel_order(pix, n_pix)
+        assert np.array_equal(order, key_order(pix, rank, n_splats))
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the malloc thresholds are set on glibc only")
+def test_repeat_views_reuse_memory():
+    # a serving-size view: ~5k Gaussians at 128x128
+    base = synth.default_scene_spec(seed=31)
+    spec = dataclasses.replace(
+        base, views=2, image_size=128,
+        objects=[dataclasses.replace(o, count=4 * o.count) for o in base.objects])
+    cloud = synth.build_gt_cloud(spec, np.random.default_rng(spec.seed))
+    head = synth.gt_classifier(spec)
+    cams = synth.ring_cameras(spec)
+
+    def serve(cam):
+        out = render(cloud, cam)
+        segment_mask(out.identity, out.final_transmittance, head)
+
+    for cam in cams:
+        serve(cam)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    calls = 12
+    for i in range(calls):
+        serve(cams[i % len(cams)])
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    # with glibc's dynamic thresholds a call faults in thousands of pages;
+    # what remains here is the odd step of heap growth
+    assert faults / calls < 100, faults / calls
 
 
 class TestGroupWeights:

@@ -1,12 +1,14 @@
 """Scene container: GSEG1 persistence, invariants, grouping and edits."""
 
 import hashlib
+import os
 import struct
 
 import numpy as np
 import pytest
 
-from conftest import make_camera, random_cloud
+import gradiseg.scene as scene_module
+from conftest import HalfWrite, make_camera, random_cloud
 from gradiseg.render import render
 from gradiseg.scene import (GaussianCloud, GroupTable, SceneFormatError,
                             assign_groups, extract_group, load_scene,
@@ -121,6 +123,23 @@ class TestPersistence:
         path.write_bytes(bytes(blob))
         with pytest.raises(SceneFormatError, match="quaternion"):
             load_scene(path)
+
+    @pytest.mark.parametrize("classes", [0, 257])
+    def test_class_count_outside_mask_range_rejected(self, tmp_path, classes):
+        path = tmp_path / "classes.gseg"
+        save_scene(one_gaussian_cloud(), ClassifierHead.zeros(classes, 16), path)
+        with pytest.raises(SceneFormatError, match=f"class count {classes} outside"):
+            load_scene(path)
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "scene.gseg"
+        save_scene(one_gaussian_cloud(), ClassifierHead.zeros(4, 16), path)
+        old = path.read_bytes()
+        monkeypatch.setattr(scene_module, "open", HalfWrite, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_scene(one_gaussian_cloud(), ClassifierHead.zeros(8, 16), path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["scene.gseg"]
 
     def test_save_refuses_invalid_cloud(self, tmp_path):
         cloud = one_gaussian_cloud()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gradiseg.semantic import ClassifierHead, classify, loss_2d, segment_mask
+from oracles import full_image_segment_mask
 
 
 class TestClassify:
@@ -132,3 +133,20 @@ class TestSegmentMask:
         assert mask[0, 1] == 0   # foreground weight 0.2 < 0.5 -> background
         assert mask[1, 0] == 0
         assert mask[1, 1] == 0   # all-zero features argmax to class 0 anyway
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("coverage", ["all", "none", "mixed"])
+    def test_matches_full_image_oracle(self, rng, dtype, coverage):
+        h, w, d, c = 37, 29, 8, 40
+        head = ClassifierHead(rng.standard_normal((c, d)).astype(dtype),
+                              rng.standard_normal(c).astype(dtype))
+        ident = rng.standard_normal((h, w, d)).astype(dtype)
+        t_final = {"all": np.zeros((h, w)), "none": np.ones((h, w)),
+                   "mixed": rng.uniform(0.0, 1.0, (h, w))}[coverage].astype(dtype)
+        if coverage == "mixed":
+            t_final.flat[:3] = 0.5   # exactly at the threshold: foreground
+        mask = segment_mask(ident, t_final, head)
+        want = full_image_segment_mask(ident, t_final, head)
+        assert mask.dtype == want.dtype == np.uint8
+        assert mask.tobytes() == want.tobytes()
+        assert (mask != 0).any() == (coverage != "none")

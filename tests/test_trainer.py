@@ -1,11 +1,13 @@
 """Optimizer, joint loss, standard densification, and the training loop."""
 
+import os
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import random_cloud
+import gradiseg.scene as scene_module
+from conftest import HalfWrite, random_cloud
 from gradiseg.backward import backward
 from gradiseg.render import RenderOptions, render
 from gradiseg.scene import GaussianCloud
@@ -278,6 +280,20 @@ class TestTrainLoop:
         assert cloud.n == 150
         # parameters untouched by any update: opacity still at init value
         np.testing.assert_allclose(cloud.opacities, 0.1, atol=1e-7)
+
+    def test_failed_metrics_write_keeps_old_file(self, tmp_path, monkeypatch):
+        dataset = tiny_dataset()
+        train(dataset, TrainSchedule(total_iters=0, init_count=150, seed=11), tmp_path)
+        old = (tmp_path / "metrics.csv").read_bytes()
+
+        def fail_on_metrics(path, mode):
+            return (HalfWrite if "metrics.csv" in str(path) else open)(path, mode)
+
+        monkeypatch.setattr(scene_module, "open", fail_on_metrics, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            train(dataset, TrainSchedule(total_iters=0, init_count=160, seed=11), tmp_path)
+        assert (tmp_path / "metrics.csv").read_bytes() == old
+        assert sorted(os.listdir(tmp_path)) == ["final.gseg", "metrics.csv"]
 
     def test_determinism_byte_identical(self, tmp_path):
         dataset = tiny_dataset()
