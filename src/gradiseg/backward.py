@@ -5,11 +5,15 @@ the sparse operator W of RenderOutput.weights, [C | E_id] = W @ f, with no
 background term. Given the upstream per-pixel gradients G = [dL/dC | dL/dE_id]
 (3 + D channels), the feature gradients are W.T @ G. The alpha gradient
 follows the compositing weights w_i = alpha_i * prod_{j<i}(1 - alpha_j) from
-one per-fragment dot <G, f> and its suffix sums within each pixel; from alpha
-it flows through the Gaussian falloff, the EWA covariance projection and the
-perspective Jacobian, down to every Gaussian parameter in its optimizer
-coordinates (log-scale, logit-opacity, tangent-projected raw quaternion).
-backward also reports per-Gaussian visibility for densification's monitors.
+one per-fragment dot <G, f> and its suffix sums within each pixel. Below the
+clamp render's alpha is exactly o * exp(-q/2), q = d^T P d, so the falloff is
+not recomputed: with coef = dL/dalpha * alpha on unclamped fragments, six
+per-splat sums of coef * [1, dx, dy, dx^2, dx dy, dy^2] give the opacity,
+screen-mean and screen-covariance gradients. These flow per splat through the
+EWA covariance projection and the perspective Jacobian, down to every
+Gaussian parameter in its optimizer coordinates (log-scale, logit-opacity,
+tangent-projected raw quaternion). backward also reports per-Gaussian
+visibility for densification's monitors.
 """
 
 from __future__ import annotations
@@ -97,37 +101,33 @@ def backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutput,
     # alpha gradient: dL/da_k = <G, f_k> T_k - <G, B_k> / (1 - a_k) with
     # B_k = sum_{i>k} w_i f_i. G is constant within a pixel, so the suffix
     # dot product is a scalar suffix sum of per-fragment dots.
-    dot = np.einsum("fk,fk->f", G[frag_pix], table[src])
+    dot = np.einsum("fk,fk->f", np.take(G, frag_pix, axis=0),
+                    np.take(table, src, axis=0))
     suffix = _segment_suffix_sum(alpha * t_before * dot, out.frag_start, frag_pix)
     g_alpha = dot * t_before - suffix / (1.0 - alpha)
 
-    # alpha = min(ALPHA_CLAMP, o * g); clamped fragments pass no gradient
-    o_src = cloud.opacities[src]
-    pix_xy = np.stack([frag_pix % w, frag_pix // w], axis=1).astype(dt)
-    dvec = pix_xy - splats.mean2d[srow]
-    ic = splats.inv_cov[srow]
-    pd0 = ic[:, 0, 0] * dvec[:, 0] + ic[:, 0, 1] * dvec[:, 1]
-    pd1 = ic[:, 1, 0] * dvec[:, 0] + ic[:, 1, 1] * dvec[:, 1]
-    q = pd0 * dvec[:, 0] + pd1 * dvec[:, 1]
-    g_val = np.exp(-0.5 * q)
-    unclamped = (o_src * g_val) < ALPHA_CLAMP
-    g_pre = np.where(unclamped, g_alpha, dt.type(0.0))
-    coef = g_pre * o_src * g_val
-    half = 0.5 * coef
-
-    grads.logit_opacities[:] = np.bincount(
-        src, weights=g_pre * g_val * o_src * (1.0 - o_src), minlength=n)
-
-    # dg/dmu = g * (P d); dg/dSigma2 = (g/2) * (P d)(P d)^T
+    # alpha = min(ALPHA_CLAMP, o * g) with g = exp(-q/2), q = d^T P d, so
+    # below the clamp dalpha/do = g and dalpha/dq = -alpha/2; clamped
+    # fragments pass no gradient. coef = dL/dalpha * alpha.
+    coef = np.where(alpha < ALPHA_CLAMP, g_alpha * alpha, dt.type(0.0))
     S = splats.count
-    gmu = np.empty((S, 2), dtype=dt)
-    gmu[:, 0] = np.bincount(srow, weights=coef * pd0, minlength=S)
-    gmu[:, 1] = np.bincount(srow, weights=coef * pd1, minlength=S)
-    gcov = np.empty((S, 2, 2), dtype=dt)
-    gcov[:, 0, 0] = np.bincount(srow, weights=half * pd0 * pd0, minlength=S)
-    gcov[:, 0, 1] = np.bincount(srow, weights=half * pd0 * pd1, minlength=S)
-    gcov[:, 1, 0] = gcov[:, 0, 1]
-    gcov[:, 1, 1] = np.bincount(srow, weights=half * pd1 * pd1, minlength=S)
+    pix_y, pix_x = np.divmod(frag_pix, w)
+    dx = pix_x.astype(dt) - np.take(splats.mean2d[:, 0], srow)
+    dy = pix_y.astype(dt) - np.take(splats.mean2d[:, 1], srow)
+    cdx, cdy = coef * dx, coef * dy
+    sums = [np.bincount(srow, weights=v, minlength=S)
+            for v in (coef, cdx, cdy, cdx * dx, cdx * dy, cdy * dy)]
+    s_c, s_x, s_y, s_xx, s_xy, s_yy = (v.astype(dt) for v in sums)
+
+    # dL/dlogit(o) = o (1 - o) sum g dL/dalpha = (1 - o) sum coef
+    idx = splats.index  # unique rows: plain indexed assignment
+    grads.logit_opacities[idx] = (1.0 - cloud.opacities[idx]) * s_c
+
+    # dL/dmu = P sum coef d; dL/dSigma2 = (1/2) P (sum coef d d^T) P
+    P = splats.inv_cov
+    gmu = np.einsum("sij,sj->si", P, np.stack([s_x, s_y], axis=1))
+    dd = np.stack([s_xx, s_xy, s_xy, s_yy], axis=1).reshape(S, 2, 2)
+    gcov = 0.5 * (P @ dd @ P)
 
     # geometry chain per splat
     A = splats.A                  # (S, 2, 3) = J @ R_cw
@@ -160,9 +160,8 @@ def backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutput,
     gM = 2.0 * (gX @ M)
     gs = np.einsum("sij,sij->sj", gM, R)
     gR = gM * s[:, None, :]
-    gq = rot_grad_to_quat_grad(cloud.rotations[splats.index], gR)
+    gq = rot_grad_to_quat_grad(np.take(cloud.rotations, idx, axis=0), gR)
 
-    idx = splats.index  # unique rows: plain indexed assignment
     grads.positions[idx] = gp
     grads.log_scales[idx] = gs * s
     grads.rotations[idx] = gq

@@ -185,7 +185,8 @@ def project_cloud(cloud: GaussianCloud, cam: CameraView,
     order = np.lexsort((idx, depth[idx]))  # ascending depth, ties by index
     idx = idx[order]
 
-    cov_sel = cov2d[idx]
+    take = lambda a: np.take(a, idx, axis=0)
+    cov_sel = take(cov2d)
     det = cov_sel[:, 0, 0] * cov_sel[:, 1, 1] - cov_sel[:, 0, 1] ** 2
     if np.any(det <= 0):
         raise FloatingPointError("singular projected covariance")
@@ -194,10 +195,10 @@ def project_cloud(cloud: GaussianCloud, cam: CameraView,
     inv[:, 1, 1] = cov_sel[:, 0, 0] / det
     inv[:, 0, 1] = inv[:, 1, 0] = -cov_sel[:, 0, 1] / det
 
-    bbox = np.stack([x0[idx], x1[idx], y0[idx], y1[idx]], axis=1).astype(np.int64)
+    bbox = np.stack([take(x0), take(x1), take(y0), take(y1)], axis=1).astype(np.int64)
     return ProjectedSplats(
-        index=idx, mean2d=mean2d[idx], cov2d=cov_sel, inv_cov=inv,
-        depth=depth[idx], t_cam=t[idx], bbox=bbox, J=J[idx], A=A[idx],
-        R=R[idx], cov3d=cov3d[idx], scales=cloud.scales[idx], cam=cam,
+        index=idx, mean2d=take(mean2d), cov2d=cov_sel, inv_cov=inv,
+        depth=take(depth), t_cam=take(t), bbox=bbox, J=take(J), A=take(A),
+        R=take(R), cov3d=take(cov3d), scales=take(cloud.scales), cam=cam,
         n_source=n,
     )

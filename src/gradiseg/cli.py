@@ -89,10 +89,11 @@ def _load_scene_spec(path):
 
     if path is None:
         return default_scene_spec()
-    with open(_require_file(path, "scene spec")) as f:
+    path = _require_file(path, "scene spec")
+    with _reading(f"scene spec {path}"), open(path) as f:
         raw = json.load(f)
-    objects = [ObjectSpec(**o) for o in raw.pop("objects")]
-    return SceneSpec(objects=objects, **raw)
+        objects = [ObjectSpec(**o) for o in raw.pop("objects")]
+        return SceneSpec(objects=objects, **raw)
 
 
 def cmd_gen(args) -> int:

@@ -270,6 +270,8 @@ def load_scene(path):
         arrs.append(np.frombuffer(blob, dtype="<f4", count=cnt, offset=off).copy())
         off += 4 * cnt
     group_ids = np.frombuffer(blob, dtype="<i4", count=n, offset=off).copy()
+    if n > 0 and (group_ids.min() < -1 or group_ids.max() >= c):
+        raise SceneFormatError(f"group id outside [-1, {c}) for class count {c}")
     off += 4 * n
     w = np.frombuffer(blob, dtype="<f4", count=c * d, offset=off).copy().reshape(c, d)
     off += 4 * c * d

@@ -74,7 +74,11 @@ def segment_mask(identity_map: np.ndarray, final_transmittance: np.ndarray,
 def loss_2d(identity_map: np.ndarray, mask: np.ndarray, head: ClassifierHead):
     """Mean per-pixel cross-entropy of classify(identity_map) against mask ids.
 
-    Returns (loss, dL/didentity_map, (dL/dW, dL/db)).
+    Returns (loss, dL/didentity_map, (dL/dW, dL/db)). A pixel whose feature
+    row is all zero (no fragment, or zero encodings) has logits exactly b, so
+    that row is classified once: those pixels enter the loss and dL/db through
+    their label counts, add nothing to dL/dW, and share one dL/dfeatures row
+    per label.
     """
     h, w, d = identity_map.shape
     if mask.shape != (h, w):
@@ -84,16 +88,30 @@ def loss_2d(identity_map: np.ndarray, mask: np.ndarray, head: ClassifierHead):
         raise ValueError("mask id out of range for classifier head")
 
     feats = identity_map.reshape(-1, d)
-    p = classify(feats, head)
     npix = feats.shape[0]
-    rows = np.arange(npix)
+    covered = feats.any(axis=1)
+    rows, zero_rows = np.flatnonzero(covered), np.flatnonzero(~covered)
+    fc, lc = np.take(feats, rows, axis=0), labels[rows]
+    p = classify(fc, head)
     eps = np.finfo(p.dtype).tiny
-    loss = float(-np.log(np.maximum(p[rows, labels], eps)).mean())
+    at = np.arange(rows.size)
+    nll = -np.log(np.maximum(p[at, lc], eps)).sum()
+
+    # all-zero rows: one softmax of b, weighted by each label's pixel count
+    counts = np.bincount(labels[zero_rows], minlength=head.num_classes)
+    p_b = classify(np.zeros((1, d), dtype=p.dtype), head)
+    nll += counts @ -np.log(np.maximum(p_b[0], eps))
+    loss = float(nll / npix)
 
     dlogits = p  # the loss is taken, so p's buffer becomes the gradient
-    dlogits[rows, labels] -= 1.0
+    dlogits[at, lc] -= 1.0
     dlogits /= npix
-    d_feats = dlogits @ head.weights.astype(p.dtype)
-    d_w = dlogits.T @ feats
+    weights = head.weights.astype(p.dtype)
+    d_w = dlogits.T @ fc
     d_b = dlogits.sum(axis=0)
+    d_b += (zero_rows.size * p_b[0] - counts) / npix
+    d_feats = np.empty((npix, d), dtype=p.dtype)
+    d_feats[rows] = dlogits @ weights
+    d_label = (p_b @ weights - weights) / npix   # row l: (p_b - onehot(l)) @ W / npix
+    d_feats[zero_rows] = np.take(d_label, labels[zero_rows], axis=0)
     return loss, d_feats.reshape(h, w, d), (d_w, d_b)

@@ -16,7 +16,7 @@ from .camera import CameraView, look_at
 from .dataset import Dataset, save_dataset
 from .render import render
 from .scene import GaussianCloud, GroupTable
-from .semantic import ClassifierHead, segment_mask
+from .semantic import MAX_CLASSES, ClassifierHead, segment_mask
 
 
 @dataclass
@@ -55,6 +55,11 @@ class SceneSpec:
             raise ValueError("need at least 2 views")
         if len(self.objects) >= self.encoding_dim:
             raise ValueError("encoding dim too small for object count")
+        # object k carries group id k, and masks store ids as uint8
+        lowest = len(self.objects) + 1
+        if not lowest <= self.num_classes <= MAX_CLASSES:
+            raise ValueError(f"num_classes {self.num_classes} outside "
+                             f"[{lowest}, {MAX_CLASSES}]")
 
 
 def default_scene_spec(seed: int = 0) -> SceneSpec:

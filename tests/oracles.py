@@ -24,20 +24,30 @@ once, kept here as test oracles with their bodies unchanged:
   `pixel * S + depth rank`, which the engine's radix sort by pixel replaced;
 - `full_image_segment_mask`: segmentation with logits for every pixel,
   background forced afterwards, which the engine's foreground-only
-  segmentation replaced.
+  segmentation replaced;
+- `recomputing_backward`: the backward pass that recomputes every
+  fragment's offset, `q` and falloff `exp(-q/2)`, gates on `o * g <
+  ALPHA_CLAMP` and takes five per-splat `bincount`s of `(P d)(P d)^T`
+  terms, which the engine's pass from render's alpha replaced. It runs in
+  float64 on the render's stored intermediates;
+- `full_image_loss_2d`: the 2D cross-entropy with a softmax over every
+  pixel, which the engine's single classification of all-zero feature
+  rows replaced.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.sparse import csr_array
 
+from gradiseg.backward import ParamGrads, _segment_suffix_sum
 from gradiseg.camera import CameraView, project_cloud
 from gradiseg.igd import IgdConfig
 from gradiseg.laknn import EMA_FLOOR, _scatter_add_rows
 from gradiseg.render import (ALPHA_CLAMP, ALPHA_CUTOFF, RenderOptions,
                              RenderOutput)
-from gradiseg.rotation import quat_to_rot
+from gradiseg.rotation import quat_to_rot, rot_grad_to_quat_grad
 from gradiseg.scene import GaussianCloud
 from gradiseg.semantic import FOREGROUND_THRESHOLD, ClassifierHead, classify
 
@@ -402,3 +412,112 @@ def full_image_segment_mask(identity_map: np.ndarray, final_transmittance: np.nd
     mask = np.argmax(logits, axis=-1).astype(np.uint8)
     mask[(1.0 - final_transmittance) < FOREGROUND_THRESHOLD] = 0
     return mask
+
+
+def recomputing_backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutput,
+                         pixel_grads: np.ndarray) -> ParamGrads:
+    """Gradients of sum(pixel_grads * [C, E_id]) in float64, recomputing each
+    fragment's falloff from the splat's mean and inverse covariance."""
+    dt = np.dtype(np.float64)
+    f64 = lambda a: np.asarray(a, dtype=dt)
+    cloud = cloud.astype(dt)
+    n, d_feat = cloud.n, cloud.dim
+    h, w = out.shape
+    grads = ParamGrads.zeros(n, d_feat, dt)
+    if out.frag_source.size == 0:
+        return grads
+    grads.visible[out.frag_source] = True
+
+    splats = SimpleNamespace(**{k: f64(getattr(out.splats, k)) for k in (
+        "mean2d", "inv_cov", "A", "cov3d", "J", "t_cam", "R", "scales")})
+    index, S = out.splats.index, out.splats.count
+    G = f64(pixel_grads).reshape(h * w, 3 + d_feat)
+    weights = csr_array((f64(out.frag_alpha) * f64(out.frag_t_before),
+                         out.frag_source, out.frag_start), shape=(h * w, n))
+    feat_grads = weights.T @ G
+    grads.colors[:] = feat_grads[:, :3]
+    grads.encodings[:] = feat_grads[:, 3:]
+
+    frag_pix = np.repeat(np.arange(h * w), np.diff(out.frag_start))
+    src, srow = out.frag_source, out.frag_splat
+    alpha, t_before = f64(out.frag_alpha), f64(out.frag_t_before)
+    table = np.concatenate([cloud.colors, cloud.encodings], axis=1)
+
+    dot = np.einsum("fk,fk->f", G[frag_pix], table[src])
+    suffix = _segment_suffix_sum(alpha * t_before * dot, out.frag_start, frag_pix)
+    g_alpha = dot * t_before - suffix / (1.0 - alpha)
+
+    o_src = cloud.opacities[src]
+    pix_xy = np.stack([frag_pix % w, frag_pix // w], axis=1).astype(dt)
+    dvec = pix_xy - splats.mean2d[srow]
+    ic = splats.inv_cov[srow]
+    pd0 = ic[:, 0, 0] * dvec[:, 0] + ic[:, 0, 1] * dvec[:, 1]
+    pd1 = ic[:, 1, 0] * dvec[:, 0] + ic[:, 1, 1] * dvec[:, 1]
+    q = pd0 * dvec[:, 0] + pd1 * dvec[:, 1]
+    g_val = np.exp(-0.5 * q)
+    unclamped = (o_src * g_val) < ALPHA_CLAMP
+    g_pre = np.where(unclamped, g_alpha, 0.0)
+    coef = g_pre * o_src * g_val
+    half = 0.5 * coef
+
+    grads.logit_opacities[:] = np.bincount(
+        src, weights=g_pre * g_val * o_src * (1.0 - o_src), minlength=n)
+
+    gmu = np.empty((S, 2), dtype=dt)
+    gmu[:, 0] = np.bincount(srow, weights=coef * pd0, minlength=S)
+    gmu[:, 1] = np.bincount(srow, weights=coef * pd1, minlength=S)
+    gcov = np.empty((S, 2, 2), dtype=dt)
+    gcov[:, 0, 0] = np.bincount(srow, weights=half * pd0 * pd0, minlength=S)
+    gcov[:, 0, 1] = np.bincount(srow, weights=half * pd0 * pd1, minlength=S)
+    gcov[:, 1, 0] = gcov[:, 0, 1]
+    gcov[:, 1, 1] = np.bincount(srow, weights=half * pd1 * pd1, minlength=S)
+
+    A, cov3d = splats.A, splats.cov3d
+    gA = 2.0 * (gcov @ A @ cov3d)
+    gX = np.swapaxes(A, 1, 2) @ gcov @ A
+    Rcw = cam.rotation.astype(dt)
+    gJ = gA @ Rcw.T
+    gt = np.einsum("sij,si->sj", splats.J, gmu)
+    if cam.mode == "pinhole":
+        fx, fy = cam.fx, cam.fy
+        t_cam = splats.t_cam
+        inv_z = 1.0 / t_cam[:, 2]
+        inv_z2 = inv_z * inv_z
+        gt[:, 0] += gJ[:, 0, 2] * (-fx * inv_z2)
+        gt[:, 1] += gJ[:, 1, 2] * (-fy * inv_z2)
+        gt[:, 2] += (gJ[:, 0, 0] * (-fx * inv_z2)
+                     + gJ[:, 1, 1] * (-fy * inv_z2)
+                     + gJ[:, 0, 2] * (2 * fx * t_cam[:, 0] * inv_z2 * inv_z)
+                     + gJ[:, 1, 2] * (2 * fy * t_cam[:, 1] * inv_z2 * inv_z))
+    gp = gt @ Rcw
+
+    R, s = splats.R, splats.scales
+    M = R * s[:, None, :]
+    gM = 2.0 * (gX @ M)
+    gs = np.einsum("sij,sij->sj", gM, R)
+    gR = gM * s[:, None, :]
+    grads.positions[index] = gp
+    grads.log_scales[index] = gs * s
+    grads.rotations[index] = rot_grad_to_quat_grad(cloud.rotations[index], gR)
+    return grads
+
+
+def full_image_loss_2d(identity_map: np.ndarray, mask: np.ndarray, head: ClassifierHead):
+    """Mean per-pixel cross-entropy with a softmax over every pixel.
+    Returns (loss, dL/didentity_map, (dL/dW, dL/db))."""
+    h, w, d = identity_map.shape
+    labels = np.asarray(mask).reshape(-1).astype(np.int64)
+    feats = identity_map.reshape(-1, d)
+    p = classify(feats, head)
+    npix = feats.shape[0]
+    rows = np.arange(npix)
+    eps = np.finfo(p.dtype).tiny
+    loss = float(-np.log(np.maximum(p[rows, labels], eps)).mean())
+
+    dlogits = p
+    dlogits[rows, labels] -= 1.0
+    dlogits /= npix
+    d_feats = dlogits @ head.weights.astype(p.dtype)
+    d_w = dlogits.T @ feats
+    d_b = dlogits.sum(axis=0)
+    return loss, d_feats.reshape(h, w, d), (d_w, d_b)

@@ -6,9 +6,9 @@ import pytest
 from conftest import make_camera, random_cloud
 from gradiseg.backward import ParamGrads, accumulate_monitors, backward
 from gradiseg.camera import CameraView, look_at
-from gradiseg.render import RenderOptions, render
+from gradiseg.render import ALPHA_CLAMP, RenderOptions, render
 from gradiseg.scene import GaussianCloud
-from oracles import fragments_at
+from oracles import fragments_at, recomputing_backward
 
 FD_H = 1e-5
 REL_TOL = 1e-4
@@ -189,6 +189,82 @@ class TestBackwardStructure:
         bigger = random_cloud(rng, 7, dim=4)
         with pytest.raises(ValueError, match="cloud"):
             backward(bigger, cam, out, np.zeros((8, 8, 7)))
+
+
+# backward against the float64 recomputing oracle, per parameter family,
+# relative to the family's largest entry: float64 agrees to rounding; float32
+# carries the float32 render's and upstream chain's rounding (about 2e-5 here)
+ORACLE_RTOL = {np.float32: 1e-4, np.float64: 1e-12}
+GEOMETRY = ("positions", "log_scales", "rotations", "logit_opacities")
+
+
+def assert_matches_oracle(grads, want, dtype):
+    for f in ParamGrads._FIELDS:
+        got, ref = getattr(grads, f), getattr(want, f)
+        assert got.dtype == dtype
+        tol = ORACLE_RTOL[dtype] * np.abs(ref).max()
+        err = np.abs(got - ref).max()
+        assert err <= tol, f"{f}: {err:.3e} > {tol:.3e}"
+    np.testing.assert_array_equal(grads.visible, want.visible)
+
+
+def clamping_scene(dtype):
+    """A large splat of opacity 0.999 in front of a random cloud: its
+    central fragments reach ALPHA_CLAMP, the rest do not."""
+    rng = np.random.default_rng(11)
+    cloud = random_cloud(rng, 40, dim=5, dtype=dtype)
+    cloud.positions[0] = [0.05, -0.03, -0.5]
+    cloud.scales[0] = [0.5, 0.4, 0.45]
+    cloud.opacities[0] = 0.999
+    return cloud
+
+
+class TestRecomputingOracle:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_random_clouds(self, rng, dtype):
+        cam = make_camera(width=40, height=32)
+        for _ in range(3):
+            cloud = random_cloud(rng, 120, dim=6, dtype=dtype)
+            out = render(cloud, cam)
+            pg = rng.standard_normal((32, 40, 9)).astype(dtype)
+            assert_matches_oracle(backward(cloud, cam, out, pg),
+                                  recomputing_backward(cloud, cam, out, pg), dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_partly_clamped_splat(self, rng, dtype):
+        cam = make_camera(width=40, height=32)
+        cloud = clamping_scene(dtype)
+        out = render(cloud, cam)
+        own = out.frag_source == 0
+        clamped = out.frag_alpha[own] == dtype(ALPHA_CLAMP)
+        assert 0 < clamped.sum() < clamped.size
+        pg = rng.standard_normal((32, 40, 8)).astype(dtype)
+        grads = backward(cloud, cam, out, pg)
+        assert_matches_oracle(grads, recomputing_backward(cloud, cam, out, pg), dtype)
+        assert np.all(grads.positions[0] != 0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fully_clamped_splat_passes_no_geometry_gradient(self, rng, dtype):
+        # a point-like splat centred on pixel (4, 4): with the cutoff at 0.5
+        # its one fragment is the clamped centre, so only colour and encoding
+        # see a gradient; the Gaussians behind it still get theirs
+        cam = CameraView(look_at((0.0, 0.0, -3.0), (0.0, 0.0, 0.0)),
+                         fx=12.0, fy=12.0, cx=4.0, cy=4.0, width=9, height=9)
+        cloud = random_cloud(rng, 8, dim=4, dtype=dtype, opacity_range=(0.6, 0.9),
+                             scale_range=(0.3, 0.5))
+        cloud.positions[0] = [0.0, 0.0, -1.0]
+        cloud.scales[0] = 1e-4
+        cloud.opacities[0] = 0.999
+        out = render(cloud, cam, opts=RenderOptions(alpha_cutoff=0.5))
+        own = np.flatnonzero(out.frag_source == 0)
+        assert own.size == 1 and out.frag_alpha[own[0]] == dtype(ALPHA_CLAMP)
+        pg = rng.standard_normal((9, 9, 7)).astype(dtype)
+        grads = backward(cloud, cam, out, pg)
+        for f in GEOMETRY:
+            assert not np.any(getattr(grads, f)[0]), f
+        assert np.any(grads.colors[0]) and np.any(grads.encodings[0])
+        assert np.any(grads.positions[1:])
+        assert_matches_oracle(grads, recomputing_backward(cloud, cam, out, pg), dtype)
 
 
 class TestMonitors:

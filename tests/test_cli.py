@@ -227,6 +227,40 @@ class TestMalformedInput:
                             "--out", str(tmp_path / "out.gseg")], capsys,
                            "class count 300 outside [1, 256]")
 
+    def test_edit_group_id_beyond_class_count(self, dataset_dir, tmp_path, capsys):
+        # group_weight_mask stores group ids as uint8: group 300 would read as 44
+        cloud, head = load_scene(dataset_dir / "gt_scene.gseg")
+        cloud.group_ids[cloud.group_ids == 1] = 300
+        scene = tmp_path / "groups.gseg"
+        save_scene(cloud, head, scene)
+        assert_input_error(["edit", "--scene", str(scene), "--remove", "2",
+                            "--out", str(tmp_path / "out.gseg")], capsys,
+                           "group id outside [-1, 256)")
+
+    @pytest.mark.parametrize("change, words", [
+        ({"objects": 1}, "need between 2 and 8 objects"),
+        ({"num_classes": 300}, "num_classes 300 outside [3, 256]"),
+    ], ids=["one-object", "300-classes"])
+    def test_gen_invalid_spec(self, tmp_path, capsys, change, words):
+        spec = {
+            "objects": [
+                {"primitive": "sphere", "center": [0, 0, 0],
+                 "size": [0.5, 0.5, 0.5], "color": [1, 0, 0], "count": 50},
+                {"primitive": "box", "center": [0.5, 0, 0],
+                 "size": [0.3, 0.3, 0.3], "color": [0, 1, 0], "count": 50},
+            ],
+            "views": 2, "image_size": 16,
+        }
+        if "objects" in change:
+            spec["objects"] = spec["objects"][:change["objects"]]
+        else:
+            spec.update(change)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert_input_error(["gen", "--spec", str(path), "--out", str(tmp_path / "ds")],
+                           capsys, "scene spec", words)
+        assert not (tmp_path / "ds").exists()
+
     def test_eval_truncated_ppm(self, dataset_dir, tmp_path, capsys):
         ds = copy_dataset(dataset_dir, tmp_path)
         ppm = ds / "view_000.ppm"

@@ -131,6 +131,18 @@ class TestPersistence:
         with pytest.raises(SceneFormatError, match=f"class count {classes} outside"):
             load_scene(path)
 
+    @pytest.mark.parametrize("gid", [-2, 4])
+    def test_group_id_outside_class_range_rejected(self, tmp_path, gid):
+        path = tmp_path / "groups.gseg"
+        cloud = one_gaussian_cloud()
+        cloud.group_ids[0] = gid
+        save_scene(cloud, ClassifierHead.zeros(4, 16), path)
+        with pytest.raises(SceneFormatError, match=r"group id outside \[-1, 4\)"):
+            load_scene(path)
+        cloud.group_ids[0] = 3 if gid > 0 else -1
+        save_scene(cloud, ClassifierHead.zeros(4, 16), path)
+        assert load_scene(path)[0].group_ids[0] == cloud.group_ids[0]
+
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "scene.gseg"
         save_scene(one_gaussian_cloud(), ClassifierHead.zeros(4, 16), path)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from conftest import make_camera, random_cloud
+from gradiseg.render import render
 from gradiseg.semantic import ClassifierHead, classify, loss_2d, segment_mask
-from oracles import full_image_segment_mask
+from oracles import full_image_loss_2d, full_image_segment_mask
 
 
 class TestClassify:
@@ -119,6 +121,75 @@ class TestLoss2d:
             hm.biases[c] -= h
             fd = (loss_2d(ident, mask, hp)[0] - loss_2d(ident, mask, hm)[0]) / (2 * h)
             assert db[c] == pytest.approx(fd, rel=1e-4, abs=1e-9)
+
+
+def identity_map(kind, rng, dtype, h=37, w=29, d=8):
+    """Identity maps with no, all, or some all-zero feature rows; "rendered"
+    holds uncovered pixels and pixels covered only by zero encodings."""
+    if kind == "rendered":
+        cloud = random_cloud(rng, 12, dim=d, dtype=dtype, scale_range=(0.05, 0.12))
+        cloud.encodings[:6] = 0.0
+        out = render(cloud, make_camera(width=w, height=h))
+        zero = ~out.identity.any(axis=2)
+        covered = np.diff(out.frag_start).reshape(h, w) > 0
+        assert (zero & covered).any() and (zero & ~covered).any() and not zero.all()
+        return out.identity
+    ident = rng.standard_normal((h, w, d)).astype(dtype)
+    if kind == "zero":
+        ident[:] = 0.0
+    elif kind == "mixed":
+        ident[rng.uniform(size=(h, w)) < 0.5] = 0.0
+    return ident
+
+
+class TestLoss2dOracle:
+    """loss_2d against the full-image expression. Each output may differ by
+    the summation error bound of the sums behind it: n eps sum|terms| with n
+    the number of terms (pixels for the loss, dW and db; classes for the
+    feature gradients)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["dense", "zero", "mixed", "rendered"])
+    def test_matches_full_image_oracle(self, rng, dtype, kind):
+        c = 40
+        ident = identity_map(kind, rng, dtype)
+        h, w, d = ident.shape
+        head = ClassifierHead(rng.standard_normal((c, d)).astype(dtype),
+                              rng.standard_normal(c).astype(dtype))
+        mask = rng.integers(0, c, (h, w)).astype(np.uint8)
+        loss, d_feats, (dw, db) = loss_2d(ident, mask, head)
+        want_loss, want_feats, (want_dw, want_db) = full_image_loss_2d(
+            ident.copy(), mask, head)
+        for got in (d_feats, dw, db):
+            assert got.dtype == dtype
+
+        eps, npix = np.finfo(dtype).eps, h * w
+        feats = ident.reshape(npix, d).astype(np.float64)
+        dl = classify(feats, ClassifierHead(head.weights.astype(np.float64),
+                                            head.biases.astype(np.float64)))
+        dl[np.arange(npix), mask.ravel()] -= 1.0
+        dl = np.abs(dl) / npix
+        assert abs(loss - want_loss) <= (npix + 2) * eps * want_loss
+        assert np.all(np.abs(d_feats.reshape(npix, d) - want_feats.reshape(npix, d))
+                      <= (c + 2) * eps * (dl @ np.abs(head.weights)))
+        assert np.all(np.abs(dw - want_dw) <= (npix + 2) * eps * (dl.T @ np.abs(feats)))
+        assert np.all(np.abs(db - want_db) <= (npix + 2) * eps * dl.sum(axis=0))
+
+    def test_finite_difference_at_zero_rows(self):
+        rng = np.random.default_rng(7)
+        head = ClassifierHead(rng.standard_normal((5, 3)), rng.standard_normal(5))
+        ident = rng.standard_normal((4, 4, 3))
+        ident[1:3] = 0.0
+        mask = rng.integers(0, 5, (4, 4)).astype(np.uint8)
+        _, d_ident, _ = loss_2d(ident, mask, head)
+        h = 1e-6
+        for y, x in ((1, 0), (1, 3), (2, 1)):
+            for k in range(3):
+                ip, im = ident.copy(), ident.copy()
+                ip[y, x, k] += h
+                im[y, x, k] -= h
+                fd = (loss_2d(ip, mask, head)[0] - loss_2d(im, mask, head)[0]) / (2 * h)
+                assert d_ident[y, x, k] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
 
 class TestSegmentMask:

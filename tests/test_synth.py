@@ -105,3 +105,9 @@ class TestGenerate:
             SceneSpec(objects=[ObjectSpec("sphere", (0, 0, 0), (1, 1, 1), (1, 0, 0))])
         with pytest.raises(ValueError, match="primitive"):
             ObjectSpec("cone", (0, 0, 0), (1, 1, 1), (1, 0, 0))
+        two = [ObjectSpec("sphere", (0, 0, 0), (1, 1, 1), (1, 0, 0)),
+               ObjectSpec("box", (1, 0, 0), (1, 1, 1), (0, 1, 0))]
+        for classes in (2, 257):   # ids run 0..2, and masks are uint8
+            with pytest.raises(ValueError, match=f"num_classes {classes} outside"):
+                SceneSpec(objects=two, num_classes=classes)
+        assert SceneSpec(objects=two, num_classes=3).num_classes == 3
