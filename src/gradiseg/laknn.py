@@ -10,15 +10,20 @@ tie rule (tests/oracles.py holds the scalar reference searches).
 
 Pair order is part of the contract, since the KL loss sums pairs in order:
 pairs are grouped by target in sampling order, and each target's neighbors
-are ordered by (distance, index). The batched search bounds each row's K-th
-smallest admissible distance by the K-th smallest among every _STRIDE-th
-column and sorts only the entries at or below that bound, which is exact for
-any stride.
+are ordered by (distance, index). Global distances are float64 squared
+distances recomputed from the coordinates, as the oracle forms them: one
+cKDTree over all positions proposes candidates, and a row whose candidates
+cannot prove its K-th neighbour is asked again with more. The dense
+direction-aware search bounds each row's K-th smallest positive projection
+by the K-th smallest among every _STRIDE-th column and sorts only the
+entries at or below that bound, which is exact for any stride.
 
 The KL loss is taken in closed form: the classifier head is linear, so every
 per-pair term is D-wide, and the class-space work (a log-softmax giving each
 Gaussian's logsumexp and softmax @ W) runs once per involved Gaussian, never
-per pair. Log-softmax is exact, so no probability floor remains; an
+per pair, and once per distinct head row, never per repeated class. Per-pair
+rows are summed per Gaussian through a sparse incidence matrix, in pair
+order. Log-softmax is exact, so no probability floor remains; an
 underflowing class keeps its true log-probability (tests/oracles.py holds the
 floored pairwise form).
 """
@@ -28,97 +33,133 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+from scipy.sparse import csc_array
+from scipy.spatial import cKDTree
 
 from .scene import GaussianCloud
-from .semantic import ClassifierHead, softmax
+from .semantic import ClassifierHead, class_groups, softmax
 
 EMA_FLOOR = 1e-12
 _CHUNK = 128
 _STRIDE = 8
+# relative gap by which a row's take-th tree candidate must undercut the
+# tree's last distance (float64 rounding of either is ~1e-16 relative)
+_TREE_MARGIN = 1e-9
 
 
-def _sq_dists(pos: np.ndarray, sq: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Squared distances from pos[rows] to every position, built in place."""
-    d = pos[rows] @ pos.T
-    d *= -2.0
-    d += sq
-    d += sq[rows][:, None]
-    return d
+def _slab_neighbors(pos: np.ndarray, tgt: np.ndarray, u: np.ndarray,
+                    take: int) -> np.ndarray:
+    """Direction-aware neighbours of the targets `tgt` along unit directions
+    `u`, as a (targets, take) array padded with -1 after a row's last
+    neighbour, each row ordered by (distance, index).
+
+    A row admits d > 0. Its bound tau is its take-th smallest admissible
+    value among columns 0, _STRIDE, 2*_STRIDE, ...; those are admissible
+    entries of the row, so its own take-th smallest is at most tau. The
+    entries with 0 < d <= tau are sorted by (value, index) and cut to take.
+    A row whose sample holds fewer than take admissible values is bounded by
+    the largest finite value.
+    """
+    n = pos.shape[0]
+    d = u @ pos.T
+    d -= np.einsum("tj,tj->t", u, pos[tgt])[:, None]
+    d[np.arange(tgt.size), tgt] = np.inf
+
+    # a row's inadmissible sampled values sort before its admissible ones
+    # and inf after them, so its bound sits at its own offset
+    sample = np.sort(d[:, ::_STRIDE], axis=1)
+    at = (sample <= 0.0).sum(axis=1) + take - 1
+    sampled = at < sample.shape[1]
+    tau = np.full(tgt.size, np.inf, dtype=d.dtype)
+    tau[sampled] = sample[sampled, at[sampled]]
+    tau = np.minimum(tau, np.finfo(d.dtype).max)
+
+    flat = np.flatnonzero((d > 0.0) & (d <= tau[:, None]))
+    row, col = np.divmod(flat, n)
+    counts = np.bincount(row, minlength=tgt.size)
+    start = np.cumsum(counts) - counts
+    slot = np.arange(flat.size) - np.repeat(start, counts)
+    # candidates enter each inf-padded row in index order, so a stable
+    # sort orders them by (value, index)
+    vals = np.full((tgt.size, counts.max(initial=0)), np.inf, dtype=d.dtype)
+    vals[row, slot] = d.ravel()[flat]
+    first = np.argsort(vals, axis=1, kind="stable")[:, :take]
+    out = np.full((tgt.size, take), -1, dtype=np.int64)
+    r, s = np.nonzero(np.arange(first.shape[1]) < counts[:, None])
+    out[r, s] = col[start[r] + first[r, s]]
+    return out
+
+
+def _tree_neighbors(pos: np.ndarray, tgt: np.ndarray, take: int) -> np.ndarray:
+    """Euclidean neighbours of the targets `tgt`, as a (targets, take) array,
+    each row ordered by (distance, index) of float64 squared distances.
+
+    One cKDTree proposes kq candidates per row; their distances are
+    recomputed from the coordinates, so the tree's arithmetic picks nothing.
+    Every point the tree did not return lies at least its kq-th distance
+    away, so a row is exact once its take-th recomputed distance lies
+    strictly below that by _TREE_MARGIN; other rows (ties at the boundary,
+    more than kq coincident points) are asked again with twice the kq.
+    """
+    n = pos.shape[0]
+    pos64 = pos.astype(np.float64)
+    tree = cKDTree(pos64)
+    out = np.empty((tgt.size, take), dtype=np.int64)
+    rows = np.arange(tgt.size)
+    kq = min(take + 2, n)  # the target itself, take neighbours and one beyond
+    while rows.size:
+        t = tgt[rows]
+        dist, idx = tree.query(pos64[t], k=kq)
+        dist, idx = dist.reshape(t.size, kq), idx.reshape(t.size, kq)
+        diff = np.take(pos64, idx, axis=0) - pos64[t][:, None, :]
+        d = np.einsum("rkj,rkj->rk", diff, diff)
+        d[idx == t[:, None]] = np.inf
+        order = np.lexsort((idx, d), axis=1)
+        idx = np.take_along_axis(idx, order, axis=1)
+        d = np.take_along_axis(d, order, axis=1)
+        exact = (d[:, take - 1] < dist[:, -1] ** 2 * (1.0 - _TREE_MARGIN)) | (kq == n)
+        out[rows[exact]] = idx[exact, :take]
+        rows = rows[~exact]
+        kq = min(2 * kq, n)
+    return out
 
 
 def _neighbor_pairs(cloud: GaussianCloud, targets: np.ndarray, k: int,
                     mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized neighbor selection for many targets. Returns flat (i, j)
-    pairs, grouped by target in the order of `targets`, each target's
-    neighbors ordered by (distance, index).
-
-    A row admits d > floor: floor is 0 for a direction-aware row and -inf for
-    a global or zero-EMA row, and d must be finite. The row's bound tau is
-    its take-th smallest admissible value among columns 0, _STRIDE,
-    2*_STRIDE, ...; those are admissible entries of the row, so its own
-    take-th smallest is at most tau. The entries with floor < d <= tau are
-    sorted by (value, index) and cut to take. A row whose sample holds fewer
-    than take admissible values is bounded by the largest finite value.
+    """Neighbor selection for many targets. Returns flat (i, j) pairs,
+    grouped by target in the order of `targets`, each target's neighbors
+    ordered by (distance, index). Direction-aware rows search densely in
+    chunks of _CHUNK targets; global and zero-EMA rows query one KD-tree.
     """
     pos = cloud.positions
-    n = cloud.n
-    take = min(k, max(n - 1, 0))
+    take = min(k, max(cloud.n - 1, 0))
     if take == 0 or targets.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    sq = np.einsum("nj,nj->n", pos, pos)
-    pair_i, pair_j = [], []
-    for lo in range(0, targets.size, _CHUNK):
-        tgt = targets[lo:lo + _CHUNK]
-        floor = np.full(tgt.size, -np.inf, dtype=pos.dtype)
-        if mode == "local-adaptive":
-            ema = cloud.pos_grad_ema[tgt]
-            norms = np.linalg.norm(ema, axis=1)
-            local = norms >= EMA_FLOOR
-            u = np.zeros_like(ema)
-            u[local] = -ema[local] / norms[local, None]
-            d = u @ pos.T
-            d -= np.einsum("tj,tj->t", u, pos[tgt])[:, None]
-            floor[local] = 0.0
-            # zero-EMA targets fall back to global euclidean search
-            if not local.all():
-                d[~local] = _sq_dists(pos, sq, tgt[~local])
-        else:
-            d = _sq_dists(pos, sq, tgt)
-        d[np.arange(tgt.size), tgt] = np.inf
-
-        # a row's inadmissible sampled values sort before its admissible
-        # ones and inf after them, so its bound sits at its own offset
-        sample = np.sort(d[:, ::_STRIDE], axis=1)
-        at = (sample <= floor[:, None]).sum(axis=1) + take - 1
-        sampled = at < sample.shape[1]
-        tau = np.full(tgt.size, np.inf, dtype=d.dtype)
-        tau[sampled] = sample[sampled, at[sampled]]
-        tau = np.minimum(tau, np.finfo(d.dtype).max)
-
-        flat = np.flatnonzero((d > floor[:, None]) & (d <= tau[:, None]))
-        row, col = np.divmod(flat, n)
-        counts = np.bincount(row, minlength=tgt.size)
-        start = np.cumsum(counts) - counts
-        slot = np.arange(flat.size) - np.repeat(start, counts)
-        # candidates enter each inf-padded row in index order, so a stable
-        # sort orders them by (value, index)
-        vals = np.full((tgt.size, counts.max(initial=0)), np.inf, dtype=d.dtype)
-        vals[row, slot] = d.ravel()[flat]
-        first = np.argsort(vals, axis=1, kind="stable")[:, :take]
-        kept = np.arange(first.shape[1]) < counts[:, None]
-        pair_i.append(np.repeat(tgt, np.minimum(counts, take)))
-        pair_j.append(col[(start[:, None] + first)[kept]])
-    return np.concatenate(pair_i), np.concatenate(pair_j)
+    nb = np.empty((targets.size, take), dtype=np.int64)
+    fallback = np.ones(targets.size, dtype=bool)
+    if mode == "local-adaptive":
+        ema = cloud.pos_grad_ema[targets]
+        norms = np.linalg.norm(ema, axis=1)
+        fallback = norms < EMA_FLOOR
+        local = np.flatnonzero(~fallback)
+        u = -ema[local] / norms[local, None]
+        for lo in range(0, local.size, _CHUNK):
+            rows = local[lo:lo + _CHUNK]
+            nb[rows] = _slab_neighbors(pos, targets[rows], u[lo:lo + _CHUNK], take)
+    # zero-EMA targets fall back to global euclidean search
+    if fallback.any():
+        nb[fallback] = _tree_neighbors(pos, targets[fallback], take)
+    kept = nb >= 0
+    return np.repeat(targets, kept.sum(axis=1)), nb[kept]
 
 
-def _scatter_add_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
-    """out[index] += rows with duplicate indices, via sort + reduceat
-    (deterministic and much faster than np.add.at)."""
-    order = np.argsort(index, kind="stable")
-    idx_sorted = index[order]
-    starts = np.nonzero(np.concatenate([[True], idx_sorted[1:] != idx_sorted[:-1]]))[0]
-    sums = np.add.reduceat(rows[order], starts, axis=0)
-    out[idx_sorted[starts]] += sums
+def _pair_sums(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """out[r] = the sum of rows[p] over pairs p with index[p] == r, added in
+    pair order. The incidence matrix is CSC with one entry per pair column,
+    and its product adds each column into its row in column order."""
+    incidence = csc_array((np.ones(index.size, dtype=rows.dtype), index,
+                           np.arange(index.size + 1)), shape=(size, index.size))
+    return incidence @ rows
 
 
 def kl_pairs_loss(encodings: np.ndarray, head: ClassifierHead,
@@ -136,7 +177,8 @@ def kl_pairs_loss(encodings: np.ndarray, head: ClassifierHead,
     dKL/de_j = pw_j - pw_i and
     dKL/de_i = W^T (p_i * W (e_i - e_j)) - pw_i . (e_i - e_j) pw_i.
     Class-space work is done once per involved Gaussian r, on
-    S_r = sum over pairs with i = r of (e_r - e_j).
+    S_r = sum over pairs with i = r of (e_r - e_j), and once per distinct
+    head row (semantic.class_groups).
     """
     n, d = encodings.shape
     dt = encodings.dtype
@@ -153,24 +195,24 @@ def kl_pairs_loss(encodings: np.ndarray, head: ClassifierHead,
     e = encodings[involved]
     if not np.all(np.isfinite(e)):
         raise ValueError("features must be finite")
-    w = head.weights
+    groups = class_groups(head)
+    w = groups.head.weights
     z = e @ w.T
-    z += head.biases
-    p, lse = softmax(z)
-    pw = p @ w
+    z += groups.head.biases
+    p, lse = softmax(z, groups.size)
+    pw = groups.weigh(p) @ w
 
     de = e[ii] - e[jj]
     kl = np.einsum("pd,pd->p", pw[ii], de) - (lse[ii] - lse[jj])
     loss = float(kl.sum() / m)
 
-    s = np.zeros((r, d), dtype=dt)
-    _scatter_add_rows(s, ii, de)
+    s = _pair_sums(ii, de, r)
     # gz = p * (S W^T - pw . S): the i-side gradient in class space
     gz = s @ w.T
     gz -= np.einsum("rd,rd->r", pw, s)[:, None]
     gz *= p
-    ge_rows = gz @ w
-    _scatter_add_rows(ge_rows, jj, pw[jj] - pw[ii])
+    ge_rows = groups.weigh(gz) @ w
+    ge_rows += _pair_sums(jj, pw[jj] - pw[ii], r)
     ge_rows /= m
     grad_e[involved] = ge_rows
 
@@ -181,7 +223,8 @@ def kl_pairs_loss(encodings: np.ndarray, head: ClassifierHead,
         # S_r = cnt_i e_r - (the sum of e_j over pairs (r, j)).
         cnt = (np.bincount(jj, minlength=r) - np.bincount(ii, minlength=r)).astype(dt)
         gz += cnt[:, None] * p
-        hg = ((gz.T @ e + p.T @ s) / m, gz.sum(axis=0) / m)
+        hg = (groups.expand((gz.T @ e + p.T @ s) / m, axis=0),
+              groups.expand(gz.sum(axis=0) / m))
     return loss, grad_e, hg
 
 

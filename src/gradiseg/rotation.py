@@ -40,19 +40,17 @@ def rot_grad_to_quat_grad(q_raw: np.ndarray, gR: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(q_raw, axis=-1, keepdims=True)
     q = q_raw / norm
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    zero = np.zeros_like(w)
-
-    def mat(rows):
-        return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-
-    dR_dw = 2 * mat([[zero, -z, y], [z, zero, -x], [-y, x, zero]])
-    dR_dx = 2 * mat([[zero, y, z], [y, -2 * x, -w], [z, w, -2 * x]])
-    dR_dy = 2 * mat([[-2 * y, x, w], [x, zero, z], [-w, z, -2 * y]])
-    dR_dz = 2 * mat([[-2 * z, -w, x], [w, -2 * z, y], [x, y, zero]])
-
-    g_unit = np.stack([
-        np.einsum("...ij,...ij->...", gR, d) for d in (dR_dw, dR_dx, dR_dy, dR_dz)
-    ], axis=-1)
+    g = gR.reshape(gR.shape[:-2] + (9,))
+    # <gR, dR/dq_k> in closed form from the symmetric and antisymmetric
+    # parts of gR's off-diagonal pairs
+    a01, a02, a12 = g[..., 1] + g[..., 3], g[..., 2] + g[..., 6], g[..., 5] + g[..., 7]
+    s01, s02, s12 = g[..., 3] - g[..., 1], g[..., 2] - g[..., 6], g[..., 7] - g[..., 5]
+    g00, g11, g22 = g[..., 0], g[..., 4], g[..., 8]
+    g_unit = np.empty(q.shape, dtype=np.result_type(q, gR))
+    g_unit[..., 0] = 2 * (x * s12 + y * s02 + z * s01)
+    g_unit[..., 1] = 2 * (y * a01 + z * a02 + w * s12) - 4 * x * (g11 + g22)
+    g_unit[..., 2] = 2 * (x * a01 + z * a12 + w * s02) - 4 * y * (g00 + g22)
+    g_unit[..., 3] = 2 * (x * a02 + y * a12 + w * s01) - 4 * z * (g00 + g11)
     # chain through q = q_raw / |q_raw|
     proj = g_unit - np.sum(g_unit * q, axis=-1, keepdims=True) * q
     return proj / norm

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 # a pixel is foreground when its blended weight 1 - T_final reaches this
@@ -40,23 +42,73 @@ class ClassifierHead:
         return features @ self.weights.T + self.biases
 
 
-def softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class ClassGroups(NamedTuple):
+    """The head's classes grouped by byte-equal [w_c | b_c] rows.
+
+    Classes in one group have equal logits, probabilities and gradients, so
+    class-space work runs once per group: a softmax counts group g `size[g]`
+    times in its total, and a sum over classes weighs group g by `size[g]`.
+    Groups are ordered by their lowest class index, `first`, and `head`
+    holds their rows. When every group is one class, the arithmetic is the
+    per-class one bit for bit, since a size of 1 multiplies exactly.
+    """
+
+    head: ClassifierHead
+    first: np.ndarray
+    size: np.ndarray
+    of_class: np.ndarray
+
+    def weigh(self, a: np.ndarray) -> np.ndarray:
+        """Per-group values (..., G) weighted by group size, for sums over classes."""
+        return a * self.size
+
+    def expand(self, a: np.ndarray, axis: int = -1) -> np.ndarray:
+        """Per-group values along `axis` -> per-class values."""
+        return np.take(a, self.of_class, axis=axis)
+
+
+def class_groups(head: ClassifierHead, keep: np.ndarray | None = None) -> ClassGroups:
+    """Group classes by byte-equal [w_c | b_c] rows; each class in `keep` gets
+    a group of its own."""
+    c, d = head.weights.shape
+    rows = np.empty((c, d + 2), dtype=np.result_type(head.weights, head.biases))
+    rows[:, :d] = head.weights
+    rows[:, d] = head.biases
+    rows[:, d + 1] = -1
+    if keep is not None:
+        rows[keep, d + 1] = keep
+    keys = rows.view(np.dtype((np.void, rows.itemsize * (d + 2)))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    first, of_class = first[order], rank[inverse.ravel()]
+    grouped = ClassifierHead(head.weights[first], head.biases[first])
+    return ClassGroups(grouped, first, np.bincount(of_class).astype(rows.dtype), of_class)
+
+
+def softmax(logits: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Softmax over the last axis, computed in the logits' buffer, and the
-    logsumexp of each row."""
+    logsumexp of each row. Column g counts `size[g]` times in the total."""
     zmax = logits.max(axis=-1, keepdims=True)
     logits -= zmax
     np.exp(logits, out=logits)
-    total = logits.sum(axis=-1, keepdims=True)
+    total = (logits * size).sum(axis=-1, keepdims=True)
     logits /= total
     return logits, (zmax + np.log(total))[..., 0]
 
 
-def classify(features: np.ndarray, head: ClassifierHead) -> np.ndarray:
-    """Class probabilities for each feature vector: softmax(W f + b)."""
-    features = np.asarray(features)
+def _group_probs(features: np.ndarray, groups: ClassGroups) -> np.ndarray:
+    """Probability of one class of each group for each feature vector."""
     if not np.all(np.isfinite(features)):
         raise ValueError("features must be finite")
-    return softmax(head.logits(features))[0]
+    return softmax(groups.head.logits(features), groups.size)[0]
+
+
+def classify(features: np.ndarray, head: ClassifierHead) -> np.ndarray:
+    """Class probabilities for each feature vector: softmax(W f + b)."""
+    groups = class_groups(head)
+    return groups.expand(_group_probs(np.asarray(features), groups))
 
 
 def segment_mask(identity_map: np.ndarray, final_transmittance: np.ndarray,
@@ -64,10 +116,12 @@ def segment_mask(identity_map: np.ndarray, final_transmittance: np.ndarray,
     """Instance-id mask: per-pixel argmax class of the rendered identity
     features where the total blended foreground weight 1 - T_final reaches
     FOREGROUND_THRESHOLD, background (0) elsewhere. Logits are taken only
-    for the foreground pixels."""
+    for the foreground pixels and only for distinct head rows; a tie goes
+    to the lowest class index."""
     fg = (1.0 - final_transmittance) >= FOREGROUND_THRESHOLD
     mask = np.zeros(fg.shape, dtype=np.uint8)
-    mask[fg] = np.argmax(head.logits(identity_map[fg]), axis=-1)
+    groups = class_groups(head)
+    mask[fg] = groups.first[np.argmax(groups.head.logits(identity_map[fg]), axis=-1)]
     return mask
 
 
@@ -78,7 +132,8 @@ def loss_2d(identity_map: np.ndarray, mask: np.ndarray, head: ClassifierHead):
     row is all zero (no fragment, or zero encodings) has logits exactly b, so
     that row is classified once: those pixels enter the loss and dL/db through
     their label counts, add nothing to dL/dW, and share one dL/dfeatures row
-    per label.
+    per label. Class-space work runs on the head's distinct rows, with every
+    label class in a group of its own (class_groups).
     """
     h, w, d = identity_map.shape
     if mask.shape != (h, w):
@@ -86,32 +141,36 @@ def loss_2d(identity_map: np.ndarray, mask: np.ndarray, head: ClassifierHead):
     labels = np.asarray(mask).reshape(-1).astype(np.int64)
     if labels.min() < 0 or labels.max() >= head.num_classes:
         raise ValueError("mask id out of range for classifier head")
+    groups = class_groups(head, keep=np.flatnonzero(np.bincount(labels)))
+    labels = groups.of_class[labels]
 
     feats = identity_map.reshape(-1, d)
     npix = feats.shape[0]
     covered = feats.any(axis=1)
     rows, zero_rows = np.flatnonzero(covered), np.flatnonzero(~covered)
     fc, lc = np.take(feats, rows, axis=0), labels[rows]
-    p = classify(fc, head)
+    p = _group_probs(fc, groups)
     eps = np.finfo(p.dtype).tiny
     at = np.arange(rows.size)
     nll = -np.log(np.maximum(p[at, lc], eps)).sum()
 
     # all-zero rows: one softmax of b, weighted by each label's pixel count
-    counts = np.bincount(labels[zero_rows], minlength=head.num_classes)
-    p_b = classify(np.zeros((1, d), dtype=p.dtype), head)
+    counts = np.bincount(labels[zero_rows], minlength=groups.first.size)
+    p_b = _group_probs(np.zeros((1, d), dtype=p.dtype), groups)
     nll += counts @ -np.log(np.maximum(p_b[0], eps))
     loss = float(nll / npix)
 
     dlogits = p  # the loss is taken, so p's buffer becomes the gradient
     dlogits[at, lc] -= 1.0
     dlogits /= npix
-    weights = head.weights.astype(p.dtype)
+    weights = groups.head.weights.astype(p.dtype)
     d_w = dlogits.T @ fc
     d_b = dlogits.sum(axis=0)
     d_b += (zero_rows.size * p_b[0] - counts) / npix
     d_feats = np.empty((npix, d), dtype=p.dtype)
-    d_feats[rows] = dlogits @ weights
-    d_label = (p_b @ weights - weights) / npix   # row l: (p_b - onehot(l)) @ W / npix
+    d_feats[rows] = groups.weigh(dlogits) @ weights
+    # row l: (p_b - onehot(l)) @ W / npix
+    d_label = (groups.weigh(p_b) @ weights - weights) / npix
     d_feats[zero_rows] = np.take(d_label, labels[zero_rows], axis=0)
-    return loss, d_feats.reshape(h, w, d), (d_w, d_b)
+    return (loss, d_feats.reshape(h, w, d),
+            (groups.expand(d_w, axis=0), groups.expand(d_b)))

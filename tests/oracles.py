@@ -11,9 +11,9 @@ once, kept here as test oracles with their bodies unchanged:
   they share (the k smallest finite entries, ordered by (value, index));
 - `split_gaussian` and `_split_axis`: the IGD split of one Gaussian;
 - `pairwise_kl_loss`: the KL consistency loss with one (pairs x classes)
-  row per pair, log-probabilities floored at `PROB_FLOOR`, in float64. It
-  matches the engine's closed form except where a probability falls below
-  the floor;
+  row per pair, log-probabilities floored at `PROB_FLOOR`, in float64, its
+  pair rows scattered by `np.add.at`. It matches the engine's closed form
+  except where a probability falls below the floor;
 - `tiled_render`: the dense per-tile compositor the engine's bbox-driven
   rasterizer replaced. Every tile evaluates all (splat, pixel) pairs
   densely and composites them with a cumulative product; the per-pixel
@@ -32,7 +32,17 @@ once, kept here as test oracles with their bodies unchanged:
   float64 on the render's stored intermediates;
 - `full_image_loss_2d`: the 2D cross-entropy with a softmax over every
   pixel, which the engine's single classification of all-zero feature
-  rows replaced.
+  rows replaced;
+- `dense_softmax`, `dense_classify`, `dense_loss_2d` and
+  `dense_kl_pairs_loss`: the softmax, classification, 2D cross-entropy and
+  closed-form KL with one column per class, which the engine's work on
+  distinct head rows replaced. On a head without repeated rows the engine
+  returns their bytes. `dense_kl_pairs_loss` adds its pair rows in pair
+  order, as the engine does; the sort and `np.add.reduceat` the engine
+  used before added them in another order, so its bytes differ from these
+  in the last bit;
+- `stacked_quat_grad`: the rotation-to-quaternion gradient contracted with
+  the four stacked matrices dR/dq, which the engine's closed form replaced.
 """
 
 from dataclasses import dataclass
@@ -44,12 +54,12 @@ from scipy.sparse import csr_array
 from gradiseg.backward import ParamGrads, _segment_suffix_sum
 from gradiseg.camera import CameraView, project_cloud
 from gradiseg.igd import IgdConfig
-from gradiseg.laknn import EMA_FLOOR, _scatter_add_rows
+from gradiseg.laknn import EMA_FLOOR
 from gradiseg.render import (ALPHA_CLAMP, ALPHA_CUTOFF, RenderOptions,
                              RenderOutput)
-from gradiseg.rotation import quat_to_rot, rot_grad_to_quat_grad
+from gradiseg.rotation import quat_to_rot
 from gradiseg.scene import GaussianCloud
-from gradiseg.semantic import FOREGROUND_THRESHOLD, ClassifierHead, classify
+from gradiseg.semantic import FOREGROUND_THRESHOLD, ClassifierHead
 
 DEFAULT_TILE = 16
 PROB_FLOOR = 1e-12
@@ -206,7 +216,7 @@ def pairwise_kl_loss(encodings: np.ndarray, head: ClassifierHead,
 
     involved, inv = np.unique(np.concatenate([pair_i, pair_j]), return_inverse=True)
     ii, jj = inv[:pair_i.size], inv[pair_i.size:]
-    p = classify(encodings[involved], head)
+    p = dense_classify(encodings[involved], head)
     logp = np.log(np.maximum(p, PROB_FLOOR))
 
     pi = p[ii]
@@ -221,15 +231,15 @@ def pairwise_kl_loss(encodings: np.ndarray, head: ClassifierHead,
     ge_i = ((pi * logdiff) @ w - kl[:, None] * pw[ii]) / m
     ge_j = (pw[jj] - pw[ii]) / m
     ge_rows = np.zeros((involved.size, w.shape[1]), dtype=dt)
-    _scatter_add_rows(ge_rows, ii, ge_i)
-    _scatter_add_rows(ge_rows, jj, ge_j)
+    np.add.at(ge_rows, ii, ge_i)
+    np.add.at(ge_rows, jj, ge_j)
     grad_e[involved] = ge_rows
 
     hg = None
     if head_grads:
         gz = np.zeros_like(p)
-        _scatter_add_rows(gz, ii, pi * (logdiff - kl[:, None]) / m)
-        _scatter_add_rows(gz, jj, (p[jj] - pi) / m)
+        np.add.at(gz, ii, pi * (logdiff - kl[:, None]) / m)
+        np.add.at(gz, jj, (p[jj] - pi) / m)
         feats = encodings[involved]
         hg = (gz.T @ feats, gz.sum(axis=0))
     return loss, grad_e, hg
@@ -498,7 +508,7 @@ def recomputing_backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutpu
     gR = gM * s[:, None, :]
     grads.positions[index] = gp
     grads.log_scales[index] = gs * s
-    grads.rotations[index] = rot_grad_to_quat_grad(cloud.rotations[index], gR)
+    grads.rotations[index] = stacked_quat_grad(cloud.rotations[index], gR)
     return grads
 
 
@@ -508,7 +518,7 @@ def full_image_loss_2d(identity_map: np.ndarray, mask: np.ndarray, head: Classif
     h, w, d = identity_map.shape
     labels = np.asarray(mask).reshape(-1).astype(np.int64)
     feats = identity_map.reshape(-1, d)
-    p = classify(feats, head)
+    p = dense_classify(feats, head)
     npix = feats.shape[0]
     rows = np.arange(npix)
     eps = np.finfo(p.dtype).tiny
@@ -521,3 +531,132 @@ def full_image_loss_2d(identity_map: np.ndarray, mask: np.ndarray, head: Classif
     d_w = dlogits.T @ feats
     d_b = dlogits.sum(axis=0)
     return loss, d_feats.reshape(h, w, d), (d_w, d_b)
+
+
+def dense_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax over every class of the last axis, in the logits' buffer, and
+    the logsumexp of each row."""
+    zmax = logits.max(axis=-1, keepdims=True)
+    logits -= zmax
+    np.exp(logits, out=logits)
+    total = logits.sum(axis=-1, keepdims=True)
+    logits /= total
+    return logits, (zmax + np.log(total))[..., 0]
+
+
+def dense_classify(features: np.ndarray, head: ClassifierHead) -> np.ndarray:
+    """Class probabilities softmax(W f + b) with one column per class."""
+    return dense_softmax(head.logits(np.asarray(features)))[0]
+
+
+def dense_loss_2d(identity_map: np.ndarray, mask: np.ndarray, head: ClassifierHead):
+    """loss_2d with every class in its own softmax column: all-zero feature
+    rows classified once, covered rows one softmax each.
+    Returns (loss, dL/didentity_map, (dL/dW, dL/db))."""
+    h, w, d = identity_map.shape
+    labels = np.asarray(mask).reshape(-1).astype(np.int64)
+    feats = identity_map.reshape(-1, d)
+    npix = feats.shape[0]
+    covered = feats.any(axis=1)
+    rows, zero_rows = np.flatnonzero(covered), np.flatnonzero(~covered)
+    fc, lc = np.take(feats, rows, axis=0), labels[rows]
+    p = dense_classify(fc, head)
+    eps = np.finfo(p.dtype).tiny
+    at = np.arange(rows.size)
+    nll = -np.log(np.maximum(p[at, lc], eps)).sum()
+
+    counts = np.bincount(labels[zero_rows], minlength=head.num_classes)
+    p_b = dense_classify(np.zeros((1, d), dtype=p.dtype), head)
+    nll += counts @ -np.log(np.maximum(p_b[0], eps))
+    loss = float(nll / npix)
+
+    dlogits = p
+    dlogits[at, lc] -= 1.0
+    dlogits /= npix
+    weights = head.weights.astype(p.dtype)
+    d_w = dlogits.T @ fc
+    d_b = dlogits.sum(axis=0)
+    d_b += (zero_rows.size * p_b[0] - counts) / npix
+    d_feats = np.empty((npix, d), dtype=p.dtype)
+    d_feats[rows] = dlogits @ weights
+    d_label = (p_b @ weights - weights) / npix
+    d_feats[zero_rows] = np.take(d_label, labels[zero_rows], axis=0)
+    return loss, d_feats.reshape(h, w, d), (d_w, d_b)
+
+
+def _pair_order_sums(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """out[r] = the sum of rows[p] over p with index[p] == r, added in the
+    order of p, starting from zero."""
+    out = np.zeros((size,) + rows.shape[1:], dtype=rows.dtype)
+    np.add.at(out, index, rows)
+    return out
+
+
+def dense_kl_pairs_loss(encodings: np.ndarray, head: ClassifierHead,
+                        pair_i: np.ndarray, pair_j: np.ndarray,
+                        head_grads: bool = False):
+    """kl_pairs_loss in closed form with one softmax column per class, its
+    pair sums added in pair order.
+    Returns (loss, dL/dencodings, (dL/dW, dL/db) or None)."""
+    n, d = encodings.shape
+    dt = encodings.dtype
+    grad_e = np.zeros((n, d), dtype=dt)
+    if pair_i.size == 0:
+        if head_grads:
+            return 0.0, grad_e, (np.zeros_like(head.weights), np.zeros_like(head.biases))
+        return 0.0, grad_e, None
+
+    involved, inv = np.unique(np.concatenate([pair_i, pair_j]), return_inverse=True)
+    ii, jj = inv[:pair_i.size], inv[pair_i.size:]
+    r = involved.size
+    m = pair_i.size
+    e = encodings[involved]
+    w = head.weights
+    z = e @ w.T
+    z += head.biases
+    p, lse = dense_softmax(z)
+    pw = p @ w
+
+    de = e[ii] - e[jj]
+    kl = np.einsum("pd,pd->p", pw[ii], de) - (lse[ii] - lse[jj])
+    loss = float(kl.sum() / m)
+
+    s = _pair_order_sums(ii, de, r)
+    gz = s @ w.T
+    gz -= np.einsum("rd,rd->r", pw, s)[:, None]
+    gz *= p
+    ge_rows = gz @ w
+    ge_rows += _pair_order_sums(jj, pw[jj] - pw[ii], r)
+    ge_rows /= m
+    grad_e[involved] = ge_rows
+
+    hg = None
+    if head_grads:
+        cnt = (np.bincount(jj, minlength=r) - np.bincount(ii, minlength=r)).astype(dt)
+        gz += cnt[:, None] * p
+        hg = ((gz.T @ e + p.T @ s) / m, gz.sum(axis=0) / m)
+    return loss, grad_e, hg
+
+
+def stacked_quat_grad(q_raw: np.ndarray, gR: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the raw quaternion from a gradient w.r.t. R(q/|q|),
+    contracting gR with the four stacked matrices dR/dq."""
+    q_raw = np.asarray(q_raw)
+    norm = np.linalg.norm(q_raw, axis=-1, keepdims=True)
+    q = q_raw / norm
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    zero = np.zeros_like(w)
+
+    def mat(rows):
+        return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+
+    dR_dw = 2 * mat([[zero, -z, y], [z, zero, -x], [-y, x, zero]])
+    dR_dx = 2 * mat([[zero, y, z], [y, -2 * x, -w], [z, w, -2 * x]])
+    dR_dy = 2 * mat([[-2 * y, x, w], [x, zero, z], [-w, z, -2 * y]])
+    dR_dz = 2 * mat([[-2 * z, -w, x], [w, -2 * z, y], [x, y, zero]])
+
+    g_unit = np.stack([
+        np.einsum("...ij,...ij->...", gR, d) for d in (dR_dw, dR_dx, dR_dy, dR_dz)
+    ], axis=-1)
+    proj = g_unit - np.sum(g_unit * q, axis=-1, keepdims=True) * q
+    return proj / norm

@@ -7,8 +7,9 @@ from conftest import make_camera, random_cloud
 from gradiseg.backward import ParamGrads, accumulate_monitors, backward
 from gradiseg.camera import CameraView, look_at
 from gradiseg.render import ALPHA_CLAMP, RenderOptions, render
+from gradiseg.rotation import rot_grad_to_quat_grad
 from gradiseg.scene import GaussianCloud
-from oracles import fragments_at, recomputing_backward
+from oracles import fragments_at, recomputing_backward, stacked_quat_grad
 
 FD_H = 1e-5
 REL_TOL = 1e-4
@@ -265,6 +266,27 @@ class TestRecomputingOracle:
         assert np.any(grads.colors[0]) and np.any(grads.encodings[0])
         assert np.any(grads.positions[1:])
         assert_matches_oracle(grads, recomputing_backward(cloud, cam, out, pg), dtype)
+
+
+class TestQuatGradOracle:
+    """The closed-form contraction against the stacked dR/dq matrices."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_stacked_matrices(self, rng, dtype):
+        q = (rng.standard_normal((500, 4)) * rng.uniform(0.5, 2.0, (500, 1))).astype(dtype)
+        g = rng.standard_normal((500, 3, 3)).astype(dtype)
+        got = rot_grad_to_quat_grad(q, g)
+        want = stacked_quat_grad(q.astype(np.float64), g.astype(np.float64))
+        assert got.dtype == dtype and got.shape == (500, 4)
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        assert np.all(np.abs(got - want) <= tol * scale)
+
+    def test_leading_axes(self, rng):
+        q = rng.standard_normal((3, 5, 4))
+        g = rng.standard_normal((3, 5, 3, 3))
+        np.testing.assert_allclose(rot_grad_to_quat_grad(q, g),
+                                   stacked_quat_grad(q, g), rtol=1e-12, atol=1e-14)
 
 
 class TestMonitors:

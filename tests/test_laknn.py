@@ -8,11 +8,11 @@ from scipy.special import log_softmax
 
 from conftest import random_cloud
 from gradiseg import laknn
-from gradiseg.laknn import _neighbor_pairs, kl_pairs_loss, loss_3d
+from gradiseg.laknn import _neighbor_pairs, _pair_sums, kl_pairs_loss, loss_3d
 from gradiseg.scene import GaussianCloud
 from gradiseg.semantic import ClassifierHead
-from oracles import (global_neighbors, local_adaptive_neighbors, neighbor_direction,
-                     pairwise_kl_loss)
+from oracles import (dense_kl_pairs_loss, global_neighbors, local_adaptive_neighbors,
+                     neighbor_direction, pairwise_kl_loss)
 
 
 def points_cloud(points, dim=4, dtype=np.float64):
@@ -433,3 +433,164 @@ class TestKlPairsLoss:
         finally:
             tracemalloc.stop()
         assert peak < pairs * c * 4
+
+
+class TestTreeSearch:
+    """Global and zero-EMA rows come from one KD-tree; the pairs must be the
+    float64 oracle's, including where the tree's candidates run out."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_more_coincident_points_than_k(self, rng, dtype):
+        pts = rng.uniform(-1, 1, (60, 3))
+        pts[5:30] = pts[5]          # 25 copies of one point
+        pts[40:44] = pts[41]
+        cloud = points_cloud(pts, dtype=dtype)
+        targets = np.array([5, 17, 29, 41, 0, 50])
+        for k in (1, 3, 12, 24, 30):
+            assert_same_pairs(_neighbor_pairs(cloud, targets, k, "global"),
+                              oracle_pairs(cloud, targets, k, "global"))
+        got = _neighbor_pairs(cloud, np.array([17]), 4, "global")[1]
+        assert got.tolist() == [5, 6, 7, 8]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equal_distance_shells(self, dtype):
+        # the 6 axis neighbours of a lattice point sit at one distance, the
+        # 12 edge neighbours at the next; every K cuts a shell
+        xs = np.arange(-2, 3)
+        pts = np.array([[x, y, z] for x in xs for y in xs for z in xs], dtype=float)
+        cloud = points_cloud(pts, dtype=dtype)
+        targets = np.array([62, 0, 31, 124, 57])
+        for k in (1, 4, 6, 7, 10, 18, 19, 30):
+            assert_same_pairs(_neighbor_pairs(cloud, targets, k, "global"),
+                              oracle_pairs(cloud, targets, k, "global"))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_k_at_least_n_minus_one(self, rng, dtype):
+        n = 23
+        cloud = points_cloud(rng.uniform(-1, 1, (n, 3)), dtype=dtype)
+        cloud.positions[4] = cloud.positions[9]
+        targets = rng.permutation(n)
+        for k in (n - 2, n - 1, n, 5 * n):
+            got = _neighbor_pairs(cloud, targets, k, "global")
+            assert_same_pairs(got, oracle_pairs(cloud, targets, k, "global"))
+        assert np.bincount(got[0], minlength=n).tolist() == [n - 1] * n
+
+    def test_near_tie_float32_expansion_misorders(self):
+        # candidates 1 and 2 lie 2**-20 apart in squared distance from a
+        # target far from the origin; the expansion |p|^2 - 2 p.q + |q|^2 in
+        # float32 loses that gap and a dense float32 search keeps 2 first
+        base = np.float32(300.0)
+        pts = np.array([[base, 0, 0], [base + 0.25, 0, 0], [base, 0.25, 2.0 ** -12],
+                        [base + 3.0, 0, 0]], dtype=np.float32)
+        cloud = points_cloud(pts, dtype=np.float32)
+        p64 = pts.astype(np.float64)
+        d64 = ((p64 - p64[0]) ** 2).sum(axis=1)
+        assert d64[1] < d64[2]
+        sq = np.einsum("nj,nj->n", pts, pts)
+        d32 = sq + sq[0] - 2.0 * (pts @ pts[0])
+        assert not d32[1] < d32[2]
+        got = _neighbor_pairs(cloud, np.array([0]), 1, "global")
+        assert got[1].tolist() == [1]
+        assert_same_pairs(got, oracle_pairs(cloud, np.array([0]), 1, "global"))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_ema_rows_in_local_mode(self, rng, dtype):
+        cloud = points_cloud(rng.uniform(-1, 1, (200, 3)), dtype=dtype)
+        cloud.positions[10:20] = cloud.positions[10]
+        cloud.pos_grad_ema[:] = rng.standard_normal((200, 3))
+        zero = rng.random(200) < 0.4
+        zero[10:20] = True
+        cloud.pos_grad_ema[zero] = 0.0
+        targets = rng.choice(200, 150, replace=False)
+        got = _neighbor_pairs(cloud, targets, 6, "local-adaptive")
+        assert_same_pairs(got, oracle_pairs(cloud, targets, 6, "local-adaptive"))
+        fallback = zero[targets]
+        assert 0 < fallback.sum() < targets.size
+        glob = _neighbor_pairs(cloud, targets[fallback], 6, "global")
+        rows = np.isin(got[0], targets[fallback])
+        assert_same_pairs((got[0][rows], got[1][rows]), glob)
+
+    def test_tree_candidates_rechecked(self, rng, monkeypatch):
+        # a margin of 0.5 re-asks most rows; the pairs stay the same
+        cloud = points_cloud(rng.uniform(-1, 1, (300, 3)), dtype=np.float32)
+        targets = rng.choice(300, 120, replace=False)
+        base = _neighbor_pairs(cloud, targets, 7, "global")
+        monkeypatch.setattr(laknn, "_TREE_MARGIN", 0.5)
+        assert_same_pairs(_neighbor_pairs(cloud, targets, 7, "global"), base)
+        assert_same_pairs(base, oracle_pairs(cloud, targets, 7, "global"))
+
+
+def repeated_rows_head(rng, dtype, c=32, d=4):
+    """Six distinct rows: class k shares the row of class k % 6, and class
+    5's row is all zero."""
+    w = rng.standard_normal((6, d))
+    b = rng.standard_normal(6)
+    w[5], b[5] = 0.0, 0.0
+    return ClassifierHead(w[np.arange(c) % 6].astype(dtype), b[np.arange(c) % 6].astype(dtype))
+
+
+def grouped_pairs(rng, dtype, n=60, k=4):
+    cloud = points_cloud(rng.uniform(-1, 1, (n, 3)), dtype=dtype)
+    cloud.encodings[:] = rng.standard_normal((n, 4)) * 0.7
+    targets = rng.choice(n, 25, replace=False)
+    return (cloud.encodings,) + _neighbor_pairs(cloud, targets, k, "global")
+
+
+class TestKlRepeatedRows:
+    """kl_pairs_loss on heads with repeated rows against the float64 pairwise
+    oracle, and on heads without them against the per-class form, byte for
+    byte."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pairs", ["grouped", "ungrouped"])
+    def test_repeated_rows_match_oracle(self, rng, dtype, pairs):
+        if pairs == "grouped":
+            enc, pair_i, pair_j = grouped_pairs(rng, dtype)
+        else:
+            enc, _, pair_i, pair_j = ungrouped_pairs(rng)
+            enc = enc.astype(dtype)
+        head = repeated_rows_head(rng, dtype)
+        tol = dict(rtol=1e-4, atol=1e-6) if dtype == np.float32 else dict(rtol=1e-10, atol=1e-13)
+        for head_grads in (False, True):
+            loss, ge, hg = kl_pairs_loss(enc, head, pair_i, pair_j, head_grads=head_grads)
+            want_loss, want_ge, want_hg = pairwise_kl_loss(enc, head, pair_i, pair_j,
+                                                           head_grads=head_grads)
+            assert ge.dtype == dtype
+            assert loss == pytest.approx(want_loss, rel=tol["rtol"], abs=tol["atol"])
+            np.testing.assert_allclose(ge, want_ge, **tol)
+            if head_grads:
+                np.testing.assert_allclose(hg[0], want_hg[0], **tol)
+                np.testing.assert_allclose(hg[1], want_hg[1], **tol)
+                # classes sharing a row share their gradient bytes
+                assert (hg[0][1::6] == hg[0][1]).all() and (hg[1][5::6] == hg[1][5]).all()
+            else:
+                assert hg is None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pairs", ["grouped", "ungrouped"])
+    def test_distinct_rows_parent_bytes(self, rng, dtype, pairs):
+        if pairs == "grouped":
+            enc, pair_i, pair_j = grouped_pairs(rng, dtype)
+        else:
+            enc, _, pair_i, pair_j = ungrouped_pairs(rng)
+            enc = enc.astype(dtype)
+        head = ClassifierHead(rng.standard_normal((32, 4)).astype(dtype),
+                              rng.standard_normal(32).astype(dtype))
+        for head_grads in (False, True):
+            got = kl_pairs_loss(enc, head, pair_i, pair_j, head_grads=head_grads)
+            want = dense_kl_pairs_loss(enc, head, pair_i, pair_j, head_grads=head_grads)
+            assert got[0] == want[0]
+            assert got[1].tobytes() == want[1].tobytes()
+            if head_grads:
+                for a, b in zip(got[2], want[2]):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pair_sums_in_pair_order(self, rng, dtype):
+        index = rng.integers(0, 9, 400)
+        rows = rng.standard_normal((400, 5)).astype(dtype)
+        got = _pair_sums(index, rows, 11)
+        want = np.zeros((11, 5), dtype=dtype)
+        np.add.at(want, index, rows)
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()

@@ -5,8 +5,9 @@ import pytest
 
 from conftest import make_camera, random_cloud
 from gradiseg.render import render
-from gradiseg.semantic import ClassifierHead, classify, loss_2d, segment_mask
-from oracles import full_image_loss_2d, full_image_segment_mask
+from gradiseg.semantic import ClassifierHead, class_groups, classify, loss_2d, segment_mask
+from oracles import (dense_classify, dense_loss_2d, full_image_loss_2d,
+                     full_image_segment_mask)
 
 
 class TestClassify:
@@ -221,3 +222,143 @@ class TestSegmentMask:
         assert mask.dtype == want.dtype == np.uint8
         assert mask.tobytes() == want.tobytes()
         assert (mask != 0).any() == (coverage != "none")
+
+
+def repeated_head(rng, dtype, c=40, d=8):
+    """A head with six distinct rows: class k shares the row of class k % 6,
+    and class 5's row is all zero, as an untrained class starts."""
+    head = ClassifierHead(rng.standard_normal((c, d)).astype(dtype),
+                          rng.standard_normal(c).astype(dtype))
+    head.weights[5], head.biases[5] = 0.0, 0.0
+    head.weights[:] = head.weights[np.arange(c) % 6]
+    head.biases[:] = head.biases[np.arange(c) % 6]
+    return head
+
+
+def float64_head(head):
+    return ClassifierHead(head.weights.astype(np.float64), head.biases.astype(np.float64))
+
+
+class TestClassGroups:
+    def test_groups_by_first_index_with_sizes(self, rng):
+        head = repeated_head(rng, np.float32)
+        groups = class_groups(head)
+        assert groups.first.tolist() == [0, 1, 2, 3, 4, 5]
+        assert groups.size.tolist() == [7, 7, 7, 7, 6, 6]
+        np.testing.assert_array_equal(groups.first[groups.of_class[groups.first]],
+                                      groups.first)
+        for cls in range(head.num_classes):
+            g = groups.first[groups.of_class[cls]]
+            assert head.weights[cls].tobytes() == head.weights[g].tobytes()
+            assert head.biases[cls] == head.biases[g]
+
+    def test_kept_classes_get_their_own_group(self, rng):
+        head = repeated_head(rng, np.float64)
+        groups = class_groups(head, keep=np.array([9, 13]))
+        assert groups.size[groups.of_class[9]] == 1
+        assert groups.size[groups.of_class[13]] == 1
+        assert groups.size[groups.of_class[3]] == 6   # 9 leaves 3's group
+        assert groups.size[groups.of_class[1]] == 6   # and 13 leaves 1's
+        assert groups.first.tolist() == sorted(groups.first.tolist())
+
+    def test_distinct_rows_are_their_own_groups(self, rng):
+        head = ClassifierHead(rng.standard_normal((12, 4)), rng.standard_normal(12))
+        groups = class_groups(head)
+        assert groups.size.tolist() == [1] * 12
+        assert groups.of_class.tolist() == groups.first.tolist() == list(range(12))
+
+
+class TestRepeatedRows:
+    """classify, segment_mask and loss_2d on heads with repeated rows against
+    the float64 per-class oracles, and on heads without them, byte for byte
+    against the per-class forms."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_classify_matches_oracle(self, rng, dtype):
+        head = repeated_head(rng, dtype)
+        feats = rng.standard_normal((50, 8)).astype(dtype)
+        got = classify(feats, head)
+        want = dense_classify(feats.astype(np.float64), float64_head(head))
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=1e-12 if dtype == np.float64 else 1e-5)
+        # classes of one group get the same bytes
+        assert (got[:, 1::6] == got[:, [1]]).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_classify_distinct_rows_parent_bytes(self, rng, dtype):
+        head = ClassifierHead(rng.standard_normal((40, 8)).astype(dtype),
+                              rng.standard_normal(40).astype(dtype))
+        feats = rng.standard_normal((50, 8)).astype(dtype)
+        assert classify(feats, head).tobytes() == dense_classify(feats, head).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_segment_mask_ties_across_groups(self, rng, dtype):
+        # classes 2 and 5 tie at zero features (equal biases, different
+        # weights) above every other class; 5 also repeats as 9
+        head = ClassifierHead(rng.standard_normal((12, 4)).astype(dtype),
+                              np.zeros(12, dtype=dtype))
+        head.weights[9], head.weights[7] = head.weights[5], head.weights[0]
+        head.biases[[2, 5, 9]] = 3.0
+        ident = rng.standard_normal((9, 7, 4)).astype(dtype)
+        ident[::2] = 0.0
+        t_final = np.zeros((9, 7), dtype=dtype)
+        mask = segment_mask(ident, t_final, head)
+        want = full_image_segment_mask(ident.astype(np.float64), t_final, float64_head(head))
+        assert (mask[::2] == 2).all()
+        assert mask.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_segment_mask_matches_oracle(self, rng, dtype):
+        head = repeated_head(rng, dtype)
+        ident = rng.standard_normal((37, 29, 8)).astype(dtype)
+        t_final = rng.uniform(0.0, 1.0, (37, 29)).astype(dtype)
+        mask = segment_mask(ident, t_final, head)
+        want = full_image_segment_mask(ident.astype(np.float64), t_final, float64_head(head))
+        assert mask.tobytes() == want.tobytes()
+        assert set(np.unique(mask)) <= {0, 1, 2, 3, 4, 5}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["dense", "zero", "mixed", "rendered"])
+    def test_loss_2d_matches_oracle(self, rng, dtype, kind):
+        """Bounds as in TestLoss2dOracle, against the oracle in float64. The
+        labels include class 9, which shares its row with 3, 15, 21, ...,
+        and class 11, which shares the all-zero row with 5, 17, ..."""
+        ident = identity_map(kind, rng, dtype)
+        h, w, d = ident.shape
+        head = repeated_head(rng, dtype, d=d)
+        c = head.num_classes
+        mask = rng.choice([0, 3, 5, 9, 11, 21], (h, w)).astype(np.uint8)
+        loss, d_feats, (dw, db) = loss_2d(ident, mask, head)
+        want_loss, want_feats, (want_dw, want_db) = full_image_loss_2d(
+            ident.astype(np.float64), mask, float64_head(head))
+        for got in (d_feats, dw, db):
+            assert got.dtype == dtype
+
+        eps, npix = np.finfo(dtype).eps, h * w
+        feats = ident.reshape(npix, d).astype(np.float64)
+        dl = dense_classify(feats, float64_head(head))
+        dl[np.arange(npix), mask.ravel()] -= 1.0
+        dl = np.abs(dl) / npix
+        assert abs(loss - want_loss) <= (npix + 2) * eps * want_loss
+        assert np.all(np.abs(d_feats.reshape(npix, d) - want_feats.reshape(npix, d))
+                      <= (c + 2) * eps * (dl @ np.abs(head.weights)))
+        assert np.all(np.abs(dw - want_dw) <= (npix + 2) * eps * (dl.T @ np.abs(feats)))
+        assert np.all(np.abs(db - want_db) <= (npix + 2) * eps * dl.sum(axis=0))
+        # unlabelled classes of one group get the same gradient bytes
+        for members in ([1, 7, 13, 37], [2, 8, 14, 38]):
+            assert (dw[members] == dw[members[0]]).all()
+            assert (db[members] == db[members[0]]).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["dense", "mixed", "rendered"])
+    def test_loss_2d_distinct_rows_parent_bytes(self, rng, dtype, kind):
+        ident = identity_map(kind, rng, dtype)
+        h, w, d = ident.shape
+        head = ClassifierHead(rng.standard_normal((40, d)).astype(dtype),
+                              rng.standard_normal(40).astype(dtype))
+        mask = rng.integers(0, 40, (h, w)).astype(np.uint8)
+        got = loss_2d(ident, mask, head)
+        want = dense_loss_2d(ident, mask, head)
+        assert got[0] == want[0]
+        for a, b in ((got[1], want[1]), (got[2][0], want[2][0]), (got[2][1], want[2][1])):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

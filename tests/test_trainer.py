@@ -309,6 +309,18 @@ class TestTrainLoop:
         f2 = (tmp_path / "b" / "final.gseg").read_bytes()
         assert f1 == f2
 
+    def test_unlabelled_head_rows_stay_byte_identical(self, tmp_path):
+        dataset = tiny_dataset()
+        result = train(dataset, fast_schedule(total_iters=24, checkpoint_interval=0),
+                       tmp_path)
+        labels = np.unique(np.concatenate([v.mask.ravel() for v in dataset.views]))
+        unlabelled = np.setdiff1d(np.arange(result.head.num_classes), labels)
+        assert unlabelled.size > 200
+        rows = np.concatenate([result.head.weights, result.head.biases[:, None]], axis=1)
+        assert np.abs(rows[unlabelled[0]]).max() > 0.0
+        assert (rows[unlabelled] == rows[unlabelled[0]]).all()
+        assert np.unique(rows, axis=0).shape[0] == labels.size + 1
+
     def test_phase_exclusivity_and_knn_switch(self, tmp_path, monkeypatch):
         import gradiseg.trainer as trainer_mod
         events = []  # (kind, call order)
