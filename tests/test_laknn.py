@@ -476,21 +476,23 @@ class TestTreeSearch:
         assert np.bincount(got[0], minlength=n).tolist() == [n - 1] * n
 
     def test_near_tie_float32_expansion_misorders(self):
-        # candidates 1 and 2 lie 2**-20 apart in squared distance from a
-        # target far from the origin; the expansion |p|^2 - 2 p.q + |q|^2 in
-        # float32 loses that gap and a dense float32 search keeps 2 first
-        base = np.float32(300.0)
-        pts = np.array([[base, 0, 0], [base + 0.25, 0, 0], [base, 0.25, 2.0 ** -12],
-                        [base + 3.0, 0, 0]], dtype=np.float32)
+        # candidates 1 and 2 lie 1.8e-6 apart in squared distance from a
+        # target 50 from the origin; the expansion -2 p.q + |p|^2 + |q|^2 in
+        # float32 loses that gap and puts 1 first
+        pts = np.array([[13.696168899536133, -23.02132797241211, -45.90264892578125],
+                        [13.212696075439453, -22.708059310913086, -45.489891052246094],
+                        [14.221671104431152, -22.63966178894043, -46.186248779296875],
+                        [23.696168899536133, -13.021328926086426, -35.90264892578125]],
+                       dtype=np.float32)
         cloud = points_cloud(pts, dtype=np.float32)
         p64 = pts.astype(np.float64)
         d64 = ((p64 - p64[0]) ** 2).sum(axis=1)
-        assert d64[1] < d64[2]
+        assert d64[2] < d64[1] < d64[2] + 2e-6
         sq = np.einsum("nj,nj->n", pts, pts)
-        d32 = sq + sq[0] - 2.0 * (pts @ pts[0])
-        assert not d32[1] < d32[2]
+        d32 = (pts @ pts[0]) * np.float32(-2.0) + sq + sq[0]
+        assert d32[1] < d32[2]
         got = _neighbor_pairs(cloud, np.array([0]), 1, "global")
-        assert got[1].tolist() == [1]
+        assert got[1].tolist() == [2]
         assert_same_pairs(got, oracle_pairs(cloud, np.array([0]), 1, "global"))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
