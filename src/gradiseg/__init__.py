@@ -31,7 +31,7 @@ _fix_malloc_thresholds()
 from .backward import ParamGrads, accumulate_monitors
 from .camera import CameraView, look_at, project_cloud
 from .dataset import Dataset, load_dataset, save_dataset
-from .igd import IgdConfig, igd_step
+from .igd import igd_step
 from .laknn import loss_3d
 from .metrics import EvalReport, evaluate_masks, mbiou, miou, psnr
 from .render import (RenderOptions, RenderOutput, group_weight_mask,
@@ -46,7 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamOptimizer", "CameraView", "ClassifierHead", "Dataset", "EvalReport",
-    "GaussianCloud", "GroupTable", "IgdConfig", "ObjectSpec", "ParamGrads",
+    "GaussianCloud", "GroupTable", "ObjectSpec", "ParamGrads",
     "RenderOptions", "RenderOutput", "SceneSpec", "TrainSchedule",
     "accumulate_monitors", "assign_groups", "classify", "default_scene_spec",
     "evaluate_masks", "extract_group", "generate", "group_weight_mask",

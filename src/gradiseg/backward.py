@@ -18,7 +18,7 @@ visibility for densification's monitors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,15 +40,16 @@ class ParamGrads:
     encodings: np.ndarray        # (N, D)
     visible: np.ndarray          # (N,) bool: produced >= 1 fragment
 
-    _FIELDS = ("positions", "log_scales", "rotations", "logit_opacities",
-               "colors", "encodings")
-
     @classmethod
     def zeros(cls, n: int, d: int, dtype) -> "ParamGrads":
         return cls(np.zeros((n, 3), dtype=dtype), np.zeros((n, 3), dtype=dtype),
                    np.zeros((n, 4), dtype=dtype), np.zeros(n, dtype=dtype),
                    np.zeros((n, 3), dtype=dtype), np.zeros((n, d), dtype=dtype),
                    np.zeros(n, dtype=bool))
+
+
+# the per-Gaussian parameter families, in optimizer coordinates
+PER_GAUSSIAN = tuple(f.name for f in fields(ParamGrads) if f.name != "visible")
 
 
 def _segment_suffix_sum(values: np.ndarray, frag_start: np.ndarray,

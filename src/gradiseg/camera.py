@@ -88,7 +88,7 @@ class ProjectedSplats:
     intermediates the backward pass reuses."""
 
     __slots__ = ("index", "mean2d", "cov2d", "inv_cov", "depth", "t_cam",
-                 "bbox", "J", "A", "R", "cov3d", "scales", "cam", "n_source")
+                 "bbox", "J", "A", "R", "cov3d", "scales", "n_source")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -199,6 +199,5 @@ def project_cloud(cloud: GaussianCloud, cam: CameraView,
     return ProjectedSplats(
         index=idx, mean2d=take(mean2d), cov2d=cov_sel, inv_cov=inv,
         depth=take(depth), t_cam=take(t), bbox=bbox, J=take(J), A=take(A),
-        R=take(R), cov3d=take(cov3d), scales=take(cloud.scales), cam=cam,
-        n_source=n,
+        R=take(R), cov3d=take(cov3d), scales=take(cloud.scales), n_source=n,
     )

@@ -18,6 +18,8 @@ from .camera import CameraView
 from .netpbm import read_pgm, read_ppm, write_pgm, write_ppm
 from .semantic import MAX_CLASSES
 
+BOUNDS_RADIUS_FRAC = 0.45  # inferred half-extent per mean camera distance
+
 
 @dataclass
 class Dataset:
@@ -84,11 +86,11 @@ def save_dataset(out_dir, views: list[CameraView], num_classes: int = 256,
     return path
 
 
-def infer_scene_bounds(views: list[CameraView], radius_frac: float = 0.45) -> np.ndarray:
+def infer_scene_bounds(views: list[CameraView]) -> np.ndarray:
     """Fallback working volume when the manifest carries no scene_bbox.
 
     Center: least-squares intersection point of the views' optical axes;
-    half-extent: radius_frac * mean camera distance to that center.
+    half-extent: BOUNDS_RADIUS_FRAC * mean camera distance to that center.
     """
     A = np.zeros((3, 3))
     b = np.zeros(3)
@@ -102,5 +104,5 @@ def infer_scene_bounds(views: list[CameraView], radius_frac: float = 0.45) -> np
         centers.append(c)
     center = np.linalg.lstsq(A, b, rcond=None)[0]
     dist = np.mean([np.linalg.norm(c - center) for c in centers])
-    half = max(radius_frac * dist, 1e-3)
+    half = max(BOUNDS_RADIUS_FRAC * dist, 1e-3)
     return np.stack([center - half, center + half])

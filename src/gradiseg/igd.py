@@ -15,22 +15,10 @@ import numpy as np
 from .rotation import quat_to_rot
 from .scene import MONITORS, GaussianCloud
 
-
-@dataclass
-class IgdConfig:
-    tau_percentile: float = 99.0     # anomaly threshold over mean monitor values
-    opacity_eps: float = 0.005
-    too_large_frac: float = 0.1      # of scene extent
-    split_scale_div: float = 1.6
-    split_offset_frac: float = 0.5   # of the largest scale component
-
-    def __post_init__(self):
-        if not (0 < self.tau_percentile < 100):
-            raise ValueError("tau_percentile must be in (0, 100)")
-        for name in ("opacity_eps", "too_large_frac", "split_scale_div",
-                     "split_offset_frac"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+TAU_PERCENTILE = 99.0     # anomaly threshold over mean monitor values
+TOO_LARGE_FRAC = 0.1      # of scene extent
+SPLIT_SCALE_DIV = 1.6
+SPLIT_OFFSET_FRAC = 0.5   # of the largest scale component
 
 
 @dataclass
@@ -60,26 +48,25 @@ def split_rows(cloud: GaussianCloud, rows: np.ndarray, offsets: np.ndarray,
     return children
 
 
-def igd_step(cloud: GaussianCloud, cfg: IgdConfig,
-             scene_extent: float | None = None) -> IgdResult:
+def igd_step(cloud: GaussianCloud, opacity_eps: float,
+             scene_extent: float) -> IgdResult:
     """One densification pass: prune, split anomalous rows, reset monitors.
 
-    Rows whose mean monitor (accumulated identity-gradient norm per visible
-    iteration) exceeds the tau_percentile of the surviving visible rows are
-    split in two. The children sit at p +- split_offset_frac * s_max * v, v
-    the world-space axis of the largest scale component (ties to the lowest
-    axis), with every scale component divided by split_scale_div. A row with
-    s_max < 1e-9 gives two unshrunk copies at p.
+    Rows with opacity below opacity_eps or a scale component above
+    TOO_LARGE_FRAC * scene_extent are pruned. Rows whose mean monitor
+    (accumulated identity-gradient norm per visible iteration) exceeds the
+    TAU_PERCENTILE of the surviving visible rows are split in two. The
+    children sit at p +- SPLIT_OFFSET_FRAC * s_max * v, v the world-space
+    axis of the largest scale component (ties to the lowest axis), with every
+    scale component divided by SPLIT_SCALE_DIV. A row with s_max < 1e-9 gives
+    two unshrunk copies at p.
     """
-    if scene_extent is None:
-        scene_extent = cloud.scene_extent()
-
-    alive = ~((cloud.opacities < cfg.opacity_eps)
-              | (cloud.scales.max(axis=1) > cfg.too_large_frac * scene_extent))
+    alive = ~((cloud.opacities < opacity_eps)
+              | (cloud.scales.max(axis=1) > TOO_LARGE_FRAC * scene_extent))
     m = cloud.id_grad_accum / np.maximum(cloud.visible_count, 1)
     seen = alive & (cloud.visible_count > 0)
     if seen.any():
-        tau = float(np.percentile(m[seen], cfg.tau_percentile))
+        tau = float(np.percentile(m[seen], TAU_PERCENTILE))
         split = alive & (m > tau)
     else:
         tau = 0.0
@@ -93,9 +80,9 @@ def igd_step(cloud: GaussianCloud, cfg: IgdConfig,
     degenerate = s_max < 1e-9
     R = quat_to_rot(cloud.rotations[rows])
     v = R[np.arange(rows.size), :, np.argmax(s, axis=1)]
-    offset = cfg.split_offset_frac * s_max[:, None] * v
+    offset = SPLIT_OFFSET_FRAC * s_max[:, None] * v
     offset[degenerate] = 0.0
-    new_scale = s / dt.type(cfg.split_scale_div)
+    new_scale = s / dt.type(SPLIT_SCALE_DIV)
     new_scale[degenerate] = s[degenerate]
     offsets = np.stack([offset, -offset], axis=1).reshape(-1, 3)
 

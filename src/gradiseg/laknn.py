@@ -163,13 +163,12 @@ def _pair_sums(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
 
 
 def kl_pairs_loss(encodings: np.ndarray, head: ClassifierHead,
-                  pair_i: np.ndarray, pair_j: np.ndarray,
-                  head_grads: bool = False):
+                  pair_i: np.ndarray, pair_j: np.ndarray):
     """Mean KL(F(e_i) || F(e_j)) over the given pairs, with encoding gradients.
 
-    Returns (loss, dL/dencodings, (dL/dW, dL/db) or None). The classifier is
-    treated as a constant unless head_grads is set. Pairs may repeat, and a
-    Gaussian may appear on both sides.
+    Returns (loss, dL/dencodings). The classifier head is a constant of this
+    loss: L3d trains the encodings only. Pairs may repeat, and a Gaussian may
+    appear on both sides.
 
     The head is linear, so with z = W e + b, lse = logsumexp(z), p =
     softmax(z) and pw = p @ W, every pair term is D-wide:
@@ -180,13 +179,9 @@ def kl_pairs_loss(encodings: np.ndarray, head: ClassifierHead,
     S_r = sum over pairs with i = r of (e_r - e_j), and once per distinct
     head row (semantic.class_groups).
     """
-    n, d = encodings.shape
-    dt = encodings.dtype
-    grad_e = np.zeros((n, d), dtype=dt)
+    grad_e = np.zeros(encodings.shape, dtype=encodings.dtype)
     if pair_i.size == 0:
-        if head_grads:
-            return 0.0, grad_e, (np.zeros_like(head.weights), np.zeros_like(head.biases))
-        return 0.0, grad_e, None
+        return 0.0, grad_e
 
     involved, inv = np.unique(np.concatenate([pair_i, pair_j]), return_inverse=True)
     ii, jj = inv[:pair_i.size], inv[pair_i.size:]
@@ -215,26 +210,17 @@ def kl_pairs_loss(encodings: np.ndarray, head: ClassifierHead,
     ge_rows += _pair_sums(jj, pw[jj] - pw[ii], r)
     ge_rows /= m
     grad_e[involved] = ge_rows
-
-    hg = None
-    if head_grads:
-        # row r's logits also take p_r - p_i from each pair (i, r). Against
-        # the encodings that sums to (cnt_j - cnt_i) p e^T + p^T S, since
-        # S_r = cnt_i e_r - (the sum of e_j over pairs (r, j)).
-        cnt = (np.bincount(jj, minlength=r) - np.bincount(ii, minlength=r)).astype(dt)
-        gz += cnt[:, None] * p
-        hg = (groups.expand((gz.T @ e + p.T @ s) / m, axis=0),
-              groups.expand(gz.sum(axis=0) / m))
-    return loss, grad_e, hg
+    return loss, grad_e
 
 
 def loss_3d(cloud: GaussianCloud, head: ClassifierHead, m: int, k: int,
-            mode: str, rng_seed, head_grads: bool = False):
+            mode: str, rng_seed):
     """Neighborhood-consistency loss: sample M targets, pull each toward its
     neighbors' class distributions via KL divergence.
 
     Missing neighbors (fewer than K candidates) shrink the averaging
-    denominator. Returns (loss, dL/dencodings, head grads or None).
+    denominator. Returns (loss, dL/dencodings); the head is a constant of
+    L3d.
     """
     if mode not in ("global", "local-adaptive"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -243,10 +229,8 @@ def loss_3d(cloud: GaussianCloud, head: ClassifierHead, m: int, k: int,
         warnings.warn(f"requested {m} samples from {n} Gaussians; clamping")
         m = n
     if n == 0 or m == 0:
-        empty = np.zeros_like(cloud.encodings)
-        return 0.0, empty, ((np.zeros_like(head.weights), np.zeros_like(head.biases))
-                            if head_grads else None)
+        return 0.0, np.zeros_like(cloud.encodings)
     rng = np.random.default_rng(rng_seed)
     targets = rng.choice(n, size=m, replace=False)
     pair_i, pair_j = _neighbor_pairs(cloud, targets, k, mode)
-    return kl_pairs_loss(cloud.encodings, head, pair_i, pair_j, head_grads=head_grads)
+    return kl_pairs_loss(cloud.encodings, head, pair_i, pair_j)

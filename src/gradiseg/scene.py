@@ -7,6 +7,7 @@ every mutation (select/append) moves all arrays in lockstep.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import warnings
@@ -67,6 +68,11 @@ ROW_NAMES = tuple(f[0] for f in ROW_FIELDS)
 MONITORS = ROW_NAMES[-3:]
 
 
+def _field_shape(shape: tuple, n: int, d: int) -> tuple:
+    """Full shape of a ROW_FIELDS entry for n rows of encoding dimension d."""
+    return (n,) + tuple(d if s == "D" else s for s in shape)
+
+
 class GaussianCloud:
     """The trainable scene: N Gaussians plus per-Gaussian gradient monitors.
 
@@ -90,7 +96,7 @@ class GaussianCloud:
         enc = np.asarray(given["encodings"])
         d = enc.shape[1] if enc.ndim == 2 else enc.reshape(n, -1).shape[1]
         for name, shape, kind, fill in ROW_FIELDS:
-            shape = (n,) + tuple(d if s == "D" else s for s in shape)
+            shape = _field_shape(shape, n, d)
             dt = dtype if kind == "f" else kind
             value = given.get(name)
             if value is None:
@@ -145,11 +151,13 @@ class GaussianCloud:
 
     def validate(self) -> None:
         n, d = self.n, self.dim
-        for name, shape, _, _ in ROW_FIELDS:
-            shape = (n,) + tuple(d if s == "D" else s for s in shape)
+        for name, shape, kind, _ in ROW_FIELDS:
+            shape = _field_shape(shape, n, d)
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+            if kind == "f" and name not in MONITORS and not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         if n == 0:
             return
         if not np.all(self.scales > 0):
@@ -161,8 +169,6 @@ class GaussianCloud:
             raise ValueError("opacity out of range")
         if np.any(self.colors < 0) or np.any(self.colors > 1):
             raise ValueError("color components out of range")
-        if not np.all(np.isfinite(self.encodings)):
-            raise ValueError("identity encodings must be finite")
         if np.any(self.id_grad_accum < 0):
             raise ValueError("id_grad_accum must be non-negative")
         if np.any(self.visible_count < 0):
@@ -192,10 +198,13 @@ class GaussianCloud:
 
 # -- persistence (GSEG1 container) -------------------------------------------
 #
-# Layout: b"GSEG1", u32 version=1, u32 N, u32 D, u32 C (1 to 256), then
-# little-endian float32 arrays positions N*3, scales N*3, rotations N*4,
-# opacities N, colors N*3, encodings N*D, int32 group_ids N, float32 head
-# weights C*D and biases C.
+# Layout: b"GSEG1", u32 version=1, u32 N, u32 D, u32 C (1 to 256), then the
+# little-endian row arrays of GSEG_ROWS in order (positions N*3, scales N*3,
+# rotations N*4, opacities N, colors N*3, encodings N*D as float32,
+# group_ids N as int32), then float32 head weights C*D and biases C.
+
+GSEG_ROWS = tuple((name, shape, "<f4" if kind == "f" else "<i4")
+                  for name, shape, kind, _ in ROW_FIELDS if name not in MONITORS)
 
 
 def save_scene(cloud: GaussianCloud, head, path) -> None:
@@ -207,19 +216,9 @@ def save_scene(cloud: GaussianCloud, head, path) -> None:
     c = head.weights.shape[0]
     if head.weights.shape != (c, d) or head.biases.shape != (c,):
         raise ValueError("head shapes inconsistent with cloud encoding dimension")
-    parts = [
-        GSEG_MAGIC,
-        struct.pack("<IIII", GSEG_VERSION, n, d, c),
-        cloud.positions.astype("<f4").tobytes(),
-        cloud.scales.astype("<f4").tobytes(),
-        cloud.rotations.astype("<f4").tobytes(),
-        cloud.opacities.astype("<f4").tobytes(),
-        cloud.colors.astype("<f4").tobytes(),
-        cloud.encodings.astype("<f4").tobytes(),
-        cloud.group_ids.astype("<i4").tobytes(),
-        head.weights.astype("<f4").tobytes(),
-        head.biases.astype("<f4").tobytes(),
-    ]
+    parts = [GSEG_MAGIC, struct.pack("<IIII", GSEG_VERSION, n, d, c)]
+    parts += [getattr(cloud, name).astype(disk).tobytes() for name, _, disk in GSEG_ROWS]
+    parts += [head.weights.astype("<f4").tobytes(), head.biases.astype("<f4").tobytes()]
     write_atomic(path, parts)
 
 
@@ -243,7 +242,7 @@ def load_scene(path):
     """Load a GSEG1 file. Returns (GaussianCloud, ClassifierHead), float32 arrays.
 
     Quaternions with norm drift up to 1e-4 are renormalized; larger drift,
-    out-of-range opacities/colors or non-positive scales are errors.
+    and any payload that GaussianCloud.validate rejects, are errors.
     """
     from .semantic import MAX_CLASSES, ClassifierHead
 
@@ -258,55 +257,38 @@ def load_scene(path):
         raise SceneFormatError(f"unsupported version {version}")
     if not 1 <= c <= MAX_CLASSES:
         raise SceneFormatError(f"class count {c} outside [1, {MAX_CLASSES}]")
-    counts_f4 = [n * 3, n * 3, n * 4, n, n * 3, n * d]
-    total = 21 + 4 * (sum(counts_f4) + n + c * d + c)
+    arrays = [(name, _field_shape(shape, n, d), disk) for name, shape, disk in GSEG_ROWS]
+    arrays += [("weights", (c, d), "<f4"), ("biases", (c,), "<f4")]
+    total = 21 + sum(4 * math.prod(shape) for _, shape, _ in arrays)
     if len(blob) != total:
         raise SceneFormatError("truncated payload" if len(blob) < total
                                else f"{len(blob) - total} trailing bytes after payload")
 
-    off = 21
-    arrs = []
-    for cnt in counts_f4:
-        arrs.append(np.frombuffer(blob, dtype="<f4", count=cnt, offset=off).copy())
-        off += 4 * cnt
-    group_ids = np.frombuffer(blob, dtype="<i4", count=n, offset=off).copy()
+    off, rows = 21, {}
+    for name, shape, disk in arrays:
+        count = math.prod(shape)
+        rows[name] = np.frombuffer(blob, dtype=disk, count=count,
+                                   offset=off).copy().reshape(shape)
+        off += 4 * count
+    head = ClassifierHead(rows.pop("weights"), rows.pop("biases"))
+    group_ids = rows["group_ids"]
     if n > 0 and (group_ids.min() < -1 or group_ids.max() >= c):
         raise SceneFormatError(f"group id outside [-1, {c}) for class count {c}")
-    off += 4 * n
-    w = np.frombuffer(blob, dtype="<f4", count=c * d, offset=off).copy().reshape(c, d)
-    off += 4 * c * d
-    b = np.frombuffer(blob, dtype="<f4", count=c, offset=off).copy()
+    rotations = rows["rotations"]
+    norms = np.linalg.norm(rotations, axis=1)
+    drift = np.abs(norms - 1.0)
+    if np.any(drift > QUAT_LOAD_DRIFT):
+        raise SceneFormatError("quaternion norm drift beyond tolerance")
+    # renormalize only rows that violate the in-memory tolerance, so a
+    # save -> load -> save cycle is byte-identical for valid scenes
+    fix = drift > QUAT_NORM_TOL
+    rotations[fix] /= norms[fix, None]
 
-    positions = arrs[0].reshape(n, 3)
-    scales = arrs[1].reshape(n, 3)
-    rotations = arrs[2].reshape(n, 4)
-    opacities = arrs[3]
-    colors = arrs[4].reshape(n, 3)
-    encodings = arrs[5].reshape(n, d)
-
-    if n > 0:
-        if np.any(opacities < 0) or np.any(opacities > 1):
-            raise SceneFormatError("opacity out of range")
-        if not np.all(scales > 0):
-            raise SceneFormatError("non-positive scale")
-        if np.any(colors < 0) or np.any(colors > 1):
-            raise SceneFormatError("color out of range")
-        if not np.all(np.isfinite(encodings)):
-            raise SceneFormatError("non-finite identity encoding")
-        norms = np.linalg.norm(rotations, axis=1)
-        drift = np.abs(norms - 1.0)
-        if np.any(drift > QUAT_LOAD_DRIFT):
-            raise SceneFormatError("quaternion norm drift beyond tolerance")
-        # renormalize only rows that violate the in-memory tolerance, so a
-        # save -> load -> save cycle is byte-identical for valid scenes
-        fix = drift > QUAT_NORM_TOL
-        if fix.any():
-            rotations = rotations.copy()
-            rotations[fix] /= norms[fix, None]
-
-    cloud = GaussianCloud(positions, scales, rotations, opacities, colors,
-                          encodings, group_ids)
-    head = ClassifierHead(w, b)
+    cloud = GaussianCloud(**rows)
+    try:
+        cloud.validate()
+    except ValueError as e:
+        raise SceneFormatError(str(e)) from None
     return cloud, head
 
 

@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .backward import ParamGrads, accumulate_monitors, backward
+from .backward import PER_GAUSSIAN, ParamGrads, accumulate_monitors, backward
 from .dataset import Dataset, infer_scene_bounds
-from .igd import IgdConfig, igd_step, split_rows
+from .igd import SPLIT_SCALE_DIV, igd_step, split_rows
 from .laknn import loss_3d
 from .metrics import psnr
 from .render import render
@@ -35,11 +35,8 @@ from .rotation import quat_to_rot
 from .scene import GaussianCloud, assign_groups, save_scene, write_atomic
 from .semantic import ClassifierHead, loss_2d
 
-PARAM_FAMILIES = ("positions", "log_scales", "rotations", "logit_opacities",
-                  "colors", "encodings", "head_weights", "head_biases")
-PER_GAUSSIAN = PARAM_FAMILIES[:6]
-
 OPACITY_LOGIT_CLIP = 1e-6  # opacity clamped into (0,1) before logit
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -111,6 +108,8 @@ class TrainSchedule:
             raise ValueError("loss weights must be >= 0")
         if self.densify_interval < 1 or self.igd_interval < 1:
             raise ValueError("densify_interval and igd_interval must be >= 1")
+        if self.opacity_eps <= 0:
+            raise ValueError("opacity_eps must be positive")
 
 
 class AdamOptimizer:
@@ -119,10 +118,8 @@ class AdamOptimizer:
     Per-Gaussian families follow the cloud's row edits through keep_rows.
     """
 
-    def __init__(self, shapes: dict, lrs: dict, dtype,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, shapes: dict, lrs: dict, dtype):
         self.lrs = dict(lrs)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros(s, dtype=dtype) for k, s in shapes.items()}
         self.v = {k: np.zeros(s, dtype=dtype) for k, s in shapes.items()}
         self.t = {k: 0 for k in shapes}
@@ -140,13 +137,13 @@ class AdamOptimizer:
             self.t[name] += 1
             t = self.t[name]
             m, v = self.m[name], self.v[name]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * (g * g)
-            m_hat = m / (1 - self.beta1 ** t)
-            v_hat = v / (1 - self.beta2 ** t)
-            p -= self.lrs[name] * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * (g * g)
+            m_hat = m / (1 - ADAM_BETA1 ** t)
+            v_hat = v / (1 - ADAM_BETA2 ** t)
+            p -= self.lrs[name] * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def keep_rows(self, kept: np.ndarray, n: int) -> None:
         """Follow a row edit that made a cloud of n rows whose first
@@ -195,7 +192,7 @@ def total_loss(cloud: GaussianCloud, cam, out, head: ClassifierHead,
     """
     l1, d_color = l1_loss(out.color, cam.image)
     l2d, d_ident, (hw2, hb2) = loss_2d(out.identity, cam.mask, head)
-    l3d, ge3, _ = loss_3d(cloud, head, knn_samples, knn_k, knn_mode, rng_seed)
+    l3d, ge3 = loss_3d(cloud, head, knn_samples, knn_k, knn_mode, rng_seed)
     pixel_grads = np.concatenate(
         [d_color, np.asarray(alpha, dtype=out.identity.dtype) * d_ident], axis=2)
     grads = backward(cloud, cam, out, pixel_grads)
@@ -253,7 +250,7 @@ def standard_densify(cloud: GaussianCloud, stats: DensifyStats, scene_extent: fl
     local = samples.reshape(k, 2, 3) * cloud.scales[rows][:, None, :]
     world = np.einsum("kij,kcj->kci", quat_to_rot(cloud.rotations[rows]), local)
     children = split_rows(cloud, rows, world.reshape(2 * k, 3),
-                          cloud.scales[rows] / cloud.dtype.type(1.6))
+                          cloud.scales[rows] / cloud.dtype.type(SPLIT_SCALE_DIV))
     cloud = cloud.select(np.concatenate([kept, clone_rows])).append(children)
     return cloud, kept
 
@@ -360,8 +357,7 @@ def train(dataset: Dataset, schedule: TrainSchedule, out_dir) -> TrainResult:
                 sched.densify_percent_dense, sched.opacity_eps, rng)
         elif (sched.use_igd and sched.densify_end <= nxt < sched.igd_end
               and nxt % sched.igd_interval == 0):
-            res = igd_step(cloud, IgdConfig(opacity_eps=sched.opacity_eps),
-                           scene_extent)
+            res = igd_step(cloud, sched.opacity_eps, scene_extent)
             edit = res.cloud, res.kept
         if edit is not None:
             cloud, kept = edit

@@ -53,7 +53,7 @@ from scipy.sparse import csr_array
 
 from gradiseg.backward import ParamGrads, _segment_suffix_sum
 from gradiseg.camera import CameraView, project_cloud
-from gradiseg.igd import IgdConfig
+from gradiseg.igd import SPLIT_OFFSET_FRAC, SPLIT_SCALE_DIV
 from gradiseg.laknn import EMA_FLOOR
 from gradiseg.render import (ALPHA_CLAMP, ALPHA_CUTOFF, RenderOptions,
                              RenderOutput)
@@ -200,19 +200,16 @@ def global_neighbors(cloud: GaussianCloud, i: int, k: int) -> np.ndarray:
 
 
 def pairwise_kl_loss(encodings: np.ndarray, head: ClassifierHead,
-                     pair_i: np.ndarray, pair_j: np.ndarray,
-                     head_grads: bool = False):
+                     pair_i: np.ndarray, pair_j: np.ndarray):
     """Mean KL(F(e_i) || F(e_j)) over the given pairs, with encoding gradients,
-    in float64. Returns (loss, dL/dencodings, (dL/dW, dL/db) or None)."""
+    in float64. Returns (loss, dL/dencodings)."""
     encodings = encodings.astype(np.float64)
     head = ClassifierHead(head.weights.astype(np.float64), head.biases.astype(np.float64))
     n, d = encodings.shape
     dt = encodings.dtype
     grad_e = np.zeros((n, d), dtype=dt)
     if pair_i.size == 0:
-        if head_grads:
-            return 0.0, grad_e, (np.zeros_like(head.weights), np.zeros_like(head.biases))
-        return 0.0, grad_e, None
+        return 0.0, grad_e
 
     involved, inv = np.unique(np.concatenate([pair_i, pair_j]), return_inverse=True)
     ii, jj = inv[:pair_i.size], inv[pair_i.size:]
@@ -234,15 +231,7 @@ def pairwise_kl_loss(encodings: np.ndarray, head: ClassifierHead,
     np.add.at(ge_rows, ii, ge_i)
     np.add.at(ge_rows, jj, ge_j)
     grad_e[involved] = ge_rows
-
-    hg = None
-    if head_grads:
-        gz = np.zeros_like(p)
-        np.add.at(gz, ii, pi * (logdiff - kl[:, None]) / m)
-        np.add.at(gz, jj, (p[jj] - pi) / m)
-        feats = encodings[involved]
-        hg = (gz.T @ feats, gz.sum(axis=0))
-    return loss, grad_e, hg
+    return loss, grad_e
 
 
 def _split_axis(scale: np.ndarray, rotation: np.ndarray) -> np.ndarray:
@@ -254,11 +243,11 @@ def _split_axis(scale: np.ndarray, rotation: np.ndarray) -> np.ndarray:
     return quat_to_rot(rotation.astype(np.float64))[:, axis]
 
 
-def split_gaussian(g: Gaussian, cfg: IgdConfig) -> tuple[Gaussian, Gaussian]:
+def split_gaussian(g: Gaussian) -> tuple[Gaussian, Gaussian]:
     """Split one Gaussian into two children on either side of the boundary.
 
-    Children sit at p +- split_offset_frac * s_max * v, v the major principal
-    axis, with all scale components divided by split_scale_div; rotation,
+    Children sit at p +- SPLIT_OFFSET_FRAC * s_max * v, v the major principal
+    axis, with all scale components divided by SPLIT_SCALE_DIV; rotation,
     opacity, color and identity encoding are copied. Degenerate scales
     (s_max < 1e-9) clone in place without offset or shrink.
     """
@@ -269,8 +258,8 @@ def split_gaussian(g: Gaussian, cfg: IgdConfig) -> tuple[Gaussian, Gaussian]:
                 Gaussian(g.position.copy(), g.scale.copy(), g.rotation.copy(),
                          g.opacity, g.color.copy(), g.encoding.copy()))
     v = _split_axis(g.scale, g.rotation)
-    offset = (cfg.split_offset_frac * s_max * v).astype(g.position.dtype)
-    new_scale = (g.scale / cfg.split_scale_div).astype(g.scale.dtype)
+    offset = (SPLIT_OFFSET_FRAC * s_max * v).astype(g.position.dtype)
+    new_scale = (g.scale / SPLIT_SCALE_DIV).astype(g.scale.dtype)
     mk = lambda p: Gaussian(p, new_scale.copy(), g.rotation.copy(), g.opacity,
                             g.color.copy(), g.encoding.copy())
     return mk(g.position + offset), mk(g.position - offset)
@@ -593,18 +582,12 @@ def _pair_order_sums(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarr
 
 
 def dense_kl_pairs_loss(encodings: np.ndarray, head: ClassifierHead,
-                        pair_i: np.ndarray, pair_j: np.ndarray,
-                        head_grads: bool = False):
+                        pair_i: np.ndarray, pair_j: np.ndarray):
     """kl_pairs_loss in closed form with one softmax column per class, its
-    pair sums added in pair order.
-    Returns (loss, dL/dencodings, (dL/dW, dL/db) or None)."""
-    n, d = encodings.shape
-    dt = encodings.dtype
-    grad_e = np.zeros((n, d), dtype=dt)
+    pair sums added in pair order. Returns (loss, dL/dencodings)."""
+    grad_e = np.zeros(encodings.shape, dtype=encodings.dtype)
     if pair_i.size == 0:
-        if head_grads:
-            return 0.0, grad_e, (np.zeros_like(head.weights), np.zeros_like(head.biases))
-        return 0.0, grad_e, None
+        return 0.0, grad_e
 
     involved, inv = np.unique(np.concatenate([pair_i, pair_j]), return_inverse=True)
     ii, jj = inv[:pair_i.size], inv[pair_i.size:]
@@ -629,13 +612,7 @@ def dense_kl_pairs_loss(encodings: np.ndarray, head: ClassifierHead,
     ge_rows += _pair_order_sums(jj, pw[jj] - pw[ii], r)
     ge_rows /= m
     grad_e[involved] = ge_rows
-
-    hg = None
-    if head_grads:
-        cnt = (np.bincount(jj, minlength=r) - np.bincount(ii, minlength=r)).astype(dt)
-        gz += cnt[:, None] * p
-        hg = ((gz.T @ e + p.T @ s) / m, gz.sum(axis=0) / m)
-    return loss, grad_e, hg
+    return loss, grad_e
 
 
 def stacked_quat_grad(q_raw: np.ndarray, gR: np.ndarray) -> np.ndarray:

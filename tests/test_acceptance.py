@@ -85,7 +85,7 @@ def _losses(cloud, cam, head, mask, target, opts):
     out = render(cloud, cam, opts=opts)
     l1, _ = l1_loss(out.color, target)
     l2, _, _ = loss_2d(out.identity, mask, head)
-    l3, _, _ = loss_3d(cloud, head, 5, 2, "global", (RNG_BASE, 33))
+    l3, _ = loss_3d(cloud, head, 5, 2, "global", (RNG_BASE, 33))
     return l1, l2, l3
 
 
@@ -118,8 +118,7 @@ def _check_one_config(seed):
     zeros_e = np.zeros_like(d_ident)
     g1 = backward(cloud, cam, out, np.concatenate([d_color, zeros_e], axis=2))
     g2 = backward(cloud, cam, out, np.concatenate([zeros_c, d_ident], axis=2))
-    _, ge3, (hw3, hb3) = loss_3d(cloud, head, 5, 2, "global", (RNG_BASE, 33),
-                                 head_grads=True)
+    _, ge3 = loss_3d(cloud, head, 5, 2, "global", (RNG_BASE, 33))
     analytic = {
         0: g1, 1: g2,
         2: {"encodings": ge3},  # L3d touches only encodings among cloud params
@@ -145,35 +144,26 @@ def _check_one_config(seed):
                 if not _grad_close(a, fd[li]):
                     failures.append((seed, family, ix, li, a, fd[li]))
 
-    # head parameters: L2d directly, L3d with head gradients enabled
+    # head parameters: L2d only, since the head is a constant of L3d
     def l2_of(h):
         return loss_2d(render(cloud, cam, opts=opts).identity, mask, h)[0]
-
-    def l3_of(h):
-        return loss_3d(cloud, h, 5, 2, "global", (RNG_BASE, 33))[0]
 
     for ix in np.ndindex(*head.weights.shape):
         hp, hm = head.copy(), head.copy()
         hp.weights[ix] += FD_H
         hm.weights[ix] -= FD_H
         fd2 = (l2_of(hp) - l2_of(hm)) / (2 * FD_H)
-        fd3 = (l3_of(hp) - l3_of(hm)) / (2 * FD_H)
-        entries += 2
+        entries += 1
         if not _grad_close(hw2[ix], fd2):
             failures.append((seed, "head_w", ix, 1, hw2[ix], fd2))
-        if not _grad_close(hw3[ix], fd3):
-            failures.append((seed, "head_w", ix, 2, hw3[ix], fd3))
     for c in range(NUM_CLASSES):
         hp, hm = head.copy(), head.copy()
         hp.biases[c] += FD_H
         hm.biases[c] -= FD_H
         fd2 = (l2_of(hp) - l2_of(hm)) / (2 * FD_H)
-        fd3 = (l3_of(hp) - l3_of(hm)) / (2 * FD_H)
-        entries += 2
+        entries += 1
         if not _grad_close(hb2[c], fd2):
             failures.append((seed, "head_b", c, 1, hb2[c], fd2))
-        if not _grad_close(hb3[c], fd3):
-            failures.append((seed, "head_b", c, 2, hb3[c], fd3))
     return entries, failures
 
 
@@ -301,13 +291,13 @@ def test_criterion_4_kl_properties():
                           quat, np.full(n, 0.5), np.full((n, 3), 0.5),
                           np.tile(rng.standard_normal(4), (n, 1)))
     head = ClassifierHead(rng.standard_normal((6, 4)), rng.standard_normal(6))
-    zero_loss, _, _ = loss_3d(cloud, head, 10, 3, "global", 0)
+    zero_loss, _ = loss_3d(cloud, head, 10, 3, "global", 0)
     assert zero_loss == pytest.approx(0.0, abs=1e-12)
 
     # two-class scalar example: (0.9, 0.1) vs (0.5, 0.5)
     head2 = ClassifierHead(np.array([[1.0], [0.0]]), np.zeros(2))
     enc = np.array([[np.log(9.0)], [0.0]])
-    ex_loss, _, _ = kl_pairs_loss(enc, head2, np.array([0]), np.array([1]))
+    ex_loss, _ = kl_pairs_loss(enc, head2, np.array([0]), np.array([1]))
     assert ex_loss == pytest.approx(0.3681, abs=1e-4)
 
     # non-negativity on 1000 random draws
@@ -316,7 +306,7 @@ def test_criterion_4_kl_properties():
         e = rng.standard_normal((8, 4)) * rng.uniform(0.2, 3.0)
         pi = rng.integers(0, 8, 6)
         pj = (pi + 1 + rng.integers(0, 7, 6)) % 8
-        val, _, _ = kl_pairs_loss(e, head, pi, pj)
+        val, _ = kl_pairs_loss(e, head, pi, pj)
         assert val >= 0.0
         min_loss = min(min_loss, val)
     report(4, f"identical-encoding loss {zero_loss:.1e}; scalar example "
@@ -329,7 +319,7 @@ def test_criterion_4_kl_properties():
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_densification_suite():
-    from gradiseg.igd import IgdConfig, igd_step
+    from gradiseg.igd import TOO_LARGE_FRAC, igd_step
     from gradiseg.trainer import PER_GAUSSIAN, AdamOptimizer
     from oracles import Gaussian, split_gaussian
 
@@ -350,17 +340,16 @@ def test_criterion_5_densification_suite():
     for k in PER_GAUSSIAN:
         opt.m[k][:] = 3.0
 
-    cfg = IgdConfig()
-    scene_extent = 10.0
+    opacity_eps, scene_extent = 0.005, 10.0
     expected_prune = {5, 6, 9}
     parent_pos = cloud.positions[40].copy()
-    res = igd_step(cloud, cfg, scene_extent)
+    res = igd_step(cloud, opacity_eps, scene_extent)
     opt.keep_rows(res.kept, res.cloud.n)
 
     # pruning removed exactly {o < 0.005} union {too large}
     assert res.n_pruned == len(expected_prune)
-    assert np.all(res.cloud.opacities >= cfg.opacity_eps)
-    assert np.all(res.cloud.scales.max(axis=1) <= cfg.too_large_frac * scene_extent)
+    assert np.all(res.cloud.opacities >= opacity_eps)
+    assert np.all(res.cloud.scales.max(axis=1) <= TOO_LARGE_FRAC * scene_extent)
     # one above threshold -> N + 1, monitors zeroed
     assert res.n_split == 1
     assert res.cloud.n == n - 3 + 1
@@ -379,7 +368,7 @@ def test_criterion_5_densification_suite():
     g = Gaussian(np.zeros(3), np.array([2.0, 1.0, 1.0]),
                  np.array([1.0, 0.0, 0.0, 0.0]), 0.8,
                  np.array([0.5, 0.5, 0.5]), np.zeros(4))
-    ga, gb = split_gaussian(g, cfg)
+    ga, gb = split_gaussian(g)
     np.testing.assert_allclose(ga.position, [1.0, 0.0, 0.0])
     np.testing.assert_allclose(ga.scale, [1.25, 0.625, 0.625])
     report(5, f"prune set {sorted(expected_prune)} removed, single split gave "

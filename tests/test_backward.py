@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_camera, random_cloud
-from gradiseg.backward import ParamGrads, accumulate_monitors, backward
+from gradiseg.backward import PER_GAUSSIAN, ParamGrads, accumulate_monitors, backward
 from gradiseg.camera import CameraView, look_at
 from gradiseg.render import ALPHA_CLAMP, RenderOptions, render
 from gradiseg.rotation import rot_grad_to_quat_grad
@@ -144,7 +144,7 @@ class TestBackwardStructure:
         cloud = random_cloud(rng, 5, dim=4)
         out = render(cloud, cam)
         grads = backward(cloud, cam, out, np.zeros((8, 8, 7)))
-        for f in ParamGrads._FIELDS:
+        for f in PER_GAUSSIAN:
             assert not np.any(getattr(grads, f))
 
     def test_invisible_gaussians_zero_grad(self, rng):
@@ -156,7 +156,7 @@ class TestBackwardStructure:
         grads = backward(cloud, cam, out, np.ones((8, 8, 7)))
         for i in (2, 4):
             assert not grads.visible[i]
-            for f in ParamGrads._FIELDS:
+            for f in PER_GAUSSIAN:
                 assert not np.any(getattr(grads, f)[i])
 
     def test_gradient_linearity(self, rng):
@@ -168,7 +168,7 @@ class TestBackwardStructure:
         ga = backward(cloud, cam, out, a)
         gb = backward(cloud, cam, out, b)
         gab = backward(cloud, cam, out, a + b)
-        for f in ParamGrads._FIELDS:
+        for f in PER_GAUSSIAN:
             np.testing.assert_allclose(getattr(gab, f),
                                        getattr(ga, f) + getattr(gb, f),
                                        atol=1e-9)
@@ -200,7 +200,7 @@ GEOMETRY = ("positions", "log_scales", "rotations", "logit_opacities")
 
 
 def assert_matches_oracle(grads, want, dtype):
-    for f in ParamGrads._FIELDS:
+    for f in PER_GAUSSIAN:
         got, ref = getattr(grads, f), getattr(want, f)
         assert got.dtype == dtype
         tol = ORACLE_RTOL[dtype] * np.abs(ref).max()

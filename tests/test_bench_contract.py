@@ -23,12 +23,17 @@ def test_selftest_checks_behave():
     assert "12/12" in proc.stdout
 
 
-def test_tracer_installs_on_engine_modules():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing",
                                                   BENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     g = {name: importlib.import_module(f"gradiseg.{name}") for name in ENGINE_MODULES}
+    return tracing, g
+
+
+def test_tracer_installs_on_engine_modules():
+    tracing, g = load_tracing()
     before = {name: dict(vars(mod)) for name, mod in g.items()}
     tracer = tracing.Tracer()
     tracing.install(tracer, g)
@@ -36,3 +41,34 @@ def test_tracer_installs_on_engine_modules():
     tracer.close()
     for name, mod in g.items():
         assert dict(vars(mod)) == before[name]
+
+
+TRAINING_SPANS = (
+    "trainer.init", "render", "camera.project", "trainer.total_loss", "trainer.l1",
+    "semantic.loss_2d", "laknn.loss_3d", "laknn.kl",
+    "backward", "backward.monitors", "trainer.densify_stats", "trainer.adam",
+    "trainer.densify", "igd.step", "metrics.psnr", "scene.save",
+)
+
+
+def test_trace_points_fire_during_training(tmp_path):
+    # a trace point the trainer no longer calls through its wrapped name
+    # would read 0 in a traced benchmark run instead of failing it
+    tracing, g = load_tracing()
+    spec = g["synth"].default_scene_spec(0)
+    spec.views = 3
+    dataset = g["synth"].generate(spec)[2]
+    # standard densification at 4, IGD at 8 and 12, local-adaptive KNN from 12
+    sched = g["trainer"].TrainSchedule(
+        total_iters=16, densify_end=8, igd_end=16, knn_switch=12,
+        densify_interval=4, igd_interval=4, knn_samples=50, init_count=150,
+        checkpoint_interval=0, log_interval=8, seed=3)
+    tracer = tracing.Tracer()
+    tracing.install(tracer, g)
+    try:
+        g["trainer"].train(dataset, sched, tmp_path)
+    finally:
+        tracer.close()
+    missing = [name for name in TRAINING_SPANS if not tracing.calls(tracer.spans, name)]
+    assert not missing, f"trace points never called: {missing}"
+    assert 1 in tracing.counter(tracer.spans, "local")

@@ -237,6 +237,15 @@ class TestMalformedInput:
                             "--out", str(tmp_path / "out.gseg")], capsys,
                            "group id outside [-1, 256)")
 
+    def test_render_non_finite_scene(self, dataset_dir, tmp_path, capsys):
+        scene = tmp_path / "nan.gseg"
+        blob = bytearray((dataset_dir / "gt_scene.gseg").read_bytes())
+        blob[21:25] = np.float32(np.nan).tobytes()   # positions[0, 0]
+        scene.write_bytes(bytes(blob))
+        assert_input_error(["render", "--scene", str(scene), "--data", str(dataset_dir),
+                            "--view", "0", "--out", str(tmp_path / "img.ppm")], capsys,
+                           f"scene file {scene}", "positions must be finite")
+
     @pytest.mark.parametrize("change, words", [
         ({"objects": 1}, "need between 2 and 8 objects"),
         ({"num_classes": 300}, "num_classes 300 outside [3, 256]"),

@@ -235,7 +235,7 @@ class TestLoss3d:
     def test_identical_encodings_zero_loss(self, rng):
         cloud = points_cloud(rng.standard_normal((30, 3)))
         cloud.encodings[:] = np.array([0.3, -0.2, 0.5, 0.1])
-        loss, grads, _ = loss_3d(cloud, self.head(), 10, 3, "global", 0)
+        loss, grads = loss_3d(cloud, self.head(), 10, 3, "global", 0)
         assert loss == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(grads, 0.0, atol=1e-12)
 
@@ -243,7 +243,7 @@ class TestLoss3d:
         # F(e_i)=(0.9,0.1), F(e_j)=(0.5,0.5): KL = 0.9 ln(1.8) + 0.1 ln(0.2)
         head = ClassifierHead(np.array([[1.0], [0.0]]), np.zeros(2))
         e_i = np.array([[np.log(9.0)], [0.0]])  # softmax -> (0.9, 0.1), (0.5, 0.5)
-        loss, _, _ = kl_pairs_loss(e_i, head, np.array([0]), np.array([1]))
+        loss, _ = kl_pairs_loss(e_i, head, np.array([0]), np.array([1]))
         expect = 0.9 * np.log(0.9 / 0.5) + 0.1 * np.log(0.1 / 0.5)
         assert loss == pytest.approx(expect, abs=1e-12)
         assert loss == pytest.approx(0.3681, abs=1e-4)
@@ -253,7 +253,7 @@ class TestLoss3d:
         cloud.encodings[:] = rng.standard_normal((40, 4)) * 0.7
         head = self.head()
         m, k, seed = 12, 3, 99
-        loss, _, _ = loss_3d(cloud, head, m, k, "global", seed)
+        loss, _ = loss_3d(cloud, head, m, k, "global", seed)
 
         # naive reference: same sampling, scalar softmax/KL per pair
         targets = np.random.default_rng(seed).choice(40, size=m, replace=False)
@@ -273,7 +273,7 @@ class TestLoss3d:
         for _ in range(50):
             cloud = points_cloud(rng.uniform(-1, 1, (15, 3)))
             cloud.encodings[:] = rng.standard_normal((15, 4))
-            loss, _, _ = loss_3d(cloud, head, 5, 3, "global", int(rng.integers(1e6)))
+            loss, _ = loss_3d(cloud, head, 5, 3, "global", int(rng.integers(1e6)))
             assert loss >= 0.0
 
     def test_m_clamped_with_warning(self, rng):
@@ -288,60 +288,31 @@ class TestLoss3d:
         cloud.pos_grad_ema[:] = [-1.0, 0.0, 0.0]  # direction u = +x
         cloud.encodings[:] = rng.standard_normal((4, 4))
         head = self.head()
-        loss_local, _, _ = loss_3d(cloud, head, 4, 2, "local-adaptive", 1)
+        loss_local, _ = loss_3d(cloud, head, 4, 2, "local-adaptive", 1)
         # reference with explicit pairs
         pair_i, pair_j = [], []
         for i in range(4):
             for j in exhaustive_local(pts, i, np.array([1.0, 0, 0]), 2):
                 pair_i.append(i)
                 pair_j.append(j)
-        ref, _, _ = kl_pairs_loss(cloud.encodings, head,
-                                  np.array(pair_i), np.array(pair_j))
+        ref, _ = kl_pairs_loss(cloud.encodings, head,
+                               np.array(pair_i), np.array(pair_j))
         assert loss_local == pytest.approx(ref, abs=1e-12)
 
     def test_encoding_gradients_finite_difference(self, rng):
         cloud = points_cloud(rng.uniform(-1, 1, (8, 3)))
         cloud.encodings[:] = rng.standard_normal((8, 4)) * 0.5
         head = self.head(c=5)
-        loss, grads, _ = loss_3d(cloud, head, 6, 3, "global", 7)
+        loss, grads = loss_3d(cloud, head, 6, 3, "global", 7)
         h = 1e-6
         for ix in np.ndindex(8, 4):
             cp, cm = cloud.copy(), cloud.copy()
             cp.encodings[ix] += h
             cm.encodings[ix] -= h
-            lp, _, _ = loss_3d(cp, head, 6, 3, "global", 7)
-            lm, _, _ = loss_3d(cm, head, 6, 3, "global", 7)
+            lp, _ = loss_3d(cp, head, 6, 3, "global", 7)
+            lm, _ = loss_3d(cm, head, 6, 3, "global", 7)
             fd = (lp - lm) / (2 * h)
             assert grads[ix] == pytest.approx(fd, rel=1e-4, abs=1e-8)
-
-    def test_head_gradients_finite_difference(self, rng):
-        cloud = points_cloud(rng.uniform(-1, 1, (6, 3)))
-        cloud.encodings[:] = rng.standard_normal((6, 4)) * 0.5
-        head = self.head(c=4)
-        _, _, (dw, db) = loss_3d(cloud, head, 4, 2, "global", 3, head_grads=True)
-        h = 1e-6
-        for ix in np.ndindex(*head.weights.shape):
-            hp, hm = head.copy(), head.copy()
-            hp.weights[ix] += h
-            hm.weights[ix] -= h
-            lp, _, _ = loss_3d(cloud, hp, 4, 2, "global", 3)
-            lm, _, _ = loss_3d(cloud, hm, 4, 2, "global", 3)
-            fd = (lp - lm) / (2 * h)
-            assert dw[ix] == pytest.approx(fd, rel=1e-4, abs=1e-8)
-        for c in range(4):
-            hp, hm = head.copy(), head.copy()
-            hp.biases[c] += h
-            hm.biases[c] -= h
-            lp, _, _ = loss_3d(cloud, hp, 4, 2, "global", 3)
-            lm, _, _ = loss_3d(cloud, hm, 4, 2, "global", 3)
-            fd = (lp - lm) / (2 * h)
-            assert db[c] == pytest.approx(fd, rel=1e-4, abs=1e-8)
-
-    def test_default_mode_head_constant(self, rng):
-        cloud = points_cloud(rng.uniform(-1, 1, (6, 3)))
-        cloud.encodings[:] = rng.standard_normal((6, 4))
-        _, _, hg = loss_3d(cloud, self.head(), 4, 2, "global", 0)
-        assert hg is None
 
 
 def ungrouped_pairs(rng):
@@ -362,15 +333,12 @@ class TestKlPairsLoss:
         enc, head, pair_i, pair_j = ungrouped_pairs(rng)
         enc = enc.astype(dtype)
         head = ClassifierHead(head.weights.astype(dtype), head.biases.astype(dtype))
-        loss, ge, (dw, db) = kl_pairs_loss(enc, head, pair_i, pair_j, head_grads=True)
-        want_loss, want_ge, (want_dw, want_db) = pairwise_kl_loss(
-            enc, head, pair_i, pair_j, head_grads=True)
-        assert ge.dtype == dw.dtype == db.dtype == dtype
+        loss, ge = kl_pairs_loss(enc, head, pair_i, pair_j)
+        want_loss, want_ge = pairwise_kl_loss(enc, head, pair_i, pair_j)
+        assert ge.dtype == dtype
         tol = dict(rtol=1e-4, atol=1e-6) if dtype == np.float32 else dict(rtol=1e-10, atol=1e-13)
         assert loss == pytest.approx(want_loss, rel=tol["rtol"], abs=tol["atol"])
         np.testing.assert_allclose(ge, want_ge, **tol)
-        np.testing.assert_allclose(dw, want_dw, **tol)
-        np.testing.assert_allclose(db, want_db, **tol)
 
     def test_logit_gaps_beyond_the_old_floor(self):
         # row 1's classes 1 and 2 sit 40 nats below class 0, so their
@@ -383,32 +351,14 @@ class TestKlPairsLoss:
         logp = log_softmax(logits, axis=1)
         exact = np.mean([np.exp(logp[i]) @ (logp[i] - logp[j])
                          for i, j in zip(pair_i, pair_j)])
-        loss, _, _ = kl_pairs_loss(enc, head, pair_i, pair_j)
+        loss, _ = kl_pairs_loss(enc, head, pair_i, pair_j)
         assert loss == pytest.approx(exact, rel=1e-12)
-        floored, _, _ = pairwise_kl_loss(enc, head, pair_i, pair_j)
+        floored, _ = pairwise_kl_loss(enc, head, pair_i, pair_j)
         assert abs(floored - exact) > 1.0
-
-    def test_head_gradients_finite_difference_ungrouped(self, rng):
-        enc, head, pair_i, pair_j = ungrouped_pairs(rng)
-        _, _, (dw, db) = kl_pairs_loss(enc, head, pair_i, pair_j, head_grads=True)
-        h = 1e-6
-
-        def fd(field, ix):
-            hp, hm = head.copy(), head.copy()
-            getattr(hp, field)[ix] += h
-            getattr(hm, field)[ix] -= h
-            lp = kl_pairs_loss(enc, hp, pair_i, pair_j)[0]
-            lm = kl_pairs_loss(enc, hm, pair_i, pair_j)[0]
-            return (lp - lm) / (2 * h)
-
-        for ix in np.ndindex(*head.weights.shape):
-            assert dw[ix] == pytest.approx(fd("weights", ix), rel=1e-4, abs=1e-8)
-        for c in range(head.num_classes):
-            assert db[c] == pytest.approx(fd("biases", c), rel=1e-4, abs=1e-8)
 
     def test_encoding_gradients_finite_difference_ungrouped(self, rng):
         enc, head, pair_i, pair_j = ungrouped_pairs(rng)
-        _, ge, _ = kl_pairs_loss(enc, head, pair_i, pair_j)
+        _, ge = kl_pairs_loss(enc, head, pair_i, pair_j)
         h = 1e-6
         for ix in np.ndindex(*enc.shape):
             ep, em = enc.copy(), enc.copy()
@@ -428,7 +378,7 @@ class TestKlPairsLoss:
         pair_i, pair_j = rng.integers(0, n, pairs), rng.integers(0, n, pairs)
         tracemalloc.start()
         try:
-            kl_pairs_loss(enc, head, pair_i, pair_j, head_grads=True)
+            kl_pairs_loss(enc, head, pair_i, pair_j)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -553,20 +503,11 @@ class TestKlRepeatedRows:
             enc = enc.astype(dtype)
         head = repeated_rows_head(rng, dtype)
         tol = dict(rtol=1e-4, atol=1e-6) if dtype == np.float32 else dict(rtol=1e-10, atol=1e-13)
-        for head_grads in (False, True):
-            loss, ge, hg = kl_pairs_loss(enc, head, pair_i, pair_j, head_grads=head_grads)
-            want_loss, want_ge, want_hg = pairwise_kl_loss(enc, head, pair_i, pair_j,
-                                                           head_grads=head_grads)
-            assert ge.dtype == dtype
-            assert loss == pytest.approx(want_loss, rel=tol["rtol"], abs=tol["atol"])
-            np.testing.assert_allclose(ge, want_ge, **tol)
-            if head_grads:
-                np.testing.assert_allclose(hg[0], want_hg[0], **tol)
-                np.testing.assert_allclose(hg[1], want_hg[1], **tol)
-                # classes sharing a row share their gradient bytes
-                assert (hg[0][1::6] == hg[0][1]).all() and (hg[1][5::6] == hg[1][5]).all()
-            else:
-                assert hg is None
+        loss, ge = kl_pairs_loss(enc, head, pair_i, pair_j)
+        want_loss, want_ge = pairwise_kl_loss(enc, head, pair_i, pair_j)
+        assert ge.dtype == dtype
+        assert loss == pytest.approx(want_loss, rel=tol["rtol"], abs=tol["atol"])
+        np.testing.assert_allclose(ge, want_ge, **tol)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("pairs", ["grouped", "ungrouped"])
@@ -578,14 +519,10 @@ class TestKlRepeatedRows:
             enc = enc.astype(dtype)
         head = ClassifierHead(rng.standard_normal((32, 4)).astype(dtype),
                               rng.standard_normal(32).astype(dtype))
-        for head_grads in (False, True):
-            got = kl_pairs_loss(enc, head, pair_i, pair_j, head_grads=head_grads)
-            want = dense_kl_pairs_loss(enc, head, pair_i, pair_j, head_grads=head_grads)
-            assert got[0] == want[0]
-            assert got[1].tobytes() == want[1].tobytes()
-            if head_grads:
-                for a, b in zip(got[2], want[2]):
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        got = kl_pairs_loss(enc, head, pair_i, pair_j)
+        want = dense_kl_pairs_loss(enc, head, pair_i, pair_j)
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_pair_sums_in_pair_order(self, rng, dtype):

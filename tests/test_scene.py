@@ -143,6 +143,25 @@ class TestPersistence:
         save_scene(cloud, ClassifierHead.zeros(4, 16), path)
         assert load_scene(path)[0].group_ids[0] == cloud.group_ids[0]
 
+    # `offset` counts floats after the header of one_gaussian_cloud's file
+    @pytest.mark.parametrize("name, offset, value", [
+        ("positions", 1, np.nan), ("scales", 3 + 2, np.inf),
+        ("rotations", 6, np.nan), ("opacities", 10, np.nan),
+        ("colors", 11 + 1, np.nan), ("encodings", 14 + 5, -np.inf),
+    ])
+    def test_non_finite_row_rejected(self, tmp_path, name, offset, value):
+        path = tmp_path / "nonfinite.gseg"
+        save_scene(one_gaussian_cloud(), ClassifierHead.zeros(4, 16), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<f", blob, 21 + 4 * offset, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SceneFormatError, match=f"{name} must be finite"):
+            load_scene(path)
+        cloud = one_gaussian_cloud()
+        getattr(cloud, name).reshape(-1)[0] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            save_scene(cloud, ClassifierHead.zeros(4, 16), tmp_path / "x.gseg")
+
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "scene.gseg"
         save_scene(one_gaussian_cloud(), ClassifierHead.zeros(4, 16), path)

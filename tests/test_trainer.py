@@ -126,7 +126,7 @@ class TestTotalLoss:
 
         _, d_color = l1_loss(out.color, cam.image)
         _, d_ident, (hw2, hb2) = loss_2d(out.identity, cam.mask, head)
-        _, ge3, _ = loss_3d(cloud, head, 5, 2, "global", 3)
+        _, ge3 = loss_3d(cloud, head, 5, 2, "global", 3)
         pg1 = np.concatenate([d_color, np.zeros_like(out.identity)], axis=2)
         pg2 = np.concatenate([np.zeros_like(d_color), d_ident], axis=2)
         g1 = backward(cloud, cam, out, pg1)
@@ -425,3 +425,5 @@ class TestTrainLoop:
             TrainSchedule(alpha_2d=-1.0).resolved()
         with pytest.raises(ValueError, match="interval"):
             TrainSchedule(igd_interval=0).resolved()
+        with pytest.raises(ValueError, match="opacity_eps must be positive"):
+            TrainSchedule(opacity_eps=0.0).resolved()
