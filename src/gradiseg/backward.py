@@ -5,7 +5,9 @@ the sparse operator W of RenderOutput.weights, [C | E_id] = W @ f, with no
 background term. Given the upstream per-pixel gradients G = [dL/dC | dL/dE_id]
 (3 + D channels), the feature gradients are W.T @ G. The alpha gradient
 follows the compositing weights w_i = alpha_i * prod_{j<i}(1 - alpha_j) from
-one per-fragment dot <G, f> and its suffix sums within each pixel. Below the
+one per-fragment dot <G, f> and its suffix sums within each pixel; the dots
+are formed in blocks of whole pixels of about render.BLOCK fragments, so no
+(F, 3 + D) gather exists and no result depends on the blocks. Below the
 clamp render's alpha is exactly o * exp(-q/2), q = d^T P d, so the falloff is
 not recomputed: with coef = dL/dalpha * alpha on unclamped fragments, six
 per-splat sums of coef * [1, dx, dy, dx^2, dx dy, dy^2] give the opacity,
@@ -23,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .camera import CameraView
-from .render import ALPHA_CLAMP, RenderOutput
+from .render import ALPHA_CLAMP, RenderOutput, _blocks
 from .rotation import rot_grad_to_quat_grad
 from .scene import GaussianCloud
 
@@ -52,16 +54,15 @@ class ParamGrads:
 PER_GAUSSIAN = tuple(f.name for f in fields(ParamGrads) if f.name != "visible")
 
 
-def _segment_suffix_sum(values: np.ndarray, frag_start: np.ndarray,
-                        seg_of_frag: np.ndarray) -> np.ndarray:
+def _segment_suffix_sum(values: np.ndarray, frag_start: np.ndarray) -> np.ndarray:
     """Per-fragment sum of the values strictly after it within its pixel segment:
     the running sum at the segment's last fragment minus the running sum here.
 
-    values: (F,); frag_start: CSR offsets (P+1,); seg_of_frag: segment id per
-    fragment.
+    values: (F,) with F >= 1; frag_start: CSR offsets (P+1,).
     """
     incl = np.cumsum(values)
-    return incl[frag_start[1:][seg_of_frag] - 1] - incl
+    # an empty segment's end index may be -1: it is repeated zero times
+    return np.repeat(incl[frag_start[1:] - 1], np.diff(frag_start)) - incl
 
 
 def backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutput,
@@ -86,39 +87,70 @@ def backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutput,
     grads = ParamGrads.zeros(n, d_feat, dt)
     if out.frag_source.size == 0:
         return grads
-    grads.visible[out.frag_source] = True
 
     splats = out.splats
+    S = splats.count
+    srow = out.frag_splat.astype(np.intp)   # six bincounts and two gathers
+    has_frag = np.zeros(S, dtype=bool)
+    has_frag[srow] = True
+    grads.visible[splats.index[has_frag]] = True
+
     G = pixel_grads.reshape(h * w, 3 + d_feat)
     feat_grads = out.weights.T @ G        # dL/df = W^T G
     grads.colors[:] = feat_grads[:, :3]
     grads.encodings[:] = feat_grads[:, 3:]
+    del feat_grads
 
-    frag_pix = np.repeat(np.arange(h * w), np.diff(out.frag_start))
-    src, srow = out.frag_source, out.frag_splat
+    frag_start, counts = out.frag_start, np.diff(out.frag_start)
     alpha, t_before = out.frag_alpha, out.frag_t_before
     table = np.concatenate([cloud.colors, cloud.encodings], axis=1)
 
     # alpha gradient: dL/da_k = <G, f_k> T_k - <G, B_k> / (1 - a_k) with
     # B_k = sum_{i>k} w_i f_i. G is constant within a pixel, so the suffix
-    # dot product is a scalar suffix sum of per-fragment dots.
-    dot = np.einsum("fk,fk->f", np.take(G, frag_pix, axis=0),
-                    np.take(table, src, axis=0))
-    suffix = _segment_suffix_sum(alpha * t_before * dot, out.frag_start, frag_pix)
-    g_alpha = dot * t_before - suffix / (1.0 - alpha)
+    # dot product is a scalar suffix sum of per-fragment dots. The dots are
+    # formed in blocks of whole pixels, so no (F, 3 + D) gather exists; each
+    # row's einsum reads that row alone, so no dot depends on the blocks.
+    dot = np.empty_like(alpha)
+    for p0, p1 in _blocks(frag_start[:-1], alpha.size):
+        f0, f1 = frag_start[p0], frag_start[p1]
+        src = out.frag_source[f0:f1].astype(np.intp)
+        np.einsum("fk,fk->f", np.repeat(G[p0:p1], counts[p0:p1], axis=0),
+                  np.take(table, src, axis=0), out=dot[f0:f1])
+    del table
+    suffix = _segment_suffix_sum(alpha * t_before * dot, frag_start)
+    suffix /= 1.0 - alpha
 
     # alpha = min(ALPHA_CLAMP, o * g) with g = exp(-q/2), q = d^T P d, so
     # below the clamp dalpha/do = g and dalpha/dq = -alpha/2; clamped
-    # fragments pass no gradient. coef = dL/dalpha * alpha.
-    coef = np.where(alpha < ALPHA_CLAMP, g_alpha * alpha, dt.type(0.0))
-    S = splats.count
-    pix_y, pix_x = np.divmod(frag_pix, w)
-    dx = pix_x.astype(dt) - np.take(splats.mean2d[:, 0], srow)
-    dy = pix_y.astype(dt) - np.take(splats.mean2d[:, 1], srow)
-    cdx, cdy = coef * dx, coef * dy
-    sums = [np.bincount(srow, weights=v, minlength=S)
-            for v in (coef, cdx, cdy, cdx * dx, cdx * dy, cdy * dy)]
-    s_c, s_x, s_y, s_xx, s_xy, s_yy = (v.astype(dt) for v in sums)
+    # fragments pass no gradient. coef = dL/dalpha * alpha, formed in the
+    # buffer of dot.
+    coef = dot
+    coef *= t_before
+    coef -= suffix
+    del suffix
+    coef *= alpha
+    coef[alpha >= ALPHA_CLAMP] = 0.0
+    dx = np.repeat(np.tile(np.arange(w, dtype=dt), h), counts)   # pixel x, y
+    dx -= np.take(splats.mean2d[:, 0], srow)
+    dy = np.repeat(np.repeat(np.arange(h, dtype=dt), w), counts)
+    dy -= np.take(splats.mean2d[:, 1], srow)
+
+    # per-splat sums of coef * [1, dx, dy, dx^2, dx dy, dy^2], each product
+    # made just before its sum
+    def per_splat(v):
+        return np.bincount(srow, weights=v, minlength=S).astype(dt)
+
+    s_c = per_splat(coef)
+    cdx = coef * dx
+    s_x, s_xy = per_splat(cdx), per_splat(cdx * dy)
+    dx *= cdx
+    s_xx = per_splat(dx)
+    del cdx, dx
+    coef *= dy                            # coef * dy
+    s_y = per_splat(coef)
+    dy *= coef
+    s_yy = per_splat(dy)
+    del dot, coef, dy, srow               # the per-splat chain needs no F-length array
 
     # dL/dlogit(o) = o (1 - o) sum g dL/dalpha = (1 - o) sum coef
     idx = splats.index  # unique rows: plain indexed assignment

@@ -41,6 +41,8 @@ class CameraView:
             raise ValueError("focal lengths must be positive")
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be >= 1")
+        if self.width * self.height >= 2 ** 31:
+            raise ValueError("image must have fewer than 2**31 pixels (int32 pixel index)")
         if self.mode not in ("pinhole", "orthographic"):
             raise ValueError(f"unknown camera mode {self.mode!r}")
         R = self.world_to_camera[:3, :3]
@@ -197,7 +199,7 @@ def project_cloud(cloud: GaussianCloud, cam: CameraView,
 
     bbox = np.stack([take(x0), take(x1), take(y0), take(y1)], axis=1).astype(np.int64)
     return ProjectedSplats(
-        index=idx, mean2d=take(mean2d), cov2d=cov_sel, inv_cov=inv,
+        index=idx.astype(np.int32), mean2d=take(mean2d), cov2d=cov_sel, inv_cov=inv,
         depth=take(depth), t_cam=take(t), bbox=bbox, J=take(J), A=take(A),
         R=take(R), cov3d=take(cov3d), scales=take(cloud.scales), n_source=n,
     )

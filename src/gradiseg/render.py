@@ -24,6 +24,9 @@ within each pixel. A sweep over depth rank then carries each pixel's
 transmittance front to back, and the sparse product adds each pixel's
 fragments one after another, front to back. Blocks keep temporaries
 cache-sized; no result depends on the block size.
+
+Fragment and pixel indices are int32, so a view has fewer than 2**31 pixels
+(CameraView checks) and a render fewer than 2**31 fragments (render checks).
 """
 
 from __future__ import annotations
@@ -66,8 +69,10 @@ class RenderOutput:
     Fragments are flattened in pixel-major order (within a pixel: ascending
     depth): frag_start (H*W+1,) offsets into frag_source/frag_alpha/
     frag_t_before/frag_splat, where frag_splat indexes rows of `splats`.
-    weights: the blend operator, a (H*W, N) CSR array with indptr frag_start,
-    indices frag_source and data frag_alpha * frag_t_before.
+    frag_start, frag_source and frag_splat are int32.
+    weights: the blend operator, a (H*W, N) CSR array whose indptr and
+    indices are frag_start and frag_source themselves (no copies) and whose
+    data is frag_alpha * frag_t_before.
     """
 
     def __init__(self, color, identity, final_transmittance, frag_start,
@@ -105,8 +110,9 @@ def _row_runs(bbox: np.ndarray, width: int):
     bh = np.where(bw > 0, np.maximum(bbox[:, 3] - bbox[:, 2] + 1, 0), 0)
     rank = np.repeat(np.arange(bbox.shape[0]), bh)
     first_row = np.cumsum(bh) - bh
-    y = bbox[rank, 2] + (np.arange(rank.size) - first_row[rank])
-    x = bbox[rank, 0]
+    # kept rows lie inside the image, so their coordinates fit int32
+    y = (bbox[rank, 2] + (np.arange(rank.size) - first_row[rank])).astype(np.int32)
+    x = bbox[rank, 0].astype(np.int32)
     return rank, y * width + x, x, y, bw[rank]
 
 
@@ -125,7 +131,7 @@ def _fragments(splats: ProjectedSplats, opac: np.ndarray, width: int,
     n_splats = splats.count
     rank, pix0, x0, y, run_len = _row_runs(splats.bbox, width)
     if rank.size == 0:
-        empty = np.empty(0, dtype=np.int64)
+        empty = np.empty(0, dtype=np.int32)
         return np.empty(0, dtype=dt), empty, empty
     mean, ic = splats.mean2d, splats.inv_cov
     sig2 = np.inf if opts.cull_sigma is None else dt.type(opts.cull_sigma ** 2)
@@ -146,7 +152,7 @@ def _fragments(splats: ProjectedSplats, opac: np.ndarray, width: int,
     for r0, r1 in _blocks(run_start, int(run_start[-1] + run_len[-1])):
         lens = run_len[r0:r1]
         step = (np.arange(run_start[r0], run_start[r0] + lens.sum())
-                - np.repeat(run_start[r0:r1], lens))
+                - np.repeat(run_start[r0:r1], lens)).astype(np.int32)
         s = np.repeat(rank[r0:r1], lens)
         d0 = (np.repeat(x0[r0:r1], lens) + step).astype(dt) - mean[s, 0]
         d1 = np.repeat(d1_run[r0:r1], lens)
@@ -163,7 +169,7 @@ def _fragments(splats: ProjectedSplats, opac: np.ndarray, width: int,
         hit = hit[fine]
         alphas.append(alpha[fine])
         pixels.append(np.repeat(pix0[r0:r1], lens)[hit] + step[hit])
-        ranks.append(sv[fine])
+        ranks.append(sv[fine].astype(np.int32))
     return np.concatenate(alphas), np.concatenate(pixels), np.concatenate(ranks)
 
 
@@ -192,7 +198,7 @@ def _transmittance(alpha: np.ndarray, frag_start: np.ndarray):
     busy = np.argsort(-counts)[:np.count_nonzero(counts)]
     if busy.size == 0:
         return t_before, t_final
-    first = frag_start[busy]
+    first = frag_start[busy].astype(np.intp)   # indexes on every sweep step
     depth = counts[busy]                 # descending
     active = np.searchsorted(-depth, -np.arange(int(depth[0])), side="left")
     t = np.ones(busy.size, dtype=alpha.dtype)
@@ -206,7 +212,8 @@ def _transmittance(alpha: np.ndarray, frag_start: np.ndarray):
 
 def render(cloud: GaussianCloud, cam: CameraView,
            opts: RenderOptions | None = None) -> RenderOutput:
-    """Rasterize the cloud into color and identity images with fragment records."""
+    """Rasterize the cloud into color and identity images with fragment records
+    (int32 indices; 20 bytes per fragment in float32, the operator included)."""
     opts = opts or RenderOptions()
     dt = cloud.dtype
     h, w = cam.height, cam.width
@@ -215,11 +222,13 @@ def render(cloud: GaussianCloud, cam: CameraView,
     opac = cloud.opacities[splats.index]
 
     alpha, pix, rank = _fragments(splats, opac, w, opts, dt)
+    if alpha.size >= 2 ** 31:
+        raise ValueError("a render must hold fewer than 2**31 fragments")
     order = _pixel_order(pix, h * w)
     frag_alpha = alpha[order]
     frag_splat = rank[order]
     frag_source = splats.index[frag_splat]
-    frag_start = np.zeros(h * w + 1, dtype=np.int64)
+    frag_start = np.zeros(h * w + 1, dtype=np.int32)
     np.cumsum(np.bincount(pix, minlength=h * w), out=frag_start[1:])
 
     frag_tb, t_final = _transmittance(frag_alpha, frag_start)

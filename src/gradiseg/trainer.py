@@ -347,6 +347,7 @@ def train(dataset: Dataset, schedule: TrainSchedule, out_dir) -> TrainResult:
         step = {name: getattr(grads, name) for name in PER_GAUSSIAN}
         opt.step(params, dict(step, head_weights=hw, head_biases=hb))
         _write_back(cloud, params)
+        del out   # its fragment records are not held through the next render
 
         nxt = it + 1  # row edits take effect for the next iteration
         edit = None

@@ -367,13 +367,13 @@ def tiled_render(cloud: GaussianCloud, cam, opts: RenderOptions | None = None,
         pix_rows = (np.arange(yl, yh)[:, None] * w + np.arange(xl, xh)[None, :]).ravel()
         counts[pix_rows] = res[1]
 
-    frag_start = np.zeros(h * w + 1, dtype=np.int64)
+    frag_start = np.zeros(h * w + 1, dtype=np.int32)
     np.cumsum(counts, out=frag_start[1:])
     total = int(frag_start[-1])
-    frag_source = np.empty(total, dtype=np.int64)
+    frag_source = np.empty(total, dtype=np.int32)
     frag_alpha = np.empty(total, dtype=dt)
     frag_tb = np.empty(total, dtype=dt)
-    frag_splat = np.empty(total, dtype=np.int64)
+    frag_splat = np.empty(total, dtype=np.int32)
     for (xl, xh, yl, yh), res in zip(tiles, results):
         t_counts, t_src, t_alpha, t_tb, t_splat = res[1], res[2], res[3], res[4], res[5]
         if t_src.size == 0:
@@ -443,7 +443,7 @@ def recomputing_backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutpu
     table = np.concatenate([cloud.colors, cloud.encodings], axis=1)
 
     dot = np.einsum("fk,fk->f", G[frag_pix], table[src])
-    suffix = _segment_suffix_sum(alpha * t_before * dot, out.frag_start, frag_pix)
+    suffix = _segment_suffix_sum(alpha * t_before * dot, out.frag_start)
     g_alpha = dot * t_before - suffix / (1.0 - alpha)
 
     o_src = cloud.opacities[src]

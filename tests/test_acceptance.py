@@ -1,12 +1,15 @@
 """Acceptance suite. One test per criterion; each prints a PASS line with the
 measured numbers when it succeeds (run with -s to see them).
 
-Criteria 6-9 train full desk-scale runs and are the slow part of the suite;
-independent runs execute in parallel worker processes (each run is internally
-deterministic and single-threaded).
+Criteria 1-5: gradient correctness, the forward oracle, the neighbour-search
+oracle, KL-loss properties and the densification unit suite. Criteria 1-3
+spread independent checks over one worker process per CPU this process may
+run on. The end-to-end criteria (the desk run, ablation direction, PSNR
+non-degradation, determinism) are not written yet: item 5 of ROADMAP.md.
 """
 
 import hashlib
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -25,6 +28,7 @@ from gradiseg.trainer import l1_loss
 from oracles import global_neighbors, local_adaptive_neighbors
 
 RNG_BASE = 20260810
+WORKERS = len(os.sched_getaffinity(0))
 
 
 def report(criterion, message):
@@ -171,7 +175,7 @@ def test_criterion_1_gradient_correctness():
     t0 = time.time()
     total_entries = 0
     failures = []
-    with ProcessPoolExecutor(max_workers=8) as pool:
+    with ProcessPoolExecutor(max_workers=WORKERS) as pool:
         for entries, fails in pool.map(_check_one_config, range(100)):
             total_entries += entries
             failures.extend(fails)
@@ -202,7 +206,7 @@ def _check_forward_scene(seed):
 
 
 def test_criterion_2_forward_oracle():
-    with ProcessPoolExecutor(max_workers=8) as pool:
+    with ProcessPoolExecutor(max_workers=WORKERS) as pool:
         results = list(pool.map(_check_forward_scene, range(20)))
     color_err = max(r[0] for r in results)
     ident_err = max(r[1] for r in results)
@@ -267,7 +271,7 @@ def _check_knn_cloud(seed):
 
 
 def test_criterion_3_knn_oracle():
-    with ProcessPoolExecutor(max_workers=8) as pool:
+    with ProcessPoolExecutor(max_workers=WORKERS) as pool:
         results = list(pool.map(_check_knn_cloud, range(50)))
     bad = [r for r in results if not r[0]]
     assert not bad, bad

@@ -1,8 +1,11 @@
 """Hand-derived gradients against central finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import gradiseg.render as render_module
 from conftest import make_camera, random_cloud
 from gradiseg.backward import PER_GAUSSIAN, ParamGrads, accumulate_monitors, backward
 from gradiseg.camera import CameraView, look_at
@@ -190,6 +193,43 @@ class TestBackwardStructure:
         bigger = random_cloud(rng, 7, dim=4)
         with pytest.raises(ValueError, match="cloud"):
             backward(bigger, cam, out, np.zeros((8, 8, 7)))
+
+
+class TestBackwardBlocks:
+    """backward forms the per-fragment dots <G, f> in blocks of whole pixels
+    of about render.BLOCK fragments."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_block_independence(self, rng, monkeypatch, dtype):
+        cam = make_camera(width=33, height=17)
+        cloud = random_cloud(rng, 60, dim=4, dtype=dtype)
+        out = render(cloud, cam)
+        pg = rng.standard_normal((17, 33, 7)).astype(dtype)
+        base = backward(cloud, cam, out, pg)
+        for block in (1, 7, 10 ** 6):
+            monkeypatch.setattr(render_module, "BLOCK", block)
+            grads = backward(cloud, cam, out, pg)
+            for f in PER_GAUSSIAN + ("visible",):
+                got, want = getattr(grads, f), getattr(base, f)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (block, f)
+
+    def test_peak_memory_below_one_feature_table(self, rng):
+        # two (F, 3 + D) float32 gathers would take 2 * F * (3 + D) * 4 bytes;
+        # the whole call must stay below one such table
+        cam = make_camera(width=64, height=64)
+        cloud = random_cloud(rng, 120, dim=16, dtype=np.float32, scale_range=(0.2, 0.4))
+        out = render(cloud, cam)
+        n_frag = out.frag_source.size
+        assert n_frag >= 10 * render_module.BLOCK
+        channels = 3 + cloud.dim
+        pg = rng.standard_normal((64, 64, channels)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            backward(cloud, cam, out, pg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n_frag * channels * 4, (peak, n_frag)
 
 
 # backward against the float64 recomputing oracle, per parameter family,

@@ -287,6 +287,16 @@ class TestMalformedInput:
                             "--data", str(ds), "--out", str(tmp_path / "r.json")],
                            capsys, "missing key 'fx'")
 
+    def test_eval_manifest_view_too_many_pixels(self, dataset_dir, tmp_path, capsys):
+        # fragment pixel indices are int32: 65536 x 32768 is exactly 2**31
+        ds = copy_dataset(dataset_dir, tmp_path)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        manifest["views"][0].update(width=65536, height=32768)
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        assert_input_error(["eval", "--scene", str(ds / "gt_scene.gseg"),
+                            "--data", str(ds), "--out", str(tmp_path / "r.json")],
+                           capsys, "fewer than 2**31 pixels")
+
     def test_train_unknown_config_key(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"
         cfg.write_text("total_iters = 2\nbogus_key = 1\n")

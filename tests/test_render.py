@@ -153,6 +153,15 @@ class TestRenderInvariants:
         assert W.data.dtype == dtype
         assert W.data.tobytes() == (out.frag_alpha * out.frag_t_before).tobytes()
 
+    def test_index_arrays_are_int32_and_shared(self, rng):
+        # the blend operator's indices and indptr are the fragment arrays, not copies
+        cam = make_camera(width=20, height=14)
+        out = render(random_cloud(rng, 40, dim=4, dtype=np.float32), cam)
+        for a in (out.frag_start, out.frag_source, out.frag_splat, out.splats.index):
+            assert a.dtype == np.int32
+        assert np.shares_memory(out.weights.indices, out.frag_source)
+        assert np.shares_memory(out.weights.indptr, out.frag_start)
+
     def test_weight_conservation(self, rng):
         cam = make_camera(width=24, height=24)
         cloud = random_cloud(rng, 80, dim=4)
