@@ -14,9 +14,11 @@ are ordered by (distance, index). Global distances are float64 squared
 distances recomputed from the coordinates, as the oracle forms them: one
 cKDTree over all positions proposes candidates, and a row whose candidates
 cannot prove its K-th neighbour is asked again with more. The dense
-direction-aware search bounds each row's K-th smallest positive projection
-by the K-th smallest among every _STRIDE-th column and sorts only the
-entries at or below that bound, which is exact for any stride.
+direction-aware search forms projections for _CHUNK targets at a time. It
+bounds each row's K-th smallest positive projection by the largest of the
+minima of K contiguous column groups, which is exact for any grouping,
+keeps the entries at or below that bound with one compare of the float
+bits, and orders the candidates of all chunks at once.
 
 The KL loss is taken in closed form: the classifier head is linear, so every
 per-pair term is D-wide, and the class-space work (a log-softmax giving each
@@ -40,53 +42,72 @@ from .scene import GaussianCloud
 from .semantic import ClassifierHead, class_groups, softmax
 
 EMA_FLOOR = 1e-12
-_CHUNK = 128
-_STRIDE = 8
+_CHUNK = 32
 # relative gap by which a row's take-th tree candidate must undercut the
 # tree's last distance (float64 rounding of either is ~1e-16 relative)
 _TREE_MARGIN = 1e-9
 
 
-def _slab_neighbors(pos: np.ndarray, tgt: np.ndarray, u: np.ndarray,
-                    take: int) -> np.ndarray:
+def _projections(pos: np.ndarray, tgt: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The (targets, N) block d[t, j] = (p_j - p_t) . u_t, inf at each
+    target's own column. A lone target is computed inside a two-row
+    product: BLAS rounds a one-row float32 product (gemv) differently from
+    a many-row one (gemm), which rounds a float32 row alike at any size."""
+    d = (u if tgt.size > 1 else np.repeat(u, 2, axis=0)) @ pos.T
+    d = d[:tgt.size]
+    d -= np.einsum("tj,tj->t", u, pos[tgt])[:, None]
+    d[np.arange(tgt.size), tgt] = np.inf
+    return d
+
+
+def _direction_neighbors(pos: np.ndarray, tgt: np.ndarray, u: np.ndarray,
+                         take: int) -> np.ndarray:
     """Direction-aware neighbours of the targets `tgt` along unit directions
     `u`, as a (targets, take) array padded with -1 after a row's last
     neighbour, each row ordered by (distance, index).
 
-    A row admits d > 0. Its bound tau is its take-th smallest admissible
-    value among columns 0, _STRIDE, 2*_STRIDE, ...; those are admissible
-    entries of the row, so its own take-th smallest is at most tau. The
-    entries with 0 < d <= tau are sorted by (value, index) and cut to take.
-    A row whose sample holds fewer than take admissible values is bounded by
-    the largest finite value.
+    A row admits d > 0. Read as unsigned integers, float bits order +0 <
+    positives < inf < NaN < negatives. A row's N columns split into take
+    contiguous groups, and its bound tau is the largest of their minima in
+    that order. When every minimum is positive and finite, each group holds
+    an entry with 0 < d <= tau, so the row's take-th smallest admissible
+    value is at most tau; otherwise tau is the largest finite value. One
+    unsigned compare against tau keeps every candidate and the +0 entries,
+    which are dropped. The candidates of all chunks are ordered once, by
+    (row, value, index), and each row is cut to take.
     """
     n = pos.shape[0]
-    d = u @ pos.T
-    d -= np.einsum("tj,tj->t", u, pos[tgt])[:, None]
-    d[np.arange(tgt.size), tgt] = np.inf
-
-    # a row's inadmissible sampled values sort before its admissible ones
-    # and inf after them, so its bound sits at its own offset
-    sample = np.sort(d[:, ::_STRIDE], axis=1)
-    at = (sample <= 0.0).sum(axis=1) + take - 1
-    sampled = at < sample.shape[1]
-    tau = np.full(tgt.size, np.inf, dtype=d.dtype)
-    tau[sampled] = sample[sampled, at[sampled]]
-    tau = np.minimum(tau, np.finfo(d.dtype).max)
-
-    flat = np.flatnonzero((d > 0.0) & (d <= tau[:, None]))
-    row, col = np.divmod(flat, n)
+    dt = np.result_type(u, pos)
+    uint = np.dtype(f"u{dt.itemsize}")
+    top = np.array(np.finfo(dt).max, dtype=dt).view(uint)
+    starts = np.arange(take) * n // take   # take <= n - 1: no group is empty
+    rows, cols, vals = [], [], []
+    for lo in range(0, tgt.size, _CHUNK):
+        d = _projections(pos, tgt[lo:lo + _CHUNK], u[lo:lo + _CHUNK])
+        bits = d.view(uint)
+        low = np.minimum.reduceat(bits, starts, axis=1)
+        tau = low.max(axis=1)
+        tau[((low == 0) | (low > top)).any(axis=1)] = top
+        flat = np.flatnonzero(bits <= tau[:, None])
+        val = d.ravel()[flat]
+        admit = val != 0
+        row, col = np.divmod(flat[admit], n)
+        rows.append(row + lo)
+        cols.append(col)
+        vals.append(val[admit])
+    row, col, val = (np.concatenate(a) for a in (rows, cols, vals))
+    # complex numbers sort by real part, then imaginary part, and the
+    # candidates arrive in (row, index) order, so one stable sort of
+    # row + i * value orders them by (row, value, index)
+    key = np.empty(row.size, dtype=np.complex128)
+    key.real, key.imag = row, val
+    order = np.argsort(key, kind="stable")
+    row, col = row[order], col[order]
     counts = np.bincount(row, minlength=tgt.size)
-    start = np.cumsum(counts) - counts
-    slot = np.arange(flat.size) - np.repeat(start, counts)
-    # candidates enter each inf-padded row in index order, so a stable
-    # sort orders them by (value, index)
-    vals = np.full((tgt.size, counts.max(initial=0)), np.inf, dtype=d.dtype)
-    vals[row, slot] = d.ravel()[flat]
-    first = np.argsort(vals, axis=1, kind="stable")[:, :take]
+    slot = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    keep = slot < take
     out = np.full((tgt.size, take), -1, dtype=np.int64)
-    r, s = np.nonzero(np.arange(first.shape[1]) < counts[:, None])
-    out[r, s] = col[start[r] + first[r, s]]
+    out[row[keep], slot[keep]] = col[keep]
     return out
 
 
@@ -142,10 +163,9 @@ def _neighbor_pairs(cloud: GaussianCloud, targets: np.ndarray, k: int,
         norms = np.linalg.norm(ema, axis=1)
         fallback = norms < EMA_FLOOR
         local = np.flatnonzero(~fallback)
-        u = -ema[local] / norms[local, None]
-        for lo in range(0, local.size, _CHUNK):
-            rows = local[lo:lo + _CHUNK]
-            nb[rows] = _slab_neighbors(pos, targets[rows], u[lo:lo + _CHUNK], take)
+        if local.size:
+            u = -ema[local] / norms[local, None]
+            nb[local] = _direction_neighbors(pos, targets[local], u, take)
     # zero-EMA targets fall back to global euclidean search
     if fallback.any():
         nb[fallback] = _tree_neighbors(pos, targets[fallback], take)

@@ -225,11 +225,15 @@ def render(cloud: GaussianCloud, cam: CameraView,
     if alpha.size >= 2 ** 31:
         raise ValueError("a render must hold fewer than 2**31 fragments")
     order = _pixel_order(pix, h * w)
-    frag_alpha = alpha[order]
-    frag_splat = rank[order]
-    frag_source = splats.index[frag_splat]
     frag_start = np.zeros(h * w + 1, dtype=np.int32)
     np.cumsum(np.bincount(pix, minlength=h * w), out=frag_start[1:])
+    # each unsorted array goes as soon as its last reader is done
+    del pix
+    frag_alpha = alpha[order]
+    del alpha
+    frag_splat = rank[order]
+    del rank, order
+    frag_source = splats.index[frag_splat]
 
     frag_tb, t_final = _transmittance(frag_alpha, frag_start)
     # frag_source is unique per splat, so each pixel row holds a source once

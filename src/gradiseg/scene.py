@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .semantic import class_groups
+
 GSEG_MAGIC = b"GSEG1"
 GSEG_VERSION = 1
 
@@ -297,14 +299,16 @@ def load_scene(path):
 
 def assign_groups(cloud: GaussianCloud, head) -> GaussianCloud:
     """Set each Gaussian's group_id to the argmax class of head logits on its
-    encoding. Ties resolve to the lowest class index."""
+    encoding. Logits are taken once per distinct head row
+    (semantic.class_groups), and ties resolve to the lowest class index."""
     if not np.all(np.isfinite(head.weights)) or not np.all(np.isfinite(head.biases)):
         raise ValueError("classifier head must be finite")
     out = cloud.copy()
     if cloud.n == 0:
         return out
-    logits = cloud.encodings @ head.weights.T + head.biases
-    out.group_ids = np.argmax(logits, axis=1).astype(np.int32)
+    groups = class_groups(head)
+    best = np.argmax(groups.head.logits(cloud.encodings), axis=1)
+    out.group_ids = groups.first[best].astype(np.int32)
     return out
 
 

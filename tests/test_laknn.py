@@ -200,7 +200,7 @@ class TestNeighborPairs:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_fewer_points_than_stride(self, rng, dtype):
-        n = laknn._STRIDE - 3
+        n = 5
         cloud = grid_cloud(rng, n, dtype)
         cloud.pos_grad_ema[0] = 0.0
         cloud.pos_grad_ema[1] = [0.0, 0.0, -1.0]
@@ -220,11 +220,95 @@ class TestNeighborPairs:
         targets = rng.choice(300, 250, replace=False)
         for mode in MODES:
             base = _neighbor_pairs(cloud, targets, 5, mode)
-            for name, values in (("_STRIDE", (1, 3, 10 ** 6)), ("_CHUNK", (1, 7))):
-                for value in values:
-                    with monkeypatch.context() as m:
-                        m.setattr(laknn, name, value)
-                        assert_same_pairs(_neighbor_pairs(cloud, targets, 5, mode), base)
+            for value in (1, 7):
+                with monkeypatch.context() as m:
+                    m.setattr(laknn, "_CHUNK", value)
+                    assert_same_pairs(_neighbor_pairs(cloud, targets, 5, mode), base)
+
+    def test_lone_row_rounds_like_its_chunk(self, rng):
+        # BLAS rounds a one-row float32 product (gemv) differently from a
+        # many-row one (gemm) in about half of these rows. Float64 gemm
+        # rounds a row by its place in the kernel's row panels, so float64
+        # rows may differ in the last bit with the chunk in any case.
+        pos = rng.uniform(-1, 1, (300, 3)).astype(np.float32)
+        e = rng.standard_normal((32, 3)).astype(np.float32)
+        u = -e / np.linalg.norm(e, axis=1)[:, None]
+        tgt = rng.choice(300, 32, replace=False)
+        block = laknn._projections(pos, tgt, u)
+        for i in range(32):
+            lone = laknn._projections(pos, tgt[i:i + 1], u[i:i + 1])
+            assert lone.tobytes() == block[i:i + 1].tobytes()
+
+
+def plane_cloud(dtype):
+    """49 points on the plane z = 1/4, three above it and two below, every
+    EMA along -z. A plane target's projections onto u = +z are exact +0 at
+    the other plane points, so every column group holding one of them has a
+    +0 minimum; the top point has no positive projection at all."""
+    xs = np.arange(-3, 4) / 4.0
+    pts = [[x, y, 0.25] for x in xs for y in xs]
+    pts += [[0.5, 0.0, 0.5], [-0.25, 0.5, 0.75], [0.0, 0.0, 1.0], [0.0, 0.25, 0.0],
+            [0.75, 0.0, -0.25]]
+    cloud = points_cloud(pts, dtype=dtype)
+    cloud.pos_grad_ema[:] = [0.0, 0.0, -2.0]
+    return cloud
+
+
+class TestGroupBound:
+    """The direction-aware bound, the largest of K column-group minima,
+    where those minima are +0, non-finite or negative."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_group_minima_match_oracle(self, dtype):
+        cloud = plane_cloud(dtype)
+        targets = np.arange(cloud.n)
+        for k in (1, 2, 3, 5, 12, 30):
+            assert_same_pairs(_neighbor_pairs(cloud, targets, k, "local-adaptive"),
+                              oracle_pairs(cloud, targets, k, "local-adaptive"))
+        got = _neighbor_pairs(cloud, np.array([0, 51]), 5, "local-adaptive")
+        assert got[0].tolist() == [0, 0, 0] and got[1].tolist() == [49, 50, 51]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_groups_without_positive_entries(self, dtype):
+        # points along x in index order: looking +x, the low-index groups
+        # hold only negatives; looking -x, the high-index groups do
+        n = 40
+        cloud = points_cloud([[x / 8.0, 0.0, 0.0] for x in range(n)], dtype=dtype)
+        cloud.pos_grad_ema[:n // 2] = [-1.0, 0.0, 0.0]
+        cloud.pos_grad_ema[n // 2:] = [3.0, 0.0, 0.0]
+        targets = np.random.default_rng(3).permutation(n)
+        for k in (1, 3, 8, 39):
+            assert_same_pairs(_neighbor_pairs(cloud, targets, k, "local-adaptive"),
+                              oracle_pairs(cloud, targets, k, "local-adaptive"))
+        got = _neighbor_pairs(cloud, np.array([25, 30]), 2, "local-adaptive")
+        assert got[1].tolist() == [24, 23, 29, 28]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_k_at_least_n_minus_one(self, rng, dtype):
+        # one- and two-column groups, one of them the target's own inf
+        n = 23
+        cloud = points_cloud(rng.uniform(-1, 1, (n, 3)), dtype=dtype)
+        cloud.positions[4] = cloud.positions[9]
+        cloud.pos_grad_ema[:] = rng.standard_normal((n, 3))
+        targets = rng.permutation(n)
+        for k in (n - 2, n - 1, n, 5 * n):
+            assert_same_pairs(_neighbor_pairs(cloud, targets, k, "local-adaptive"),
+                              oracle_pairs(cloud, targets, k, "local-adaptive"))
+
+    def test_peak_memory_below_sampled_sort(self, rng):
+        # the search this one replaced, a stride-8 sampled sort over
+        # 128-target chunks, peaked at 6,980,093 bytes on this call
+        n, m = 8000, 4000
+        cloud = points_cloud(rng.uniform(-1, 1, (n, 3)), dtype=np.float32)
+        cloud.pos_grad_ema[:] = rng.standard_normal((n, 3))
+        targets = rng.choice(n, m, replace=False)
+        tracemalloc.start()
+        try:
+            _neighbor_pairs(cloud, targets, 5, "local-adaptive")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6_980_093
 
 
 class TestLoss3d:

@@ -3,6 +3,7 @@
 import dataclasses
 import platform
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,22 @@ class TestRenderInvariants:
             assert a.dtype == np.int32
         assert np.shares_memory(out.weights.indices, out.frag_source)
         assert np.shares_memory(out.weights.indptr, out.frag_start)
+
+    def test_peak_memory_per_fragment(self, rng):
+        # the outputs take 20 bytes per float32 fragment; render keeps its
+        # unsorted fragment arrays only until their last reader is done,
+        # so the whole call stays below 40 bytes per fragment
+        cam = make_camera(width=64, height=64)
+        cloud = random_cloud(rng, 120, dim=16, dtype=np.float32, scale_range=(0.2, 0.4))
+        tracemalloc.start()
+        try:
+            out = render(cloud, cam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_frag = out.frag_source.size
+        assert 150_000 <= n_frag <= 250_000
+        assert peak < 40 * n_frag, (peak, n_frag)
 
     def test_weight_conservation(self, rng):
         cam = make_camera(width=24, height=24)

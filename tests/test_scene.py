@@ -3,6 +3,7 @@
 import hashlib
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,6 +213,44 @@ class TestAssignGroups:
         a = assign_groups(cloud, head).group_ids
         b = assign_groups(cloud, shifted).group_ids
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("values", ["real", "integer"])
+    def test_repeated_rows_match_per_class_argmax(self, rng, dtype, values):
+        # class c repeats row c % 7. Integer rows and encodings give exact
+        # logits, so distinct rows tie often and the lowest class must win.
+        if values == "real":
+            w, b = rng.standard_normal((7, 16)), rng.standard_normal(7)
+            enc = rng.standard_normal((300, 16))
+        else:
+            w, b = rng.integers(-1, 2, (7, 16)), rng.integers(-1, 2, 7)
+            enc = rng.integers(-1, 2, (300, 16))
+        head = ClassifierHead(w[np.arange(48) % 7].astype(dtype),
+                              b[np.arange(48) % 7].astype(dtype))
+        cloud = random_cloud(rng, 300, dim=16, dtype=dtype)
+        cloud.encodings[:] = enc
+        logits = cloud.encodings @ head.weights.T + head.biases
+        got = assign_groups(cloud, head).group_ids
+        assert got.dtype == np.int32
+        assert got.tobytes() == np.argmax(logits, axis=1).astype(np.int32).tobytes()
+        if values == "integer":
+            ties = (logits == logits.max(axis=1, keepdims=True))[:, :7].sum(axis=1)
+            assert (ties > 1).sum() > 30
+
+    def test_peak_memory_below_one_logit_table(self, rng):
+        # 256 classes over 6 distinct rows: one (N, C) float32 logit table is
+        # 8.2 MB, and the per-class argmax held two
+        n, c = 8000, 256
+        cloud = random_cloud(rng, n, dim=16, dtype=np.float32)
+        w = rng.standard_normal((6, 16)).astype(np.float32)
+        head = ClassifierHead(w[np.arange(c) % 6], np.zeros(c, dtype=np.float32))
+        tracemalloc.start()
+        try:
+            assign_groups(cloud, head)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * c * 4
 
 
 class TestEdits:
