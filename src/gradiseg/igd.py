@@ -15,6 +15,7 @@ import numpy as np
 from .rotation import quat_to_rot
 from .scene import MONITORS, GaussianCloud
 
+OPACITY_EPS = 0.005       # rows below this opacity are pruned
 TAU_PERCENTILE = 99.0     # anomaly threshold over mean monitor values
 TOO_LARGE_FRAC = 0.1      # of scene extent
 SPLIT_SCALE_DIV = 1.6
@@ -48,11 +49,10 @@ def split_rows(cloud: GaussianCloud, rows: np.ndarray, offsets: np.ndarray,
     return children
 
 
-def igd_step(cloud: GaussianCloud, opacity_eps: float,
-             scene_extent: float) -> IgdResult:
+def igd_step(cloud: GaussianCloud, scene_extent: float) -> IgdResult:
     """One densification pass: prune, split anomalous rows, reset monitors.
 
-    Rows with opacity below opacity_eps or a scale component above
+    Rows with opacity below OPACITY_EPS or a scale component above
     TOO_LARGE_FRAC * scene_extent are pruned. Rows whose mean monitor
     (accumulated identity-gradient norm per visible iteration) exceeds the
     TAU_PERCENTILE of the surviving visible rows are split in two. The
@@ -61,7 +61,7 @@ def igd_step(cloud: GaussianCloud, opacity_eps: float,
     scale component divided by SPLIT_SCALE_DIV. A row with s_max < 1e-9 gives
     two unshrunk copies at p.
     """
-    alive = ~((cloud.opacities < opacity_eps)
+    alive = ~((cloud.opacities < OPACITY_EPS)
               | (cloud.scales.max(axis=1) > TOO_LARGE_FRAC * scene_extent))
     m = cloud.id_grad_accum / np.maximum(cloud.visible_count, 1)
     seen = alive & (cloud.visible_count > 0)

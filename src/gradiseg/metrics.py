@@ -67,10 +67,11 @@ def default_band_px(shape) -> int:
 def mbiou(pred: np.ndarray, gt: np.ndarray, band_px: int | None = None) -> float:
     """Mean boundary IoU over ground-truth classes (background excluded).
 
-    Per class c with binary masks P (pred) and G (gt) and boundary bands
-    B_P, B_G of width band_px:
+    Boundary IoU as Cheng et al. (CVPR 2021) define it: per class c with
+    binary masks P (pred) and G (gt) and boundary bands B_P, B_G of width
+    band_px, the IoU of the masks' inner bands P_d = B_P & P, G_d = B_G & G:
 
-        score = |B_P & B_G & P & G| / |(B_P | B_G) & (P | G)|
+        score = |P_d & G_d| / |P_d | G_d|
 
     An empty denominator scores 1 when the class masks agree, else 0.
     """
@@ -88,8 +89,9 @@ def mbiou(pred: np.ndarray, gt: np.ndarray, band_px: int | None = None) -> float
     for c in classes:
         p, g = pred == c, gt == c
         bp, bg = _boundary_band(p, band_px), _boundary_band(g, band_px)
-        num = (bp & bg & p & g).sum()
-        den = ((bp | bg) & (p | g)).sum()
+        pd, gd = bp & p, bg & g
+        num = (pd & gd).sum()
+        den = (pd | gd).sum()
         if den == 0:
             scores.append(1.0 if np.array_equal(p, g) else 0.0)
         else:

@@ -170,7 +170,10 @@ def _fragments(splats: ProjectedSplats, opac: np.ndarray, width: int,
         alphas.append(alpha[fine])
         pixels.append(np.repeat(pix0[r0:r1], lens)[hit] + step[hit])
         ranks.append(sv[fine].astype(np.int32))
-    return np.concatenate(alphas), np.concatenate(pixels), np.concatenate(ranks)
+    # one list at a time: each list's blocks go as soon as they are joined
+    for parts in (alphas, pixels, ranks):
+        parts[:] = [np.concatenate(parts)]
+    return alphas[0], pixels[0], ranks[0]
 
 
 def _pixel_order(pix: np.ndarray, n_pix: int) -> np.ndarray:
@@ -224,9 +227,10 @@ def render(cloud: GaussianCloud, cam: CameraView,
     alpha, pix, rank = _fragments(splats, opac, w, opts, dt)
     if alpha.size >= 2 ** 31:
         raise ValueError("a render must hold fewer than 2**31 fragments")
-    order = _pixel_order(pix, h * w)
+    # bincount's intp copy of pix is gone before order exists
     frag_start = np.zeros(h * w + 1, dtype=np.int32)
     np.cumsum(np.bincount(pix, minlength=h * w), out=frag_start[1:])
+    order = _pixel_order(pix, h * w)
     # each unsorted array goes as soon as its last reader is done
     del pix
     frag_alpha = alpha[order]

@@ -8,7 +8,7 @@ engine itself, which keeps the photometric target inside the model class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,12 @@ from .dataset import Dataset, save_dataset
 from .render import render
 from .scene import GaussianCloud, GroupTable
 from .semantic import MAX_CLASSES, ClassifierHead, segment_mask
+
+RING_RADIUS = 2.5    # camera ring radius and height above the origin
+RING_HEIGHT = 0.9
+ENCODING_DIM = 16    # object g is one-hot in dimension g, and g <= 8
+COLOR_JITTER = 0.02  # per-Gaussian uniform color noise around the object color
+OPACITY = 0.9
 
 
 @dataclass
@@ -39,22 +45,15 @@ class ObjectSpec:
 class SceneSpec:
     objects: list[ObjectSpec]
     views: int = 16
-    ring_radius: float = 2.5
-    ring_height: float = 0.9
     image_size: int = 64
     seed: int = 0
-    encoding_dim: int = 16
     num_classes: int = 256
-    color_jitter: float = 0.02
-    opacity: float = 0.9
 
     def __post_init__(self):
         if not (2 <= len(self.objects) <= 8):
             raise ValueError("need between 2 and 8 objects")
         if self.views < 2:
             raise ValueError("need at least 2 views")
-        if len(self.objects) >= self.encoding_dim:
-            raise ValueError("encoding dim too small for object count")
         # object k carries group id k, and masks store ids as uint8
         lowest = len(self.objects) + 1
         if not lowest <= self.num_classes <= MAX_CLASSES:
@@ -103,8 +102,8 @@ def build_gt_cloud(spec: SceneSpec, rng: np.random.Generator) -> GaussianCloud:
         vol = np.prod(np.asarray(obj.size))
         sigma = 0.55 * (vol / obj.count) ** (1.0 / 3.0)
         base = np.asarray(obj.color, dtype=np.float64)
-        jit = rng.uniform(-spec.color_jitter, spec.color_jitter, size=(obj.count, 3))
-        onehot = np.zeros((obj.count, spec.encoding_dim))
+        jit = rng.uniform(-COLOR_JITTER, COLOR_JITTER, size=(obj.count, 3))
+        onehot = np.zeros((obj.count, ENCODING_DIM))
         onehot[:, g] = 1.0
         positions.append(pts)
         scales.append(np.full((obj.count, 3), sigma))
@@ -119,14 +118,14 @@ def build_gt_cloud(spec: SceneSpec, rng: np.random.Generator) -> GaussianCloud:
     f32 = lambda arrs: np.concatenate(arrs).astype(np.float32)
     return GaussianCloud(
         f32(positions), f32(scales), quat,
-        np.full(n, spec.opacity, dtype=np.float32), f32(colors),
+        np.full(n, OPACITY, dtype=np.float32), f32(colors),
         f32(encodings), np.concatenate(group_ids))
 
 
 def gt_classifier(spec: SceneSpec) -> ClassifierHead:
     """Identity-style head: class c reads encoding dimension c (c < D)."""
-    w = np.zeros((spec.num_classes, spec.encoding_dim), dtype=np.float32)
-    idx = np.arange(min(spec.num_classes, spec.encoding_dim))
+    w = np.zeros((spec.num_classes, ENCODING_DIM), dtype=np.float32)
+    idx = np.arange(min(spec.num_classes, ENCODING_DIM))
     w[idx, idx] = 1.0
     return ClassifierHead(w, np.zeros(spec.num_classes, dtype=np.float32))
 
@@ -135,14 +134,12 @@ def ring_cameras(spec: SceneSpec) -> list[CameraView]:
     """V pinhole cameras on a circle, looking at the origin."""
     size = spec.image_size
     # frame the unit working volume with a small margin
-    fov_half = np.arctan(0.85 / spec.ring_radius) * 1.25
+    fov_half = np.arctan(0.85 / RING_RADIUS) * 1.25
     focal = (size / 2.0) / np.tan(fov_half)
     cams = []
     for i in range(spec.views):
         theta = 2.0 * np.pi * i / spec.views
-        pos = (spec.ring_radius * np.cos(theta),
-               spec.ring_radius * np.sin(theta),
-               spec.ring_height)
+        pos = (RING_RADIUS * np.cos(theta), RING_RADIUS * np.sin(theta), RING_HEIGHT)
         w2c = look_at(pos, (0.0, 0.0, 0.0))
         cams.append(CameraView(world_to_camera=w2c, fx=focal, fy=focal,
                                cx=size / 2.0, cy=size / 2.0,

@@ -27,7 +27,7 @@ from scipy.spatial import cKDTree
 
 from .backward import PER_GAUSSIAN, ParamGrads, accumulate_monitors, backward
 from .dataset import Dataset, infer_scene_bounds
-from .igd import SPLIT_SCALE_DIV, igd_step, split_rows
+from .igd import OPACITY_EPS, SPLIT_SCALE_DIV, igd_step, split_rows
 from .laknn import loss_3d
 from .metrics import psnr
 from .render import render
@@ -37,6 +37,18 @@ from .semantic import ClassifierHead, loss_2d
 
 OPACITY_LOGIT_CLIP = 1e-6  # opacity clamped into (0,1) before logit
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+# Adam's rate for positions is LR_POSITION_FRAC * scene extent; the other
+# families use LEARNING_RATES. The geometry and colour rates and the densify
+# thresholds are 3DGS's published settings (Kerbl et al. 2023).
+LR_POSITION_FRAC = 1.6e-4
+LEARNING_RATES = {"log_scales": 5e-3, "rotations": 1e-3, "logit_opacities": 5e-2,
+                  "colors": 2.5e-3, "encodings": 2.5e-3,
+                  "head_weights": 5e-4, "head_biases": 5e-4}
+INIT_OPACITY = 0.1
+ENCODING_DIM = 16         # identity-encoding width of a trained cloud
+DENSIFY_GRAD_FRAC = 2e-4  # of scene extent, per visible iteration
+PERCENT_DENSE = 0.01      # of scene extent: clone at or below, split above
 
 
 @dataclass
@@ -55,23 +67,7 @@ class TrainSchedule:
     knn_k: int = 5
     knn_samples: int = 1000
     seed: int = 42
-
-    # learning rates; the position rate is lr_position_frac * scene extent
-    lr_position_frac: float = 1.6e-4
-    lr_scale: float = 5e-3
-    lr_rotation: float = 1e-3
-    lr_opacity: float = 5e-2
-    lr_color: float = 2.5e-3
-    lr_encoding: float = 2.5e-3
-    lr_head: float = 5e-4
-
     init_count: int = 2000
-    init_opacity: float = 0.1
-    encoding_dim: int = 16
-
-    densify_grad_frac: float = 2e-4     # of scene extent, per visible iteration
-    densify_percent_dense: float = 0.01  # clone below, split above this size
-    opacity_eps: float = 0.005
 
     use_igd: bool = True
     use_laknn: bool = True              # False: global neighbors throughout
@@ -108,8 +104,6 @@ class TrainSchedule:
             raise ValueError("loss weights must be >= 0")
         if self.densify_interval < 1 or self.igd_interval < 1:
             raise ValueError("densify_interval and igd_interval must be >= 1")
-        if self.opacity_eps <= 0:
-            raise ValueError("opacity_eps must be positive")
 
 
 class AdamOptimizer:
@@ -203,9 +197,10 @@ def total_loss(cloud: GaussianCloud, cam, out, head: ClassifierHead,
 
 
 def init_cloud(bbox: np.ndarray, count: int, dim: int, rng: np.random.Generator,
-               opacity: float = 0.1, dtype=np.float32) -> GaussianCloud:
+               dtype=np.float32) -> GaussianCloud:
     """Seed cloud: uniform positions in bbox, isotropic scales set to the mean
-    nearest-neighbor distance, gray color, small random encodings."""
+    nearest-neighbor distance, opacity INIT_OPACITY, gray color, small random
+    encodings."""
     lo, hi = np.asarray(bbox[0]), np.asarray(bbox[1])
     pos = rng.uniform(lo, hi, size=(count, 3))
     # mean nearest-neighbor distance; each distance is recomputed from the
@@ -221,25 +216,27 @@ def init_cloud(bbox: np.ndarray, count: int, dim: int, rng: np.random.Generator,
         pos.astype(dtype),
         np.full((count, 3), scale, dtype=dtype),
         quat.astype(dtype),
-        np.full(count, opacity, dtype=dtype),
+        np.full(count, INIT_OPACITY, dtype=dtype),
         np.full((count, 3), 0.5, dtype=dtype),
         rng.normal(0.0, 0.01, size=(count, dim)).astype(dtype),
     )
 
 
 def standard_densify(cloud: GaussianCloud, stats: DensifyStats, scene_extent: float,
-                     grad_threshold: float, percent_dense: float, opacity_eps: float,
                      rng: np.random.Generator) -> tuple[GaussianCloud, np.ndarray]:
-    """Classic densification: prune transparent rows, then clone small /
-    split large Gaussians whose mean positional-gradient norm is large.
+    """Classic densification: prune rows with opacity below OPACITY_EPS, then
+    clone small / split large Gaussians whose mean positional-gradient norm
+    exceeds DENSIFY_GRAD_FRAC * scene_extent. Small means no scale component
+    above PERCENT_DENSE * scene_extent.
 
     Returns (new cloud, kept). The new cloud is the rows `kept`, then the
     clones (which keep their source rows' monitors), then two children per
     split row, placed by samples of the parent Gaussian.
     """
-    alive = cloud.opacities >= opacity_eps
-    hot = alive & (stats.grad_accum / np.maximum(stats.denom, 1) > grad_threshold)
-    small = cloud.scales.max(axis=1) <= percent_dense * scene_extent
+    alive = cloud.opacities >= OPACITY_EPS
+    hot = alive & (stats.grad_accum / np.maximum(stats.denom, 1)
+                   > DENSIFY_GRAD_FRAC * scene_extent)
+    small = cloud.scales.max(axis=1) <= PERCENT_DENSE * scene_extent
     split = hot & ~small
     kept = np.nonzero(alive & ~split)[0]
     clone_rows = np.nonzero(hot & small)[0]
@@ -301,15 +298,10 @@ def train(dataset: Dataset, schedule: TrainSchedule, out_dir) -> TrainResult:
     bbox = dataset.scene_bbox
     if bbox is None:
         bbox = infer_scene_bounds(dataset.views)
-    cloud = init_cloud(bbox, sched.init_count, sched.encoding_dim, rng,
-                       opacity=sched.init_opacity, dtype=dt)
-    head = ClassifierHead.zeros(dataset.num_classes, sched.encoding_dim, dtype=dt)
+    cloud = init_cloud(bbox, sched.init_count, ENCODING_DIM, rng, dtype=dt)
+    head = ClassifierHead.zeros(dataset.num_classes, ENCODING_DIM, dtype=dt)
     scene_extent = cloud.scene_extent()
-    lrs = {"positions": sched.lr_position_frac * scene_extent,
-           "log_scales": sched.lr_scale,
-           "rotations": sched.lr_rotation, "logit_opacities": sched.lr_opacity,
-           "colors": sched.lr_color, "encodings": sched.lr_encoding,
-           "head_weights": sched.lr_head, "head_biases": sched.lr_head}
+    lrs = dict(LEARNING_RATES, positions=LR_POSITION_FRAC * scene_extent)
     shapes = {name: p.shape for name, p in _cloud_params(cloud).items()}
     shapes.update(head_weights=head.weights.shape, head_biases=head.biases.shape)
     opt = AdamOptimizer(shapes, lrs, dt)
@@ -352,13 +344,10 @@ def train(dataset: Dataset, schedule: TrainSchedule, out_dir) -> TrainResult:
         nxt = it + 1  # row edits take effect for the next iteration
         edit = None
         if nxt < sched.densify_end and nxt % sched.densify_interval == 0:
-            edit = standard_densify(
-                cloud, stats, scene_extent,
-                sched.densify_grad_frac * scene_extent,
-                sched.densify_percent_dense, sched.opacity_eps, rng)
+            edit = standard_densify(cloud, stats, scene_extent, rng)
         elif (sched.use_igd and sched.densify_end <= nxt < sched.igd_end
               and nxt % sched.igd_interval == 0):
-            res = igd_step(cloud, sched.opacity_eps, scene_extent)
+            res = igd_step(cloud, scene_extent)
             edit = res.cloud, res.kept
         if edit is not None:
             cloud, kept = edit

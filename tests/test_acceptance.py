@@ -323,7 +323,7 @@ def test_criterion_4_kl_properties():
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_densification_suite():
-    from gradiseg.igd import TOO_LARGE_FRAC, igd_step
+    from gradiseg.igd import OPACITY_EPS, TOO_LARGE_FRAC, igd_step
     from gradiseg.trainer import PER_GAUSSIAN, AdamOptimizer
     from oracles import Gaussian, split_gaussian
 
@@ -344,15 +344,15 @@ def test_criterion_5_densification_suite():
     for k in PER_GAUSSIAN:
         opt.m[k][:] = 3.0
 
-    opacity_eps, scene_extent = 0.005, 10.0
+    scene_extent = 10.0
     expected_prune = {5, 6, 9}
     parent_pos = cloud.positions[40].copy()
-    res = igd_step(cloud, opacity_eps, scene_extent)
+    res = igd_step(cloud, scene_extent)
     opt.keep_rows(res.kept, res.cloud.n)
 
     # pruning removed exactly {o < 0.005} union {too large}
     assert res.n_pruned == len(expected_prune)
-    assert np.all(res.cloud.opacities >= opacity_eps)
+    assert np.all(res.cloud.opacities >= OPACITY_EPS)
     assert np.all(res.cloud.scales.max(axis=1) <= TOO_LARGE_FRAC * scene_extent)
     # one above threshold -> N + 1, monitors zeroed
     assert res.n_split == 1

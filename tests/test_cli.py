@@ -111,8 +111,9 @@ class TestEdit:
 
     def test_remove_absent_gid_is_noop_exit_zero(self, dataset_dir, tmp_path):
         out = tmp_path / "noop.gseg"
-        rc = main(["edit", "--scene", str(dataset_dir / "gt_scene.gseg"),
-                   "--remove", "200", "--out", str(out)])
+        with pytest.warns(UserWarning, match="group 200 not present"):
+            rc = main(["edit", "--scene", str(dataset_dir / "gt_scene.gseg"),
+                       "--remove", "200", "--out", str(out)])
         assert rc == 0
         assert out.read_bytes() == (dataset_dir / "gt_scene.gseg").read_bytes()
 
@@ -304,6 +305,32 @@ class TestMalformedInput:
                             str(cfg), "--out", str(tmp_path / "run")], capsys,
                            "unknown config key 'bogus_key'")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, key", [
+        *(("train", key) for key in (
+            "lr_position_frac", "lr_scale", "lr_rotation", "lr_opacity", "lr_color",
+            "lr_encoding", "lr_head", "init_opacity", "encoding_dim",
+            "densify_grad_frac", "densify_percent_dense", "opacity_eps")),
+        *(("gen", key) for key in (
+            "ring_radius", "ring_height", "encoding_dim", "color_jitter", "opacity")),
+    ])
+    def test_former_setting_rejected(self, dataset_dir, tmp_path, capsys, command, key):
+        # these settings are module constants now; a file that sets one is
+        # refused rather than silently ignored
+        if command == "train":
+            path = tmp_path / "train.cfg"
+            path.write_text(f"total_iters = 2\n{key} = 1\n")
+            argv = ["train", "--data", str(dataset_dir), "--config", str(path)]
+            words = (f"unknown config key {key!r}",)
+        else:
+            spec = json.loads((dataset_dir / "run.json").read_text())["spec"]
+            spec[key] = 1
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec))
+            argv = ["gen", "--spec", str(path)]
+            words = ("scene spec", key)
+        assert_input_error(argv + ["--out", str(tmp_path / "out")], capsys, *words)
+        assert not (tmp_path / "out").exists()
 
     def test_train_boolean_for_int_key(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"

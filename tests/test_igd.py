@@ -5,13 +5,11 @@ import pytest
 
 import gradiseg.igd as igd
 from conftest import make_camera, random_cloud
-from gradiseg.igd import TAU_PERCENTILE, TOO_LARGE_FRAC, igd_step
+from gradiseg.igd import OPACITY_EPS, TAU_PERCENTILE, TOO_LARGE_FRAC, igd_step
 from gradiseg.render import render
 from gradiseg.scene import GaussianCloud
 from gradiseg.trainer import AdamOptimizer, PER_GAUSSIAN
 from oracles import Gaussian, gaussian, split_gaussian
-
-OPACITY_EPS = 0.005  # the training schedule's default
 
 
 def plain_gaussian(scale=(2.0, 1.0, 1.0), rotation=(1.0, 0.0, 0.0, 0.0)):
@@ -79,7 +77,7 @@ class TestIgdStep:
         cloud = monitored_cloud(rng, 20, np.zeros(20))
         cloud.opacities[3] = 0.001
         cloud.opacities[7] = 0.004999
-        res = igd_step(cloud, OPACITY_EPS, scene_extent=100.0)
+        res = igd_step(cloud, scene_extent=100.0)
         assert res.n_pruned == 2
         assert res.n_split == 0
         assert res.cloud.n == 18
@@ -89,7 +87,7 @@ class TestIgdStep:
         cloud.opacities[:] = 0.5
         cloud.opacities[[2, 11]] = 0.0049
         cloud.scales[5] = [3.0, 0.1, 0.1]   # too large for extent 10, frac 0.1
-        res = igd_step(cloud, OPACITY_EPS, scene_extent=10.0)
+        res = igd_step(cloud, scene_extent=10.0)
         assert res.cloud.n == 27
         assert np.all(res.cloud.opacities >= OPACITY_EPS)
         assert np.all(res.cloud.scales.max(axis=1) <= TOO_LARGE_FRAC * 10.0)
@@ -99,7 +97,7 @@ class TestIgdStep:
         monitors[42] = 50.0
         cloud = monitored_cloud(rng, 100, monitors)
         cloud.opacities[:] = 0.5
-        res = igd_step(cloud, OPACITY_EPS, scene_extent=100.0)
+        res = igd_step(cloud, scene_extent=100.0)
         assert res.n_split == 1
         assert res.cloud.n == 101
         assert not np.any(res.cloud.id_grad_accum)
@@ -111,7 +109,7 @@ class TestIgdStep:
         visible = rng.integers(1, 10, n)
         cloud = monitored_cloud(rng, n, monitors, visible)
         cloud.opacities[:] = 0.5
-        res = igd_step(cloud, OPACITY_EPS, scene_extent=100.0)
+        res = igd_step(cloud, scene_extent=100.0)
         # brute-force: mean monitor, then percentile by sorted interpolation
         m = monitors / np.maximum(visible, 1)
         srt = np.sort(m)
@@ -130,7 +128,7 @@ class TestIgdStep:
         cloud = monitored_cloud(rng, n, monitors)
         cloud.opacities[:] = 0.5
         cloud.opacities[:5] = 0.001  # includes one of the hot rows (index 2)
-        res = igd_step(cloud, OPACITY_EPS, scene_extent=100.0)
+        res = igd_step(cloud, scene_extent=100.0)
         # pruning happens first; pruned rows cannot split
         assert res.n_pruned == 5
         assert res.n_split == 1  # only index 20 of the hot rows survives pruning
@@ -142,7 +140,7 @@ class TestIgdStep:
         cloud = monitored_cloud(rng, 10, monitors)
         cloud.opacities[:] = 0.5
         parent_pos = cloud.positions[4].copy()
-        res = igd_step(cloud, OPACITY_EPS, scene_extent=100.0)
+        res = igd_step(cloud, scene_extent=100.0)
         kids = res.cloud.positions[-2:]
         np.testing.assert_allclose(0.5 * (kids[0] + kids[1]), parent_pos,
                                    atol=1e-7)
@@ -163,7 +161,7 @@ class TestIgdStep:
         for k in PER_GAUSSIAN:
             opt.m[k][:] = 1.0
             opt.v[k][:] = 2.0
-        res = igd_step(cloud, OPACITY_EPS, scene_extent=100.0)
+        res = igd_step(cloud, scene_extent=100.0)
         assert res.n_split == 2
         opt.keep_rows(res.kept, res.cloud.n)
         for k in PER_GAUSSIAN:

@@ -38,8 +38,8 @@ def mbiou_oracle(pred, gt, band):
         p, g = pred == c, gt == c
         bp = boundary_band_oracle(p, band)
         bg = boundary_band_oracle(g, band)
-        num = int((bp & bg & p & g).sum())
-        den = int(((bp | bg) & (p | g)).sum())
+        num = int(((bp & p) & (bg & g)).sum())
+        den = int(((bp & p) | (bg & g)).sum())
         scores.append(num / den if den else (1.0 if np.array_equal(p, g) else 0.0))
     return float(np.mean(scores))
 
@@ -104,6 +104,20 @@ class TestMbiou:
         got = mbiou(pred, gt, band_px=2)
         want = mbiou_oracle(pred, gt, 2)
         assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("cut, shift, want", [
+        (False, 1, 0.714), (False, 2, 0.500), (False, 4, 0.318), (True, 0, 0.757)])
+    def test_published_definition(self, cut, shift, want):
+        # Boundary IoU (Cheng et al. 2021) is the IoU of the masks' inner
+        # bands; the union of both bands over the union of both masks reads
+        # 0.290 for the 4 px shift and 0.626 for the cut
+        gt = np.zeros((64, 64), dtype=np.uint8)
+        gt[16:48, 16:48] = 1
+        pred = np.zeros_like(gt)
+        pred[16:48, 16 + shift:48 + shift] = 1
+        if cut:
+            pred[20:24, 20:44] = 0
+        assert mbiou(pred, gt, band_px=2) == pytest.approx(want, abs=5e-4)
 
     def test_random_masks_match_oracle(self):
         rng = np.random.default_rng(3)

@@ -165,8 +165,9 @@ class TestRenderInvariants:
 
     def test_peak_memory_per_fragment(self, rng):
         # the outputs take 20 bytes per float32 fragment; render keeps its
-        # unsorted fragment arrays only until their last reader is done,
-        # so the whole call stays below 40 bytes per fragment
+        # unsorted fragment arrays only until their last reader is done and
+        # _fragments concatenates one block list at a time, so the whole
+        # call stays below 24 bytes per fragment
         cam = make_camera(width=64, height=64)
         cloud = random_cloud(rng, 120, dim=16, dtype=np.float32, scale_range=(0.2, 0.4))
         tracemalloc.start()
@@ -177,7 +178,7 @@ class TestRenderInvariants:
             tracemalloc.stop()
         n_frag = out.frag_source.size
         assert 150_000 <= n_frag <= 250_000
-        assert peak < 40 * n_frag, (peak, n_frag)
+        assert peak < 24 * n_frag, (peak, n_frag)
 
     def test_weight_conservation(self, rng):
         cam = make_camera(width=24, height=24)

@@ -153,8 +153,7 @@ class TestStandardDensify:
         cloud = random_cloud(rng, 20, dim=4)
         cloud.opacities[(3, 9),] = 0.001
         stats = self.stats_for(cloud, np.zeros(20))
-        out, kept = standard_densify(cloud, stats, 1.0, 2e-4, 0.01, 0.005,
-                                     np.random.default_rng(0))
+        out, kept = standard_densify(cloud, stats, 1.0, np.random.default_rng(0))
         assert out.n == 18
         np.testing.assert_array_equal(kept, np.delete(np.arange(20), [3, 9]))
 
@@ -163,8 +162,7 @@ class TestStandardDensify:
         grads = np.zeros(10)
         grads[4] = 1.0
         stats = self.stats_for(cloud, grads)
-        out, _ = standard_densify(cloud, stats, 1.0, 2e-4, 0.01, 0.005,
-                                  np.random.default_rng(0))
+        out, _ = standard_densify(cloud, stats, 1.0, np.random.default_rng(0))
         assert out.n == 11
         np.testing.assert_array_equal(out.positions[10], cloud.positions[4])
 
@@ -173,8 +171,7 @@ class TestStandardDensify:
         grads = np.zeros(10)
         grads[4] = 1.0
         stats = self.stats_for(cloud, grads)
-        out, _ = standard_densify(cloud, stats, 1.0, 2e-4, 0.01, 0.005,
-                                  np.random.default_rng(0))
+        out, _ = standard_densify(cloud, stats, 1.0, np.random.default_rng(0))
         assert out.n == 11  # parent replaced by two children
         np.testing.assert_allclose(out.scales[-2:],
                                    np.tile(cloud.scales[4] / 1.6, (2, 1)))
@@ -203,8 +200,7 @@ class TestStandardDensify:
         old_m = {k: a.copy() for k, a in opt.m.items()}
         old_v = {k: a.copy() for k, a in opt.v.items()}
 
-        out, kept = standard_densify(cloud, stats, 1.0, 2e-4, 0.01, 0.005,
-                                     np.random.default_rng(0))
+        out, kept = standard_densify(cloud, stats, 1.0, np.random.default_rng(0))
         opt.keep_rows(kept, out.n)
 
         np.testing.assert_array_equal(kept, [0, 3, 4, 5, 6, 8, 10, 11])
@@ -425,5 +421,3 @@ class TestTrainLoop:
             TrainSchedule(alpha_2d=-1.0).resolved()
         with pytest.raises(ValueError, match="interval"):
             TrainSchedule(igd_interval=0).resolved()
-        with pytest.raises(ValueError, match="opacity_eps must be positive"):
-            TrainSchedule(opacity_eps=0.0).resolved()
