@@ -34,8 +34,7 @@ from .dataset import Dataset, load_dataset, save_dataset
 from .igd import igd_step
 from .laknn import loss_3d
 from .metrics import EvalReport, evaluate_masks, mbiou, miou, psnr
-from .render import (RenderOptions, RenderOutput, group_weight_mask,
-                     render_group_weights)
+from .render import RenderOutput, group_weight_mask
 from .scene import (GaussianCloud, GroupTable, assign_groups, extract_group,
                     load_scene, recolor_group, remove_group, save_scene)
 from .semantic import ClassifierHead, classify, loss_2d, segment_mask
@@ -46,12 +45,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamOptimizer", "CameraView", "ClassifierHead", "Dataset", "EvalReport",
-    "GaussianCloud", "GroupTable", "ObjectSpec", "ParamGrads",
-    "RenderOptions", "RenderOutput", "SceneSpec", "TrainSchedule",
-    "accumulate_monitors", "assign_groups", "classify", "default_scene_spec",
-    "evaluate_masks", "extract_group", "generate", "group_weight_mask",
-    "igd_step", "load_dataset", "load_scene", "look_at", "loss_2d", "loss_3d",
-    "mbiou", "miou", "project_cloud", "psnr", "recolor_group", "remove_group",
-    "render_group_weights", "save_dataset", "save_scene", "segment_mask",
-    "total_loss", "train",
+    "GaussianCloud", "GroupTable", "ObjectSpec", "ParamGrads", "RenderOutput",
+    "SceneSpec", "TrainSchedule", "accumulate_monitors", "assign_groups",
+    "classify", "default_scene_spec", "evaluate_masks", "extract_group",
+    "generate", "group_weight_mask", "igd_step", "load_dataset", "load_scene",
+    "look_at", "loss_2d", "loss_3d", "mbiou", "miou", "project_cloud", "psnr",
+    "recolor_group", "remove_group", "save_dataset", "save_scene",
+    "segment_mask", "total_loss", "train",
 ]

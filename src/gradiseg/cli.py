@@ -24,10 +24,11 @@ class ValidationError(Exception):
 
 
 def _write_run_json(dest: Path, command: str, payload: dict) -> None:
+    from .scene import write_atomic
+
     dest.parent.mkdir(parents=True, exist_ok=True)
     record = {"command": command, **payload}
-    with open(dest, "w") as f:
-        json.dump(record, f, indent=1, default=str)
+    write_atomic(dest, [json.dumps(record, indent=1, default=str).encode()])
 
 
 def _require_file(path, what: str) -> Path:
@@ -84,25 +85,32 @@ def _read_dataset(data_dir):
         return manifest, load_dataset(manifest)
 
 
-def _load_scene_spec(path):
+def _load_scene_spec(path, seed):
+    """The bundled spec or the one at `path`, with `seed` in place of its own
+    when given; validated before any file is written."""
     from .synth import ObjectSpec, SceneSpec, default_scene_spec
 
     if path is None:
-        return default_scene_spec()
-    path = _require_file(path, "scene spec")
-    with _reading(f"scene spec {path}"), open(path) as f:
-        raw = json.load(f)
-        objects = [ObjectSpec(**o) for o in raw.pop("objects")]
-        return SceneSpec(objects=objects, **raw)
+        spec = default_scene_spec()
+    else:
+        path = _require_file(path, "scene spec")
+        with _reading(f"scene spec {path}"):
+            raw = json.loads(path.read_text())
+            if not isinstance(raw, dict):
+                raise ValueError("top level must be a JSON object")
+            objects = [ObjectSpec(**o) for o in raw.pop("objects")]
+            spec = SceneSpec(objects=objects, **raw)
+    if seed is None:
+        return spec
+    with _reading("--seed"):
+        return dataclasses.replace(spec, seed=seed)
 
 
 def cmd_gen(args) -> int:
     from .synth import generate
 
     out = _output_dir(args.out)
-    spec = _load_scene_spec(args.spec)
-    if args.seed is not None:
-        spec.seed = args.seed
+    spec = _load_scene_spec(args.spec, args.seed)
     generate(spec, out_dir=out)
     _write_run_json(out / "run.json", "gen",
                     {"seed": spec.seed, "spec": dataclasses.asdict(spec)})

@@ -32,6 +32,8 @@ def load_dataset(manifest_path) -> Dataset:
     manifest_path = Path(manifest_path)
     with open(manifest_path) as f:
         spec = json.load(f)
+    if not isinstance(spec, dict):
+        raise ValueError("manifest top level must be a JSON object")
     root = manifest_path.parent
     num_classes = int(spec.get("num_classes", 256))
     if not 1 <= num_classes <= MAX_CLASSES:

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import binary_dilation
+from scipy.ndimage import binary_dilation, binary_erosion
 
 PSNR_CAP = 99.0
 
@@ -38,15 +38,7 @@ def miou(pred: np.ndarray, gt: np.ndarray) -> float:
 
 def _boundary_pixels(binary: np.ndarray) -> np.ndarray:
     """Mask pixels with an 8-neighbor outside the mask (image border counts)."""
-    padded = np.pad(binary, 1, constant_values=False)
-    interior = np.ones_like(binary)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            interior &= padded[1 + dy:1 + dy + binary.shape[0],
-                               1 + dx:1 + dx + binary.shape[1]]
-    return binary & ~interior
+    return binary & ~binary_erosion(binary, np.ones((3, 3), bool), border_value=0)
 
 
 def _boundary_band(binary: np.ndarray, band_px: int) -> np.ndarray:

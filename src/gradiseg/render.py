@@ -10,12 +10,15 @@ term. The weights form one sparse operator W (pixels x Gaussians, one entry
 per fragment), so the images are W @ [colors | encodings] and the backward
 pass takes W.T of the upstream gradients.
 
-A splat contributes a fragment at a pixel when alpha >= alpha_cutoff and the
-pixel lies within the splat's support ellipse (cull_sigma standard deviations;
-the same radius used for screen culling). Only the pixels inside a splat's
-screen bbox are tested, so the cost follows the fragment count rather than
-the image size. Fragments are recorded per pixel in CSR form for the
-backward pass.
+A splat contributes a fragment at a pixel when alpha >= ALPHA_CUTOFF and the
+pixel lies within the splat's support ellipse (CULL_SIGMA standard
+deviations; the same radius used for screen culling). Alpha is always
+clamped to ALPHA_CLAMP. `render(..., smooth=True)` drops both cutoffs, so a
+splat contributes wherever its alpha is positive and the rendered map is
+differentiable everywhere; only the gradient checks use it. Only the pixels
+inside a splat's screen bbox are tested, so the cost follows the fragment
+count rather than the image size. Fragments are recorded per pixel in CSR
+form for the backward pass.
 
 Candidate (splat, pixel) pairs are tested in blocks of about BLOCK pairs.
 Fragments come out in depth-rank order, pixels ascending within a rank, and
@@ -31,35 +34,16 @@ Fragment and pixel indices are int32, so a view has fewer than 2**31 pixels
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.sparse import csr_array
 
-from .camera import CULL_SIGMA, CameraView, ProjectedSplats, project_cloud
+from .camera import (ALPHA_CUTOFF, CULL_SIGMA, CameraView, ProjectedSplats,
+                     project_cloud)
 from .scene import GaussianCloud
 from .semantic import FOREGROUND_THRESHOLD
 
 ALPHA_CLAMP = 0.99
-ALPHA_CUTOFF = 1.0 / 255.0
 BLOCK = 1 << 14   # candidates per block
-
-
-@dataclass
-class RenderOptions:
-    """The rasterizer's two discrete cutoffs: fragments with alpha below
-    alpha_cutoff are dropped, and with cull_sigma set, splats are culled and
-    supports truncated at cull_sigma standard deviations. `smooth()` turns
-    both off so the rendered map is differentiable everywhere (used by
-    gradient checks). Alpha is always clamped to ALPHA_CLAMP and the near
-    plane is camera.NEAR_PLANE."""
-
-    alpha_cutoff: float = ALPHA_CUTOFF
-    cull_sigma: float | None = CULL_SIGMA
-
-    @classmethod
-    def smooth(cls) -> "RenderOptions":
-        return cls(alpha_cutoff=0.0, cull_sigma=None)
 
 
 class RenderOutput:
@@ -117,7 +101,7 @@ def _row_runs(bbox: np.ndarray, width: int):
 
 
 def _fragments(splats: ProjectedSplats, opac: np.ndarray, width: int,
-               opts: RenderOptions, dt):
+               smooth: bool, dt):
     """Alpha, flat pixel index and splat (depth) rank of every fragment.
 
     Candidates are the pixels of each splat's bbox, visited in blocks of
@@ -128,19 +112,18 @@ def _fragments(splats: ProjectedSplats, opac: np.ndarray, width: int,
     Fragments are returned sorted by (depth rank, pixel), and a splat
     covers a pixel at most once.
     """
-    n_splats = splats.count
     rank, pix0, x0, y, run_len = _row_runs(splats.bbox, width)
     if rank.size == 0:
         empty = np.empty(0, dtype=np.int32)
         return np.empty(0, dtype=dt), empty, empty
     mean, ic = splats.mean2d, splats.inv_cov
-    sig2 = np.inf if opts.cull_sigma is None else dt.type(opts.cull_sigma ** 2)
-    if opts.alpha_cutoff > 0:
-        with np.errstate(divide="ignore"):
-            q_lim = 2.0 * np.log(opac / dt.type(opts.alpha_cutoff)) + dt.type(1e-5)
-        q_cap = np.minimum(q_lim, sig2 + dt.type(1e-5))
+    if smooth:
+        q_cap = np.full(splats.count, np.inf, dtype=dt)
     else:
-        q_cap = np.full(n_splats, sig2, dtype=dt)
+        sig2 = dt.type(CULL_SIGMA ** 2)
+        with np.errstate(divide="ignore"):
+            q_lim = 2.0 * np.log(opac / dt.type(ALPHA_CUTOFF)) + dt.type(1e-5)
+        q_cap = np.minimum(q_lim, sig2 + dt.type(1e-5))
     ic00, ic01x2, ic11 = ic[:, 0, 0], 2.0 * ic[:, 0, 1], ic[:, 1, 1]
 
     # per-run parts of q: d1 and the d1*d1 term depend only on (splat, row)
@@ -163,9 +146,7 @@ def _fragments(splats: ProjectedSplats, opac: np.ndarray, width: int,
         qv, sv = q[hit], s[hit]
         g = np.exp(-0.5 * qv)
         alpha = np.minimum(opac[sv] * g, dt.type(ALPHA_CLAMP))
-        fine = alpha >= opts.alpha_cutoff if opts.alpha_cutoff > 0 else alpha > 0
-        if opts.cull_sigma is not None:
-            fine &= qv <= sig2
+        fine = alpha > 0 if smooth else (alpha >= ALPHA_CUTOFF) & (qv <= sig2)
         hit = hit[fine]
         alphas.append(alpha[fine])
         pixels.append(np.repeat(pix0[r0:r1], lens)[hit] + step[hit])
@@ -213,18 +194,16 @@ def _transmittance(alpha: np.ndarray, frag_start: np.ndarray):
     return t_before, t_final
 
 
-def render(cloud: GaussianCloud, cam: CameraView,
-           opts: RenderOptions | None = None) -> RenderOutput:
+def render(cloud: GaussianCloud, cam: CameraView, smooth: bool = False) -> RenderOutput:
     """Rasterize the cloud into color and identity images with fragment records
-    (int32 indices; 20 bytes per fragment in float32, the operator included)."""
-    opts = opts or RenderOptions()
+    (int32 indices; 20 bytes per fragment in float32, the operator included).
+    `smooth` drops the alpha and support cutoffs (gradient checks only)."""
     dt = cloud.dtype
     h, w = cam.height, cam.width
-    splats = project_cloud(cloud, cam, cull_sigma=opts.cull_sigma,
-                           alpha_cutoff=opts.alpha_cutoff)
+    splats = project_cloud(cloud, cam, smooth=smooth)
     opac = cloud.opacities[splats.index]
 
-    alpha, pix, rank = _fragments(splats, opac, w, opts, dt)
+    alpha, pix, rank = _fragments(splats, opac, w, smooth, dt)
     if alpha.size >= 2 ** 31:
         raise ValueError("a render must hold fewer than 2**31 fragments")
     # bincount's intp copy of pix is gone before order exists
@@ -252,7 +231,9 @@ def render(cloud: GaussianCloud, cam: CameraView,
 
 
 def _render_groups(cloud: GaussianCloud, cam: CameraView) -> RenderOutput:
-    """Render with one-hot group vectors in place of identity encodings."""
+    """Render with one-hot group vectors in place of identity encodings: the
+    identity image is each pixel's blended weight per group, (H, W, G) with
+    G = max group id + 1, the same sums as regrouping its fragments."""
     if cloud.n and np.any(cloud.group_ids < 0):
         raise ValueError("all Gaussians must have assigned groups")
     n_groups = int(cloud.group_ids.max()) + 1 if cloud.n else 1
@@ -261,15 +242,6 @@ def _render_groups(cloud: GaussianCloud, cam: CameraView) -> RenderOutput:
     proxy = cloud.copy()
     proxy.encodings = onehot
     return render(proxy, cam)
-
-
-def render_group_weights(cloud: GaussianCloud, cam: CameraView) -> np.ndarray:
-    """Per-pixel blended weight per group: (H, W, G) with G = max group id + 1.
-
-    Computed by blending one-hot group vectors through the standard compositing
-    path, so weights match fragment-level regrouping exactly.
-    """
-    return _render_groups(cloud, cam).identity
 
 
 def group_weight_mask(cloud: GaussianCloud, cam: CameraView) -> np.ndarray:

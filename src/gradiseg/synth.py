@@ -9,6 +9,7 @@ engine itself, which keeps the photometric target inside the model class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -25,6 +26,18 @@ COLOR_JITTER = 0.02  # per-Gaussian uniform color noise around the object color
 OPACITY = 0.9
 
 
+def _check_int(name: str, value, lowest: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < lowest:
+        raise ValueError(f"{name} must be an integer >= {lowest}, not {value!r}")
+
+
+def _check_triple(name: str, value, positive: bool = False) -> None:
+    v = np.asarray(value, dtype=np.float64)
+    if v.shape != (3,) or not np.all(np.isfinite(v)) or (positive and np.any(v <= 0)):
+        kind = "positive" if positive else "finite"
+        raise ValueError(f"{name} must be 3 {kind} numbers, not {value!r}")
+
+
 @dataclass
 class ObjectSpec:
     primitive: str                      # sphere | box | ellipsoid
@@ -37,8 +50,10 @@ class ObjectSpec:
     def __post_init__(self):
         if self.primitive not in ("sphere", "box", "ellipsoid"):
             raise ValueError(f"unknown primitive {self.primitive!r}")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+        _check_triple("center", self.center)
+        _check_triple("size", self.size, positive=True)
+        _check_triple("color", self.color)
+        _check_int("count", self.count, 1)
 
 
 @dataclass
@@ -52,8 +67,12 @@ class SceneSpec:
     def __post_init__(self):
         if not (2 <= len(self.objects) <= 8):
             raise ValueError("need between 2 and 8 objects")
-        if self.views < 2:
-            raise ValueError("need at least 2 views")
+        _check_int("views", self.views, 2)
+        _check_int("image_size", self.image_size, 1)
+        if self.image_size ** 2 >= 2 ** 31:
+            raise ValueError("image_size must give fewer than 2**31 pixels")
+        _check_int("seed", self.seed, 0)
+        _check_int("num_classes", self.num_classes, 1)
         # object k carries group id k, and masks store ids as uint8
         lowest = len(self.objects) + 1
         if not lowest <= self.num_classes <= MAX_CLASSES:

@@ -46,13 +46,15 @@ def quat_rotation_ref(q):
     ])
 
 
-def reference_render(cloud, cam, alpha_clamp=0.99, alpha_cutoff=1.0 / 255.0,
-                     cull_sigma=3.0, near=0.01, dilation=0.3):
+def reference_render(cloud, cam):
     """Naive sequential per-pixel compositing, scalar math throughout.
 
     Returns (color, identity, final_transmittance, per_pixel_fragments) where
     per_pixel_fragments[y][x] is a list of (source, alpha, t_before).
     """
+    # the rasterizer's constants, written out rather than read from the engine
+    alpha_clamp, alpha_cutoff, cull_sigma = 0.99, 1.0 / 255.0, 3.0
+    near, dilation = 0.01, 0.3
     h, w = cam.height, cam.width
     R_cw = cam.world_to_camera[:3, :3]
     t_cw = cam.world_to_camera[:3, 3]
@@ -75,12 +77,11 @@ def reference_render(cloud, cam, alpha_clamp=0.99, alpha_cutoff=1.0 / 255.0,
         cov3 = Rg @ S @ S @ Rg.T
         A = J @ R_cw
         cov2 = A @ cov3 @ A.T + dilation * np.eye(2)
-        if cull_sigma is not None:
-            lam = np.linalg.eigvalsh(cov2).max()
-            r = cull_sigma * np.sqrt(lam)
-            if (mean[0] + r < 0 or mean[0] - r > w - 1
-                    or mean[1] + r < 0 or mean[1] - r > h - 1):
-                continue
+        lam = np.linalg.eigvalsh(cov2).max()
+        r = cull_sigma * np.sqrt(lam)
+        if (mean[0] + r < 0 or mean[0] - r > w - 1
+                or mean[1] + r < 0 or mean[1] - r > h - 1):
+            continue
         splats.append((float(t[2]), i, mean, np.linalg.inv(cov2)))
 
     splats.sort(key=lambda s: (s[0], s[1]))
@@ -98,11 +99,7 @@ def reference_render(cloud, cam, alpha_clamp=0.99, alpha_cutoff=1.0 / 255.0,
                 q = float(d @ icov @ d)
                 alpha = min(alpha_clamp,
                             float(cloud.opacities[i]) * np.exp(-0.5 * q))
-                if alpha_cutoff > 0 and alpha < alpha_cutoff:
-                    continue
-                if alpha_cutoff <= 0 and alpha <= 0:
-                    continue
-                if cull_sigma is not None and q > cull_sigma ** 2:
+                if alpha < alpha_cutoff or q > cull_sigma ** 2:
                     continue
                 frags[y][x].append((i, alpha, T))
                 wgt = alpha * T

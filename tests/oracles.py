@@ -52,11 +52,10 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from gradiseg.backward import ParamGrads, _segment_suffix_sum
-from gradiseg.camera import CameraView, project_cloud
+from gradiseg.camera import ALPHA_CUTOFF, CULL_SIGMA, CameraView, project_cloud
 from gradiseg.igd import SPLIT_OFFSET_FRAC, SPLIT_SCALE_DIV
 from gradiseg.laknn import EMA_FLOOR
-from gradiseg.render import (ALPHA_CLAMP, ALPHA_CUTOFF, RenderOptions,
-                             RenderOutput)
+from gradiseg.render import ALPHA_CLAMP, RenderOutput
 from gradiseg.rotation import quat_to_rot
 from gradiseg.scene import GaussianCloud
 from gradiseg.semantic import FOREGROUND_THRESHOLD, ClassifierHead
@@ -269,7 +268,7 @@ def _tile_ranges(size: int, tile: int):
     return [(lo, min(lo + tile, size)) for lo in range(0, size, tile)]
 
 
-def _render_tile(x_lo, x_hi, y_lo, y_hi, splats, opac, opts, dt):
+def _render_tile(x_lo, x_hi, y_lo, y_hi, splats, opac, smooth, dt):
     """Composite one pixel tile: per-pixel transmittance and fragment records.
 
     Images are assembled later from the fragment list in canonical order so
@@ -298,24 +297,22 @@ def _render_tile(x_lo, x_hi, y_lo, y_hi, splats, opac, opts, dt):
     q += ic[:, 1, 1, None] * (d1 * d1)
 
     o_hit = opac[hit]
-    sig2 = np.inf if opts.cull_sigma is None else dt.type(opts.cull_sigma ** 2)
-    if opts.alpha_cutoff > 0:
+    if smooth:
+        coarse = q <= np.inf
+    else:
         # coarse superset of admissible fragments in q-space; the exact
         # alpha/support tests below stay bit-identical to the full evaluation
+        sig2 = dt.type(CULL_SIGMA ** 2)
         with np.errstate(divide="ignore"):
-            q_lim = 2.0 * np.log(o_hit / dt.type(opts.alpha_cutoff)) + dt.type(1e-5)
+            q_lim = 2.0 * np.log(o_hit / dt.type(ALPHA_CUTOFF)) + dt.type(1e-5)
         coarse = q <= np.minimum(q_lim, sig2 + dt.type(1e-5))[:, None]
-    else:
-        coarse = q <= sig2
 
     # compact evaluation, pixel-major with ascending depth inside each pixel
     p_idx, k_idx = np.nonzero(coarse.T)
     qv = q[k_idx, p_idx]
     g = np.exp(-0.5 * qv)
     alpha_v = np.minimum(o_hit[k_idx] * g, dt.type(ALPHA_CLAMP))
-    fine = alpha_v >= opts.alpha_cutoff if opts.alpha_cutoff > 0 else alpha_v > 0
-    if opts.cull_sigma is not None:
-        fine &= qv <= sig2
+    fine = alpha_v > 0 if smooth else (alpha_v >= ALPHA_CUTOFF) & (qv <= sig2)
     p_idx, k_idx, alpha_v = p_idx[fine], k_idx[fine], alpha_v[fine]
 
     one_minus = np.ones_like(q)
@@ -345,20 +342,18 @@ def _pixel_sums(values: np.ndarray, frag_start: np.ndarray) -> np.ndarray:
     return out
 
 
-def tiled_render(cloud: GaussianCloud, cam, opts: RenderOptions | None = None,
+def tiled_render(cloud: GaussianCloud, cam, smooth: bool = False,
                  tile: int = DEFAULT_TILE) -> RenderOutput:
     """Rasterize tile by tile with dense per-tile evaluation."""
-    opts = opts or RenderOptions()
     dt = cloud.dtype
     h, w = cam.height, cam.width
-    splats = project_cloud(cloud, cam, cull_sigma=opts.cull_sigma,
-                           alpha_cutoff=opts.alpha_cutoff)
+    splats = project_cloud(cloud, cam, smooth=smooth)
     opac = cloud.opacities[splats.index]
 
     tiles = [(xl, xh, yl, yh)
              for yl, yh in _tile_ranges(h, tile)
              for xl, xh in _tile_ranges(w, tile)]
-    results = [_render_tile(*t, splats, opac, opts, dt) for t in tiles]
+    results = [_render_tile(*t, splats, opac, smooth, dt) for t in tiles]
 
     t_final = np.empty((h, w), dtype=dt)
     counts = np.zeros(h * w, dtype=np.int64)

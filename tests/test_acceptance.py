@@ -21,7 +21,7 @@ from conftest import make_camera, random_cloud, reference_render
 from gradiseg.backward import backward
 from gradiseg.camera import CameraView, look_at
 from gradiseg.laknn import _neighbor_pairs, kl_pairs_loss, loss_3d
-from gradiseg.render import RenderOptions, render
+from gradiseg.render import render
 from gradiseg.scene import GaussianCloud
 from gradiseg.semantic import ClassifierHead, loss_2d
 from gradiseg.trainer import l1_loss
@@ -76,17 +76,16 @@ def _fd_config(seed):
     head = ClassifierHead(rng.standard_normal((NUM_CLASSES, DIM)) * 0.5,
                           rng.standard_normal(NUM_CLASSES) * 0.5)
     mask = rng.integers(0, NUM_CLASSES, (IMG, IMG)).astype(np.uint8)
-    opts = RenderOptions.smooth()
-    base = render(cloud, cam, opts=opts)
+    base = render(cloud, cam, smooth=True)
     target = rng.uniform(0.0, 1.0, (IMG, IMG, 3))
     # L1 sign margin: keep |C - I| >= 1e-3 everywhere
     close = np.abs(base.color - target) < 1e-3
     target[close] = np.clip(base.color[close] + 0.1, 0.0, 1.2)
-    return cloud, cam, head, mask, target, opts
+    return cloud, cam, head, mask, target
 
 
-def _losses(cloud, cam, head, mask, target, opts):
-    out = render(cloud, cam, opts=opts)
+def _losses(cloud, cam, head, mask, target):
+    out = render(cloud, cam, smooth=True)
     l1, _ = l1_loss(out.color, target)
     l2, _, _ = loss_2d(out.identity, mask, head)
     l3, _ = loss_3d(cloud, head, 5, 2, "global", (RNG_BASE, 33))
@@ -114,8 +113,8 @@ def _grad_close(analytic, numeric):
 
 
 def _check_one_config(seed):
-    cloud, cam, head, mask, target, opts = _fd_config(seed)
-    out = render(cloud, cam, opts=opts)
+    cloud, cam, head, mask, target = _fd_config(seed)
+    out = render(cloud, cam, smooth=True)
     _, d_color = l1_loss(out.color, target)
     _, d_ident, (hw2, hb2) = loss_2d(out.identity, mask, head)
     zeros_c = np.zeros_like(d_color)
@@ -134,10 +133,10 @@ def _check_one_config(seed):
         for ix in np.ndindex(*shape):
             cp = cloud.copy()
             PERTURB[family](cp, ix, +FD_H)
-            lp = _losses(cp, cam, head, mask, target, opts)
+            lp = _losses(cp, cam, head, mask, target)
             cm = cloud.copy()
             PERTURB[family](cm, ix, -FD_H)
-            lm = _losses(cm, cam, head, mask, target, opts)
+            lm = _losses(cm, cam, head, mask, target)
             fd = [(a - b) / (2 * FD_H) for a, b in zip(lp, lm)]
             for li in range(3):
                 if li < 2:
@@ -150,7 +149,7 @@ def _check_one_config(seed):
 
     # head parameters: L2d only, since the head is a constant of L3d
     def l2_of(h):
-        return loss_2d(render(cloud, cam, opts=opts).identity, mask, h)[0]
+        return loss_2d(render(cloud, cam, smooth=True).identity, mask, h)[0]
 
     for ix in np.ndindex(*head.weights.shape):
         hp, hm = head.copy(), head.copy()

@@ -9,7 +9,7 @@ import gradiseg.render as render_module
 from conftest import make_camera, random_cloud
 from gradiseg.backward import PER_GAUSSIAN, ParamGrads, accumulate_monitors, backward
 from gradiseg.camera import CameraView, look_at
-from gradiseg.render import ALPHA_CLAMP, RenderOptions, render
+from gradiseg.render import ALPHA_CLAMP, render
 from gradiseg.rotation import rot_grad_to_quat_grad
 from gradiseg.scene import GaussianCloud
 from oracles import fragments_at, recomputing_backward, stacked_quat_grad
@@ -26,7 +26,7 @@ def small_camera(w=8, h=8):
 
 def render_dot(cloud, cam, pixel_grads):
     """Scalar objective sum(pixel_grads * [C, E]) under the smooth renderer."""
-    out = render(cloud, cam, opts=RenderOptions.smooth())
+    out = render(cloud, cam, smooth=True)
     d = cloud.dim
     return float(np.sum(pixel_grads[..., :3] * out.color)
                  + np.sum(pixel_grads[..., 3:] * out.identity))
@@ -74,7 +74,7 @@ class TestBackwardFiniteDifferences:
         for trial in range(4):
             cloud = random_cloud(rng, 6, dim=5, opacity_range=(0.1, 0.85))
             pg = rng.standard_normal((8, 8, 8))
-            out = render(cloud, cam, opts=RenderOptions.smooth())
+            out = render(cloud, cam, smooth=True)
             grads = backward(cloud, cam, out, pg)
             loss = lambda c: render_dot(c, cam, pg)
             for family in ("positions", "log_scales", "rotations",
@@ -90,7 +90,7 @@ class TestBackwardFiniteDifferences:
                          mode="orthographic")
         cloud = random_cloud(rng, 5, dim=4)
         pg = rng.standard_normal((8, 8, 7))
-        out = render(cloud, cam, opts=RenderOptions.smooth())
+        out = render(cloud, cam, smooth=True)
         grads = backward(cloud, cam, out, pg)
         loss = lambda c: render_dot(c, cam, pg)
         for family in ("positions", "log_scales", "rotations"):
@@ -285,10 +285,13 @@ class TestRecomputingOracle:
         assert np.all(grads.positions[0] != 0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_fully_clamped_splat_passes_no_geometry_gradient(self, rng, dtype):
+    def test_fully_clamped_splat_passes_no_geometry_gradient(self, rng, monkeypatch,
+                                                              dtype):
         # a point-like splat centred on pixel (4, 4): with the cutoff at 0.5
         # its one fragment is the clamped centre, so only colour and encoding
-        # see a gradient; the Gaussians behind it still get theirs
+        # see a gradient; the Gaussians behind it still get theirs. The
+        # camera's binning bbox keeps the 1/255 bound, a superset of these
+        # fragments
         cam = CameraView(look_at((0.0, 0.0, -3.0), (0.0, 0.0, 0.0)),
                          fx=12.0, fy=12.0, cx=4.0, cy=4.0, width=9, height=9)
         cloud = random_cloud(rng, 8, dim=4, dtype=dtype, opacity_range=(0.6, 0.9),
@@ -296,7 +299,8 @@ class TestRecomputingOracle:
         cloud.positions[0] = [0.0, 0.0, -1.0]
         cloud.scales[0] = 1e-4
         cloud.opacities[0] = 0.999
-        out = render(cloud, cam, opts=RenderOptions(alpha_cutoff=0.5))
+        monkeypatch.setattr(render_module, "ALPHA_CUTOFF", 0.5)
+        out = render(cloud, cam)
         own = np.flatnonzero(out.frag_source == 0)
         assert own.size == 1 and out.frag_alpha[own[0]] == dtype(ALPHA_CLAMP)
         pg = rng.standard_normal((9, 9, 7)).astype(dtype)

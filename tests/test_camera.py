@@ -52,7 +52,7 @@ class TestProjection:
         cloud = random_cloud(rng, 100, dim=4, z_range=(-0.3, 0.3))
         cam = CameraView(look_at((0.3, -0.2, -3.0), (0.0, 0.0, 0.0)),
                          fx=90.0, fy=110.0, cx=24.0, cy=20.0, width=48, height=40)
-        splats = project_cloud(cloud, cam, cull_sigma=None)
+        splats = project_cloud(cloud, cam, smooth=True)
         R_cw, t_cw = cam.rotation, cam.translation
         h = 1e-5
         checked = 0

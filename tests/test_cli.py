@@ -1,11 +1,14 @@
 """CLI wiring: exit codes, run.json echoes, end-to-end smoke."""
 
 import json
+import os
 import shutil
 
 import numpy as np
 import pytest
 
+import gradiseg.scene as scene_module
+from conftest import HalfWrite
 from gradiseg.cli import main
 from gradiseg.netpbm import read_pgm, read_ppm, write_pgm
 from gradiseg.scene import load_scene, save_scene
@@ -91,6 +94,25 @@ class TestSegmentRenderEval:
             assert report[key][1] == 0.0
             assert report[key][:1] + report[key][2:] == [1.0] * (views - 1)
         assert report["mbiou"] == pytest.approx(np.mean(report["mbiou_per_view"]))
+
+    def test_failed_run_json_write_keeps_old_file(self, dataset_dir, tmp_path,
+                                                  monkeypatch, capsys):
+        def render_view(view):
+            return main(["render", "--scene", str(dataset_dir / "gt_scene.gseg"),
+                         "--data", str(dataset_dir), "--view", str(view),
+                         "--out", str(tmp_path / "view.ppm")])
+
+        assert render_view(0) == 0
+        old = (tmp_path / "run.json").read_bytes()
+
+        def fail_on_run_json(path, mode):
+            return (HalfWrite if "run.json" in str(path) else open)(path, mode)
+
+        monkeypatch.setattr(scene_module, "open", fail_on_run_json, raising=False)
+        assert render_view(1) == 1
+        assert "No space left" in capsys.readouterr().err
+        assert (tmp_path / "run.json").read_bytes() == old
+        assert sorted(os.listdir(tmp_path)) == ["run.json", "view.ppm"]
 
     def test_view_out_of_range(self, dataset_dir, tmp_path):
         rc = main(["segment", "--scene", str(dataset_dir / "gt_scene.gseg"),
@@ -248,9 +270,19 @@ class TestMalformedInput:
                            f"scene file {scene}", "positions must be finite")
 
     @pytest.mark.parametrize("change, words", [
-        ({"objects": 1}, "need between 2 and 8 objects"),
-        ({"num_classes": 300}, "num_classes 300 outside [3, 256]"),
-    ], ids=["one-object", "300-classes"])
+        (lambda s: s.update(objects=s["objects"][:1]), "need between 2 and 8 objects"),
+        (lambda s: s.update(num_classes=300), "num_classes 300 outside [3, 256]"),
+        (lambda s: s["objects"][0].update(count=50.5), "count must be an integer >= 1"),
+        (lambda s: s["objects"][1].update(size=[0.3, 0.3]), "size must be 3 positive"),
+        (lambda s: s["objects"][1].update(size=[0.3, 0.0, 0.3]), "size must be 3 positive"),
+        (lambda s: s.update(image_size=0), "image_size must be an integer >= 1"),
+        (lambda s: s.update(image_size=46341), "fewer than 2**31 pixels"),
+        (lambda s: s.update(views=2.5), "views must be an integer >= 2"),
+        (lambda s: s.update(seed=-1), "seed must be an integer >= 0"),
+        (lambda s: 5, "top level must be a JSON object"),
+    ], ids=["one-object", "300-classes", "fractional-count", "two-element-size",
+            "zero-size", "zero-image-size", "huge-image-size", "fractional-views", "negative-seed",
+            "top-level-number"])
     def test_gen_invalid_spec(self, tmp_path, capsys, change, words):
         spec = {
             "objects": [
@@ -261,15 +293,26 @@ class TestMalformedInput:
             ],
             "views": 2, "image_size": 16,
         }
-        if "objects" in change:
-            spec["objects"] = spec["objects"][:change["objects"]]
-        else:
-            spec.update(change)
+        spec = change(spec) or spec
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         assert_input_error(["gen", "--spec", str(path), "--out", str(tmp_path / "ds")],
                            capsys, "scene spec", words)
         assert not (tmp_path / "ds").exists()
+
+    def test_gen_negative_seed(self, tmp_path, capsys):
+        assert_input_error(["gen", "--seed", "-1", "--out", str(tmp_path / "ds")],
+                           capsys, "--seed: seed must be an integer >= 0")
+        assert not (tmp_path / "ds").exists()
+
+    def test_train_manifest_not_an_object(self, dataset_dir, tmp_path, capsys):
+        ds = copy_dataset(dataset_dir, tmp_path)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        (ds / "manifest.json").write_text(json.dumps(manifest["views"]))
+        assert_input_error(["train", "--data", str(ds), "--iters", "0",
+                            "--out", str(tmp_path / "run")], capsys,
+                           "manifest top level must be a JSON object")
+        assert not (tmp_path / "run").exists()
 
     def test_eval_truncated_ppm(self, dataset_dir, tmp_path, capsys):
         ds = copy_dataset(dataset_dir, tmp_path)

@@ -12,7 +12,7 @@ import gradiseg.render as render_module
 from conftest import make_camera, random_cloud, reference_render
 from gradiseg import synth
 from gradiseg.camera import project_cloud
-from gradiseg.render import RenderOptions, render, render_group_weights
+from gradiseg.render import _render_groups, render
 from gradiseg.scene import GaussianCloud
 from gradiseg.semantic import segment_mask
 from oracles import Splat2D, fragments_at, key_order, pixel_alpha, tiled_render
@@ -255,12 +255,11 @@ class TestTiledOracle:
                              ids=["33x17", "32x32", "5x40"])
     def test_matches_tiled_oracle(self, rng, dtype, smooth, size):
         cam = make_camera(width=size[0], height=size[1])
-        opts = RenderOptions.smooth() if smooth else RenderOptions()
         cloud = random_cloud(rng, 60, dim=4, dtype=dtype)
-        out = render(cloud, cam, opts=opts)
+        out = render(cloud, cam, smooth=smooth)
         assert out.frag_source.size > 0
         for tile in (4, 16, 64):
-            assert_same_bytes(out, tiled_render(cloud, cam, opts=opts, tile=tile))
+            assert_same_bytes(out, tiled_render(cloud, cam, smooth=smooth, tile=tile))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_fragments_lie_in_splat_bbox(self, rng, dtype):
@@ -279,12 +278,11 @@ class TestTiledOracle:
     @pytest.mark.parametrize("smooth", [False, True], ids=["default", "smooth"])
     def test_block_independence(self, rng, monkeypatch, smooth):
         cam = make_camera(width=33, height=17)
-        opts = RenderOptions.smooth() if smooth else RenderOptions()
         cloud = random_cloud(rng, 60, dim=4, dtype=np.float32)
-        base = render(cloud, cam, opts=opts)
+        base = render(cloud, cam, smooth=smooth)
         for block in (1, 7, 10 ** 6):
             monkeypatch.setattr(render_module, "BLOCK", block)
-            assert_same_bytes(render(cloud, cam, opts=opts), base)
+            assert_same_bytes(render(cloud, cam, smooth=smooth), base)
 
 
 class TestRenderEdgeCases:
@@ -309,11 +307,10 @@ class TestRenderEdgeCases:
     @pytest.mark.parametrize("smooth", [False, True], ids=["default", "smooth"])
     def test_single_pixel_camera(self, rng, smooth):
         cam = make_camera(width=1, height=1, fov_scale=20.0)
-        opts = RenderOptions.smooth() if smooth else RenderOptions()
         cloud = random_cloud(rng, 40, dim=4)
-        out = render(cloud, cam, opts=opts)
+        out = render(cloud, cam, smooth=smooth)
         assert out.frag_source.size > 0
-        assert_same_bytes(out, tiled_render(cloud, cam, opts=opts))
+        assert_same_bytes(out, tiled_render(cloud, cam, smooth=smooth))
         if not smooth:
             ref_color, _, ref_t, _ = reference_render(cloud, cam)
             np.testing.assert_allclose(out.color, ref_color, atol=1e-6)
@@ -363,11 +360,9 @@ class TestFragmentOrder:
     def test_matches_key_argsort(self, rng, dtype, size):
         cam = make_camera(width=size[0], height=size[1])
         cloud = random_cloud(rng, 60, dim=4, dtype=dtype)
-        opts = RenderOptions()
-        splats = project_cloud(cloud, cam, cull_sigma=opts.cull_sigma,
-                               alpha_cutoff=opts.alpha_cutoff)
+        splats = project_cloud(cloud, cam)
         _, pix, rank = render_module._fragments(
-            splats, cloud.opacities[splats.index], cam.width, opts, np.dtype(dtype))
+            splats, cloud.opacities[splats.index], cam.width, False, np.dtype(dtype))
         n_pix = cam.width * cam.height
         assert pix.size > 0 and (n_pix > 1 << 16) == (size == (300, 240))
         order = render_module._pixel_order(pix, n_pix)
@@ -418,7 +413,7 @@ class TestGroupWeights:
         cloud = stacked_cloud([(1.0, (0.5,) * 3, np.zeros(4))])
         cloud.group_ids[:] = 1
         cam = centered_camera()
-        weights = render_group_weights(cloud, cam)
+        weights = _render_groups(cloud, cam).identity
         assert weights.shape == (9, 9, 2)
         assert weights[4, 4, 1] == pytest.approx(0.99)
         assert weights[4, 4, 0] == 0.0
@@ -427,20 +422,20 @@ class TestGroupWeights:
         cloud = stacked_cloud([(1.0, (0.5,) * 3, np.zeros(4))])
         cloud.group_ids[:] = 1
         cam = centered_camera()
-        weights = render_group_weights(cloud, cam)
+        weights = _render_groups(cloud, cam).identity
         assert np.all(weights[0, 0] == 0.0)
 
     def test_unassigned_rejected(self, rng):
         cloud = random_cloud(rng, 5, dim=4)
         with pytest.raises(ValueError, match="assigned"):
-            render_group_weights(cloud, make_camera())
+            _render_groups(cloud, make_camera())
 
     def test_matches_fragment_regrouping(self, rng):
         # regroup oracle: sum fragment weights per group id per pixel
         cam = make_camera(width=16, height=16)
         cloud = random_cloud(rng, 40, dim=4)
         cloud.group_ids[:] = rng.integers(0, 5, 40)
-        weights = render_group_weights(cloud, cam)
+        weights = _render_groups(cloud, cam).identity
         out = render(cloud, cam)
         expect = np.zeros_like(weights)
         for y in range(16):

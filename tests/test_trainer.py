@@ -1,15 +1,19 @@
 """Optimizer, joint loss, standard densification, and the training loop."""
 
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gradiseg
 import gradiseg.scene as scene_module
 from conftest import HalfWrite, random_cloud
 from gradiseg.backward import backward
-from gradiseg.render import RenderOptions, render
+from gradiseg.render import render
 from gradiseg.scene import GaussianCloud
 from gradiseg.semantic import ClassifierHead, loss_2d
 from gradiseg.laknn import loss_3d
@@ -290,6 +294,28 @@ class TestTrainLoop:
             train(dataset, TrainSchedule(total_iters=0, init_count=160, seed=11), tmp_path)
         assert (tmp_path / "metrics.csv").read_bytes() == old
         assert sorted(os.listdir(tmp_path)) == ["final.gseg", "metrics.csv"]
+
+    def test_same_bytes_with_one_or_two_blas_threads(self, tmp_path):
+        # local-adaptive KNN from iteration 8, so the direction-aware search's
+        # BLAS product runs on most iterations
+        spec = default_scene_spec(5)
+        spec.views = 4
+        generate(spec, out_dir=tmp_path / "ds")
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("total_iters = 24\ndensify_end = 8\nigd_end = 12\n"
+                       "knn_switch = 8\ndensify_interval = 4\nigd_interval = 3\n"
+                       "init_count = 300\nknn_samples = 200\n"
+                       "checkpoint_interval = 24\nlog_interval = 6\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(gradiseg.__file__).parents[1]))
+        for threads in ("1", "2"):
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "gradiseg.cli", "train",
+                            "--data", str(tmp_path / "ds"), "--config", str(cfg),
+                            "--out", str(tmp_path / threads)],
+                           env=env, check=True, capture_output=True)
+        for name in ("final.gseg", "metrics.csv"):
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes()), name
 
     def test_determinism_byte_identical(self, tmp_path):
         dataset = tiny_dataset()
