@@ -37,7 +37,7 @@ from .metrics import EvalReport, evaluate_masks, mbiou, miou, psnr
 from .render import RenderOutput, group_weight_mask
 from .scene import (GaussianCloud, GroupTable, assign_groups, extract_group,
                     load_scene, recolor_group, remove_group, save_scene)
-from .semantic import ClassifierHead, classify, loss_2d, segment_mask
+from .semantic import ClassifierHead, loss_2d, segment_mask
 from .synth import SceneSpec, ObjectSpec, default_scene_spec, generate
 from .trainer import AdamOptimizer, TrainSchedule, total_loss, train
 
@@ -47,9 +47,9 @@ __all__ = [
     "AdamOptimizer", "CameraView", "ClassifierHead", "Dataset", "EvalReport",
     "GaussianCloud", "GroupTable", "ObjectSpec", "ParamGrads", "RenderOutput",
     "SceneSpec", "TrainSchedule", "accumulate_monitors", "assign_groups",
-    "classify", "default_scene_spec", "evaluate_masks", "extract_group",
-    "generate", "group_weight_mask", "igd_step", "load_dataset", "load_scene",
-    "look_at", "loss_2d", "loss_3d", "mbiou", "miou", "project_cloud", "psnr",
+    "default_scene_spec", "evaluate_masks", "extract_group", "generate",
+    "group_weight_mask", "igd_step", "load_dataset", "load_scene", "look_at",
+    "loss_2d", "loss_3d", "mbiou", "miou", "project_cloud", "psnr",
     "recolor_group", "remove_group", "save_dataset", "save_scene",
     "segment_mask", "total_loss", "train",
 ]

@@ -20,13 +20,25 @@ inside a splat's screen bbox are tested, so the cost follows the fragment
 count rather than the image size. Fragments are recorded per pixel in CSR
 form for the backward pass.
 
-Candidate (splat, pixel) pairs are tested in blocks of about BLOCK pairs.
+A pixel stops once its transmittance falls below T_STOP = 1e-5: it keeps
+the fragments with t_before >= T_STOP, a prefix of its depth-ordered list,
+and final_transmittance is the product over those, so the weights and
+T_final still sum to 1. The dropped fragments weigh less than T_STOP
+together, so a channel moves by less than T_STOP * max|f| up to rounding.
+3DGS (Kerbl et al. 2023) stops at 1e-4, whose bound would reach the 1e-4
+pixel tolerance of the benchmark's float64 reference compositor.
+`smooth=True` keeps every fragment.
+
+Candidate (splat, pixel) pairs are tested in blocks of about BLOCK pairs,
+visited in depth order, so a per-pixel running transmittance lets later
+blocks skip the bbox rows and candidates of pixels already below T_STOP.
 Fragments come out in depth-rank order, pixels ascending within a rank, and
 one stable sort by pixel puts them in pixel-major order with ascending depth
 within each pixel. A sweep over depth rank then carries each pixel's
-transmittance front to back, and the sparse product adds each pixel's
-fragments one after another, front to back. Blocks keep temporaries
-cache-sized; no result depends on the block size.
+transmittance front to back, the exact stop rule trims what the skips left,
+and the sparse product adds each pixel's fragments one after another, front
+to back. Blocks keep temporaries cache-sized; no result depends on the block
+size.
 
 Fragment and pixel indices are int32, so a view has fewer than 2**31 pixels
 (CameraView checks) and a render fewer than 2**31 fragments (render checks).
@@ -43,6 +55,7 @@ from .scene import GaussianCloud
 from .semantic import FOREGROUND_THRESHOLD
 
 ALPHA_CLAMP = 0.99
+T_STOP = 1e-5     # a pixel keeps the fragments with transmittance >= T_STOP
 BLOCK = 1 << 14   # candidates per block
 
 
@@ -109,6 +122,9 @@ def _fragments(splats: ProjectedSplats, opac: np.ndarray, width: int,
     the exact alpha and support tests then decide. Each pair's arithmetic
     reads that pair alone, so the accepted set and its alphas do not depend
     on the blocks, nor on the bbox as long as it holds every fragment.
+    Without `smooth`, the fragments of pixels already below T_STOP in an
+    earlier block are skipped; which of the fragments behind T_STOP remain
+    depends on the blocks, and render's stop rule removes them all.
     Fragments are returned sorted by (depth rank, pixel), and a splat
     covers a pixel at most once.
     """
@@ -131,26 +147,57 @@ def _fragments(splats: ProjectedSplats, opac: np.ndarray, width: int,
     q11_run = ic11[rank] * (d1_run * d1_run)
 
     run_start = np.cumsum(run_len) - run_len
+    if not smooth:
+        # each pixel's transmittance over the fragments made so far: the
+        # factors _transmittance multiplies, in depth order (dt.type, since
+        # ufunc.at is fast only on the canonical dtype). Once it is below
+        # t_done the pixel is done and its runs and candidates are skipped.
+        # The 1% margin holds for any order of the factors: reordering k of
+        # them moves a product by a relative 2k * 2**-24 at most, and a
+        # product above t_done has k < log(t_done) / log(1 - ALPHA_CUTOFF) < 3000
+        t_run = np.ones(int((pix0 + run_len).max()), dtype=dt.type)
+        t_done = 0.99 * T_STOP
+    done = None
     alphas, pixels, ranks = [], [], []
     for r0, r1 in _blocks(run_start, int(run_start[-1] + run_len[-1])):
-        lens = run_len[r0:r1]
-        step = (np.arange(run_start[r0], run_start[r0] + lens.sum())
-                - np.repeat(run_start[r0:r1], lens)).astype(np.int32)
-        s = np.repeat(rank[r0:r1], lens)
-        d0 = (np.repeat(x0[r0:r1], lens) + step).astype(dt) - mean[s, 0]
-        d1 = np.repeat(d1_run[r0:r1], lens)
+        runs, check = slice(r0, r1), False
+        if done is not None:
+            # drop the runs whose pixels are all done; test single pixels
+            # only when a run left holds a done one
+            n_done = done_upto[pix0[runs] + run_len[runs]] - done_upto[pix0[runs]]
+            live = n_done < run_len[runs]
+            check = bool(n_done[live].any())
+            if not live.all():
+                runs = r0 + np.flatnonzero(live)
+                if runs.size == 0:
+                    continue
+        lens = run_len[runs]
+        off = np.cumsum(lens) - lens
+        step = (np.arange(off[-1] + lens[-1]) - np.repeat(off, lens)).astype(np.int32)
+        s = np.repeat(rank[runs], lens)
+        d0 = (np.repeat(x0[runs], lens) + step).astype(dt) - mean[s, 0]
+        d1 = np.repeat(d1_run[runs], lens)
         q = ic00[s] * (d0 * d0)
         q += ic01x2[s] * (d0 * d1)
-        q += np.repeat(q11_run[r0:r1], lens)
+        q += np.repeat(q11_run[runs], lens)
         hit = np.flatnonzero(q <= q_cap[s])
+        pix = np.repeat(pix0[runs], lens)[hit] + step[hit]
+        if check:
+            live = np.flatnonzero(~done[pix])
+            hit, pix = hit[live], pix[live]
         qv, sv = q[hit], s[hit]
         g = np.exp(-0.5 * qv)
         alpha = np.minimum(opac[sv] * g, dt.type(ALPHA_CLAMP))
         fine = alpha > 0 if smooth else (alpha >= ALPHA_CUTOFF) & (qv <= sig2)
-        hit = hit[fine]
-        alphas.append(alpha[fine])
-        pixels.append(np.repeat(pix0[r0:r1], lens)[hit] + step[hit])
+        alpha, pix = alpha[fine], pix[fine]
+        alphas.append(alpha)
+        pixels.append(pix)
         ranks.append(sv[fine].astype(np.int32))
+        if not smooth and r1 < rank.size:   # the last block's products have no reader
+            np.multiply.at(t_run, pix, 1.0 - alpha)
+            if done is not None or t_run.min() < t_done:
+                done = t_run < t_done
+                done_upto = np.concatenate(([0], np.cumsum(done)))
     # one list at a time: each list's blocks go as soon as they are joined
     for parts in (alphas, pixels, ranks):
         parts[:] = [np.concatenate(parts)]
@@ -194,10 +241,28 @@ def _transmittance(alpha: np.ndarray, frag_start: np.ndarray):
     return t_before, t_final
 
 
+def _stop(frag_start, t_before, t_final):
+    """Apply the stop rule: each pixel keeps the fragments with t_before >=
+    T_STOP, a prefix of its depth-ordered list. Moves frag_start and t_final
+    in place to the kept fragments (t_final takes the t_before of a pixel's
+    first dropped fragment) and returns the mask of kept fragments, or None
+    when every fragment stays."""
+    keep = t_before >= T_STOP
+    if keep.all():
+        return None
+    cut = np.flatnonzero(~keep)
+    pix = np.searchsorted(frag_start, cut, side="right") - 1
+    first = np.flatnonzero(np.diff(pix, prepend=-1))
+    t_final[pix[first]] = t_before[cut[first]]
+    frag_start -= np.searchsorted(cut, frag_start).astype(np.int32)
+    return keep
+
+
 def render(cloud: GaussianCloud, cam: CameraView, smooth: bool = False) -> RenderOutput:
     """Rasterize the cloud into color and identity images with fragment records
     (int32 indices; 20 bytes per fragment in float32, the operator included).
-    `smooth` drops the alpha and support cutoffs (gradient checks only)."""
+    `smooth` drops the alpha and support cutoffs and the stop at T_STOP
+    (gradient checks only)."""
     dt = cloud.dtype
     h, w = cam.height, cam.width
     splats = project_cloud(cloud, cam, smooth=smooth)
@@ -216,9 +281,15 @@ def render(cloud: GaussianCloud, cam: CameraView, smooth: bool = False) -> Rende
     del alpha
     frag_splat = rank[order]
     del rank, order
-    frag_source = splats.index[frag_splat]
 
     frag_tb, t_final = _transmittance(frag_alpha, frag_start)
+    keep = None if smooth else _stop(frag_start, frag_tb, t_final)
+    if keep is not None:   # one array at a time, as above
+        frag_alpha = frag_alpha[keep]
+        frag_tb = frag_tb[keep]
+        frag_splat = frag_splat[keep]
+        del keep
+    frag_source = splats.index[frag_splat]
     # frag_source is unique per splat, so each pixel row holds a source once
     weights = csr_array((frag_alpha * frag_tb, frag_source, frag_start),
                         shape=(h * w, cloud.n))

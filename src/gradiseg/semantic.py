@@ -105,12 +105,6 @@ def _group_probs(features: np.ndarray, groups: ClassGroups) -> np.ndarray:
     return softmax(groups.head.logits(features), groups.size)[0]
 
 
-def classify(features: np.ndarray, head: ClassifierHead) -> np.ndarray:
-    """Class probabilities for each feature vector: softmax(W f + b)."""
-    groups = class_groups(head)
-    return groups.expand(_group_probs(np.asarray(features), groups))
-
-
 def segment_mask(identity_map: np.ndarray, final_transmittance: np.ndarray,
                  head: ClassifierHead) -> np.ndarray:
     """Instance-id mask: per-pixel argmax class of the rendered identity
@@ -126,7 +120,7 @@ def segment_mask(identity_map: np.ndarray, final_transmittance: np.ndarray,
 
 
 def loss_2d(identity_map: np.ndarray, mask: np.ndarray, head: ClassifierHead):
-    """Mean per-pixel cross-entropy of classify(identity_map) against mask ids.
+    """Mean per-pixel cross-entropy of softmax(W f + b) against mask ids.
 
     Returns (loss, dL/didentity_map, (dL/dW, dL/db)). A pixel whose feature
     row is all zero (no fragment, or zero encodings) has logits exactly b, so

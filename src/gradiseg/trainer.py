@@ -104,6 +104,8 @@ class TrainSchedule:
             raise ValueError("loss weights must be >= 0")
         if self.densify_interval < 1 or self.igd_interval < 1:
             raise ValueError("densify_interval and igd_interval must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 class AdamOptimizer:

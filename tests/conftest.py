@@ -47,13 +47,14 @@ def quat_rotation_ref(q):
 
 
 def reference_render(cloud, cam):
-    """Naive sequential per-pixel compositing, scalar math throughout.
+    """Naive sequential per-pixel compositing, scalar math throughout; a
+    pixel's loop breaks once its transmittance falls below 1e-5.
 
     Returns (color, identity, final_transmittance, per_pixel_fragments) where
     per_pixel_fragments[y][x] is a list of (source, alpha, t_before).
     """
     # the rasterizer's constants, written out rather than read from the engine
-    alpha_clamp, alpha_cutoff, cull_sigma = 0.99, 1.0 / 255.0, 3.0
+    alpha_clamp, alpha_cutoff, cull_sigma, t_stop = 0.99, 1.0 / 255.0, 3.0, 1e-5
     near, dilation = 0.01, 0.3
     h, w = cam.height, cam.width
     R_cw = cam.world_to_camera[:3, :3]
@@ -95,6 +96,8 @@ def reference_render(cloud, cam):
             T = 1.0
             px = np.array([float(x), float(y)])
             for depth, i, mean, icov in splats:
+                if T < t_stop:
+                    break
                 d = px - mean
                 q = float(d @ icov @ d)
                 alpha = min(alpha_clamp,

@@ -18,8 +18,9 @@ once, kept here as test oracles with their bodies unchanged:
   rasterizer replaced. Every tile evaluates all (splat, pixel) pairs
   densely and composites them with a cumulative product; the per-pixel
   sums then add each pixel's fragments front to back, one pass per depth
-  rank, with no background term. `render` must match it byte for byte at
-  every tile size;
+  rank, with no background term. Outside smooth mode a pixel drops the
+  fragments whose transmittance is below T_STOP and composites the rest
+  again. `render` must match it byte for byte at every tile size;
 - `key_order`: the fragment order by one argsort of the int64 key
   `pixel * S + depth rank`, which the engine's radix sort by pixel replaced;
 - `full_image_segment_mask`: segmentation with logits for every pixel,
@@ -29,7 +30,9 @@ once, kept here as test oracles with their bodies unchanged:
   fragment's offset, `q` and falloff `exp(-q/2)`, gates on `o * g <
   ALPHA_CLAMP` and takes five per-splat `bincount`s of `(P d)(P d)^T`
   terms, which the engine's pass from render's alpha replaced. It runs in
-  float64 on the render's stored intermediates;
+  float64 on the render's stored intermediates, and keeps a pixel's
+  fragments only until its own float64 running transmittance falls below
+  T_STOP;
 - `full_image_loss_2d`: the 2D cross-entropy with a softmax over every
   pixel, which the engine's single classification of all-zero feature
   rows replaced;
@@ -55,7 +58,7 @@ from gradiseg.backward import ParamGrads, _segment_suffix_sum
 from gradiseg.camera import ALPHA_CUTOFF, CULL_SIGMA, CameraView, project_cloud
 from gradiseg.igd import SPLIT_OFFSET_FRAC, SPLIT_SCALE_DIV
 from gradiseg.laknn import EMA_FLOOR
-from gradiseg.render import ALPHA_CLAMP, RenderOutput
+from gradiseg.render import ALPHA_CLAMP, T_STOP, RenderOutput
 from gradiseg.rotation import quat_to_rot
 from gradiseg.scene import GaussianCloud
 from gradiseg.semantic import FOREGROUND_THRESHOLD, ClassifierHead
@@ -318,9 +321,16 @@ def _render_tile(x_lo, x_hi, y_lo, y_hi, splats, opac, smooth, dt):
     one_minus = np.ones_like(q)
     one_minus[k_idx, p_idx] = 1.0 - alpha_v
     t_incl = np.cumprod(one_minus, axis=0)
-    t_fin = t_incl[-1]
     frag_tb = np.where(k_idx > 0, t_incl[np.maximum(k_idx - 1, 0), p_idx],
                        dt.type(1.0))
+    if not smooth:
+        # a pixel stops once its transmittance falls below T_STOP: the
+        # fragments behind that leave, and the rest composite again
+        stop = frag_tb < T_STOP
+        one_minus[k_idx[stop], p_idx[stop]] = 1.0
+        t_incl = np.cumprod(one_minus, axis=0)
+        p_idx, k_idx, alpha_v, frag_tb = (a[~stop] for a in (p_idx, k_idx, alpha_v, frag_tb))
+    t_fin = t_incl[-1]
 
     counts = np.bincount(p_idx, minlength=npix)
     frag_splat = hit[k_idx]
@@ -408,6 +418,20 @@ def full_image_segment_mask(identity_map: np.ndarray, final_transmittance: np.nd
     return mask
 
 
+def _stop_rule(frag_alpha: np.ndarray, frag_start: np.ndarray) -> np.ndarray:
+    """Mask of the fragments a pixel composites when its loop breaks once
+    the float64 running transmittance falls below T_STOP."""
+    kept = np.zeros(frag_alpha.size, dtype=bool)
+    for p in np.flatnonzero(np.diff(frag_start)):
+        t = 1.0
+        for k in range(frag_start[p], frag_start[p + 1]):
+            if t < T_STOP:
+                break
+            kept[k] = True
+            t *= 1.0 - float(frag_alpha[k])
+    return kept
+
+
 def recomputing_backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutput,
                          pixel_grads: np.ndarray) -> ParamGrads:
     """Gradients of sum(pixel_grads * [C, E_id]) in float64, recomputing each
@@ -418,27 +442,29 @@ def recomputing_backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutpu
     n, d_feat = cloud.n, cloud.dim
     h, w = out.shape
     grads = ParamGrads.zeros(n, d_feat, dt)
-    if out.frag_source.size == 0:
+    kept = _stop_rule(out.frag_alpha, out.frag_start)
+    if not kept.any():
         return grads
-    grads.visible[out.frag_source] = True
+    frag_pix = np.repeat(np.arange(h * w), np.diff(out.frag_start))[kept]
+    frag_start = np.zeros(h * w + 1, dtype=np.int64)
+    np.cumsum(np.bincount(frag_pix, minlength=h * w), out=frag_start[1:])
+    src, srow = out.frag_source[kept], out.frag_splat[kept]
+    alpha, t_before = f64(out.frag_alpha[kept]), f64(out.frag_t_before[kept])
+    grads.visible[src] = True
 
     splats = SimpleNamespace(**{k: f64(getattr(out.splats, k)) for k in (
         "mean2d", "inv_cov", "A", "cov3d", "J", "t_cam", "R", "scales")})
     index, S = out.splats.index, out.splats.count
     G = f64(pixel_grads).reshape(h * w, 3 + d_feat)
-    weights = csr_array((f64(out.frag_alpha) * f64(out.frag_t_before),
-                         out.frag_source, out.frag_start), shape=(h * w, n))
+    weights = csr_array((alpha * t_before, src, frag_start), shape=(h * w, n))
     feat_grads = weights.T @ G
     grads.colors[:] = feat_grads[:, :3]
     grads.encodings[:] = feat_grads[:, 3:]
 
-    frag_pix = np.repeat(np.arange(h * w), np.diff(out.frag_start))
-    src, srow = out.frag_source, out.frag_splat
-    alpha, t_before = f64(out.frag_alpha), f64(out.frag_t_before)
     table = np.concatenate([cloud.colors, cloud.encodings], axis=1)
 
     dot = np.einsum("fk,fk->f", G[frag_pix], table[src])
-    suffix = _segment_suffix_sum(alpha * t_before * dot, out.frag_start)
+    suffix = _segment_suffix_sum(alpha * t_before * dot, frag_start)
     g_alpha = dot * t_before - suffix / (1.0 - alpha)
 
     o_src = cloud.opacities[src]

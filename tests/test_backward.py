@@ -202,22 +202,26 @@ class TestBackwardBlocks:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_block_independence(self, rng, monkeypatch, dtype):
         cam = make_camera(width=33, height=17)
-        cloud = random_cloud(rng, 60, dim=4, dtype=dtype)
-        out = render(cloud, cam)
-        pg = rng.standard_normal((17, 33, 7)).astype(dtype)
-        base = backward(cloud, cam, out, pg)
+        cases = []
+        for opacity in ((0.1, 0.85), (0.9, 0.99)):   # the second stops at T_STOP
+            cloud = random_cloud(rng, 60, dim=4, dtype=dtype, opacity_range=opacity)
+            out = render(cloud, cam)
+            pg = rng.standard_normal((17, 33, 7)).astype(dtype)
+            cases.append((cloud, out, pg, backward(cloud, cam, out, pg)))
         for block in (1, 7, 10 ** 6):
             monkeypatch.setattr(render_module, "BLOCK", block)
-            grads = backward(cloud, cam, out, pg)
-            for f in PER_GAUSSIAN + ("visible",):
-                got, want = getattr(grads, f), getattr(base, f)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (block, f)
+            for cloud, out, pg, base in cases:
+                grads = backward(cloud, cam, out, pg)
+                for f in PER_GAUSSIAN + ("visible",):
+                    got, want = getattr(grads, f), getattr(base, f)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (block, f)
 
     def test_peak_memory_below_one_feature_table(self, rng):
         # two (F, 3 + D) float32 gathers would take 2 * F * (3 + D) * 4 bytes;
-        # the whole call must stay below one such table
+        # the whole call must stay below one such table. 140 Gaussians keep
+        # at least ten blocks of fragments under the stop rule
         cam = make_camera(width=64, height=64)
-        cloud = random_cloud(rng, 120, dim=16, dtype=np.float32, scale_range=(0.2, 0.4))
+        cloud = random_cloud(rng, 140, dim=16, dtype=np.float32, scale_range=(0.2, 0.4))
         out = render(cloud, cam)
         n_frag = out.frag_source.size
         assert n_frag >= 10 * render_module.BLOCK
@@ -263,9 +267,10 @@ def clamping_scene(dtype):
 class TestRecomputingOracle:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_random_clouds(self, rng, dtype):
+        # the last cloud is nearly opaque, so most pixels stop at T_STOP
         cam = make_camera(width=40, height=32)
-        for _ in range(3):
-            cloud = random_cloud(rng, 120, dim=6, dtype=dtype)
+        for opacity in ((0.1, 0.85),) * 3 + ((0.9, 0.99),):
+            cloud = random_cloud(rng, 120, dim=6, dtype=dtype, opacity_range=opacity)
             out = render(cloud, cam)
             pg = rng.standard_normal((32, 40, 9)).astype(dtype)
             assert_matches_oracle(backward(cloud, cam, out, pg),

@@ -305,6 +305,12 @@ class TestMalformedInput:
                            capsys, "--seed: seed must be an integer >= 0")
         assert not (tmp_path / "ds").exists()
 
+    def test_train_negative_seed(self, dataset_dir, tmp_path, capsys):
+        assert_input_error(["train", "--data", str(dataset_dir), "--seed", "-1",
+                            "--iters", "2", "--out", str(tmp_path / "run")], capsys,
+                           "training configuration: seed must be >= 0")
+        assert not (tmp_path / "run").exists()
+
     def test_train_manifest_not_an_object(self, dataset_dir, tmp_path, capsys):
         ds = copy_dataset(dataset_dir, tmp_path)
         manifest = json.loads((ds / "manifest.json").read_text())

@@ -12,10 +12,15 @@ import gradiseg.render as render_module
 from conftest import make_camera, random_cloud, reference_render
 from gradiseg import synth
 from gradiseg.camera import project_cloud
-from gradiseg.render import _render_groups, render
+from gradiseg.render import T_STOP, _render_groups, render
 from gradiseg.scene import GaussianCloud
 from gradiseg.semantic import segment_mask
 from oracles import Splat2D, fragments_at, key_order, pixel_alpha, tiled_render
+
+
+def opaque_cloud(rng, n=60, dtype=np.float64):
+    """Nearly opaque splats: most covered pixels fall below T_STOP."""
+    return random_cloud(rng, n, dim=4, dtype=dtype, opacity_range=(0.9, 0.99))
 
 
 def make_splat(mean=(0.0, 0.0), cov=np.eye(2)):
@@ -103,6 +108,17 @@ class TestRenderClosedForm:
         np.testing.assert_allclose(out.identity[4, 4],
                                    [0.6, 0.4 * 0.99, 0.0, 0.0], atol=1e-9)
 
+    def test_stop_behind_three_opaque_layers(self):
+        # T falls 1 -> 1e-2 -> 1e-4 -> 1e-6 < T_STOP: the fourth and fifth
+        # fragments are dropped and T_final is what the first three leave
+        cloud = stacked_cloud([(1.0, (0.2 * k,) * 3, np.full(4, k)) for k in range(5)])
+        out = render(cloud, self.cam())
+        frags = fragments_at(out, 4, 4)
+        assert [f.source_index for f in frags] == [0, 1, 2]
+        assert out.final_transmittance[4, 4] == pytest.approx(1e-6, rel=1e-9)
+        w = 0.99 * np.array([1.0, 1e-2, 1e-4])
+        np.testing.assert_allclose(out.color[4, 4], w @ [0.0, 0.2, 0.4], rtol=1e-12)
+
     def test_empty_pixels_black(self):
         cloud = stacked_cloud([(0.6, (0.5, 0.7, 0.9), np.ones(4))])
         out = render(cloud, self.cam())
@@ -127,18 +143,19 @@ class TestRenderOracle:
 
     def test_fragment_records_match_oracle(self, rng):
         cam = make_camera(width=16, height=16)
-        cloud = random_cloud(rng, 30, dim=4)
-        out = render(cloud, cam)
-        _, _, _, ref_frags = reference_render(cloud, cam)
-        for y in range(16):
-            for x in range(16):
-                got = fragments_at(out, x, y)
-                want = ref_frags[y][x]
-                assert len(got) == len(want)
-                for f, (i, a, t) in zip(got, want):
-                    assert f.source_index == i
-                    assert f.alpha == pytest.approx(a, abs=1e-9)
-                    assert f.transmittance_before == pytest.approx(t, abs=1e-9)
+        for cloud in (random_cloud(rng, 30, dim=4), opaque_cloud(rng, 30)):
+            out = render(cloud, cam)
+            _, _, _, ref_frags = reference_render(cloud, cam)
+            for y in range(16):
+                for x in range(16):
+                    got = fragments_at(out, x, y)
+                    want = ref_frags[y][x]
+                    assert len(got) == len(want)
+                    for f, (i, a, t) in zip(got, want):
+                        assert f.source_index == i
+                        assert f.alpha == pytest.approx(a, abs=1e-9)
+                        assert f.transmittance_before == pytest.approx(t, abs=1e-9)
+        assert np.any(out.final_transmittance < T_STOP)
 
 
 class TestRenderInvariants:
@@ -182,13 +199,14 @@ class TestRenderInvariants:
 
     def test_weight_conservation(self, rng):
         cam = make_camera(width=24, height=24)
-        cloud = random_cloud(rng, 80, dim=4)
-        out = render(cloud, cam)
-        total = np.zeros(24 * 24)
-        w = out.frag_alpha * out.frag_t_before
-        np.add.at(total, np.repeat(np.arange(24 * 24), np.diff(out.frag_start)), w)
-        np.testing.assert_allclose(
-            total + out.final_transmittance.ravel(), 1.0, atol=1e-5)
+        for cloud in (random_cloud(rng, 80, dim=4), opaque_cloud(rng, 80)):
+            out = render(cloud, cam)
+            total = np.zeros(24 * 24)
+            w = out.frag_alpha * out.frag_t_before
+            np.add.at(total, np.repeat(np.arange(24 * 24), np.diff(out.frag_start)), w)
+            np.testing.assert_allclose(
+                total + out.final_transmittance.ravel(), 1.0, atol=1e-5)
+        assert np.any(out.final_transmittance < T_STOP)
 
     def test_transmittance_before_is_running_product(self, rng):
         cam = make_camera(width=12, height=12)
@@ -255,11 +273,12 @@ class TestTiledOracle:
                              ids=["33x17", "32x32", "5x40"])
     def test_matches_tiled_oracle(self, rng, dtype, smooth, size):
         cam = make_camera(width=size[0], height=size[1])
-        cloud = random_cloud(rng, 60, dim=4, dtype=dtype)
-        out = render(cloud, cam, smooth=smooth)
-        assert out.frag_source.size > 0
-        for tile in (4, 16, 64):
-            assert_same_bytes(out, tiled_render(cloud, cam, smooth=smooth, tile=tile))
+        for cloud in (random_cloud(rng, 60, dim=4, dtype=dtype), opaque_cloud(rng, dtype=dtype)):
+            out = render(cloud, cam, smooth=smooth)
+            assert out.frag_source.size > 0
+            for tile in (4, 16, 64):
+                assert_same_bytes(out, tiled_render(cloud, cam, smooth=smooth, tile=tile))
+        assert np.any(out.final_transmittance < T_STOP)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_fragments_lie_in_splat_bbox(self, rng, dtype):
@@ -278,11 +297,66 @@ class TestTiledOracle:
     @pytest.mark.parametrize("smooth", [False, True], ids=["default", "smooth"])
     def test_block_independence(self, rng, monkeypatch, smooth):
         cam = make_camera(width=33, height=17)
-        cloud = random_cloud(rng, 60, dim=4, dtype=np.float32)
-        base = render(cloud, cam, smooth=smooth)
+        clouds = (random_cloud(rng, 60, dim=4, dtype=np.float32),
+                  opaque_cloud(rng, dtype=np.float32))
+        bases = [render(cloud, cam, smooth=smooth) for cloud in clouds]
         for block in (1, 7, 10 ** 6):
             monkeypatch.setattr(render_module, "BLOCK", block)
-            assert_same_bytes(render(cloud, cam, smooth=smooth), base)
+            for cloud, base in zip(clouds, bases):
+                assert_same_bytes(render(cloud, cam, smooth=smooth), base)
+
+
+class TestStopRule:
+    """A pixel keeps the fragments with t_before >= T_STOP, a prefix of its
+    depth-ordered list. T_STOP = 0 gives the full composite to compare with."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kept_fragments_are_the_prefix(self, rng, monkeypatch, dtype):
+        cam = make_camera(width=33, height=17)
+        cloud = opaque_cloud(rng, dtype=dtype)
+        out = render(cloud, cam)
+        monkeypatch.setattr(render_module, "T_STOP", 0.0)
+        full = render(cloud, cam)
+        keep = full.frag_t_before >= T_STOP
+        assert 0 < keep.sum() < keep.size
+        counts = np.diff(full.frag_start)
+        pix = np.repeat(np.arange(counts.size), counts)
+        kept = np.bincount(pix[keep], minlength=counts.size)
+        within = np.arange(keep.size) - full.frag_start[pix]
+        assert np.array_equal(keep, within < kept[pix])
+        assert np.array_equal(np.diff(out.frag_start), kept)
+        for name in ("frag_source", "frag_alpha", "frag_t_before", "frag_splat"):
+            assert getattr(out, name).tobytes() == getattr(full, name)[keep].tobytes(), name
+        # T_final is what the kept fragments leave: the first dropped t_before
+        t_final = full.final_transmittance.ravel().copy()
+        cut = kept < counts
+        t_final[cut] = full.frag_t_before[(full.frag_start[:-1] + kept)[cut]]
+        assert out.final_transmittance.tobytes() == t_final.tobytes()
+
+    def test_dropped_tail_is_bounded(self, rng, monkeypatch):
+        cam = make_camera(width=32, height=32)
+        cloud = opaque_cloud(rng)
+        out = render(cloud, cam)
+        monkeypatch.setattr(render_module, "T_STOP", 0.0)
+        full = render(cloud, cam)
+        f_max = np.abs(np.concatenate([cloud.colors, cloud.encodings], axis=1)).max()
+        for name in ("color", "identity"):
+            err = np.abs(getattr(out, name) - getattr(full, name)).max()
+            assert 0 < err <= T_STOP * f_max, name
+
+    def test_done_pixels_are_skipped(self, rng, monkeypatch):
+        # one bbox row per block: a pixel is done before its fragments
+        # behind T_STOP, so _fragments never makes most of them
+        cam = make_camera(width=32, height=32)
+        cloud = opaque_cloud(rng)
+        kept = render(cloud, cam).frag_source.size
+        splats = project_cloud(cloud, cam)
+        args = (splats, cloud.opacities[splats.index], cam.width, False, cloud.dtype)
+        monkeypatch.setattr(render_module, "BLOCK", 1)
+        made = render_module._fragments(*args)[0].size
+        monkeypatch.setattr(render_module, "T_STOP", 0.0)
+        every = render_module._fragments(*args)[0].size
+        assert kept <= made < kept + (every - kept) // 10, (kept, made, every)
 
 
 class TestRenderEdgeCases:
