@@ -1,15 +1,15 @@
 """Reverse-mode gradients of the rasterizer, hand-derived for this pipeline.
 
-The forward pass blends one feature table f = [colors | encodings] through
-the sparse operator W of RenderOutput.weights, [C | E_id] = W @ f, with no
-background term. Given the upstream per-pixel gradients G = [dL/dC | dL/dE_id]
-(3 + D channels), the feature gradients are W.T @ G. The alpha gradient
-follows the compositing weights w_i = alpha_i * prod_{j<i}(1 - alpha_j) from
-one per-fragment dot <G, f> and its suffix sums within each pixel; the dots
-are formed in blocks of whole pixels of about render.BLOCK fragments, so no
-(F, 3 + D) gather exists and no result depends on the blocks. Below the
-clamp render's alpha is exactly o * exp(-q/2), q = d^T P d, so the falloff is
-not recomputed: with coef = dL/dalpha * alpha on unclamped fragments, six
+Only colour reaches the geometry. The forward pass blends colours through the
+sparse operator W of RenderOutput.weights, C = W @ c; given the upstream
+gradient G = dL/dC, the colour gradients are W.T @ G, and the encoding
+gradients are left at zero (trainer.total_loss gives the identity losses'
+W.T product to the encodings alone). The alpha gradient follows the
+compositing weights w_i = alpha_i * prod_{j<i}(1 - alpha_j) from one
+per-fragment dot <G, c> and its suffix sums within each pixel, formed in
+blocks of whole pixels of about render.BLOCK fragments. Below the clamp
+render's alpha is exactly o * exp(-q/2), q = d^T P d, so the falloff is not
+recomputed: with coef = dL/dalpha * alpha on unclamped fragments, six
 per-splat sums of coef * [1, dx, dy, dx^2, dx dy, dy^2] give the opacity,
 screen-mean and screen-covariance gradients. These flow per splat through the
 EWA covariance projection and the perspective Jacobian, down to every
@@ -66,25 +66,25 @@ def _segment_suffix_sum(values: np.ndarray, frag_start: np.ndarray) -> np.ndarra
 
 
 def backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutput,
-             pixel_grads: np.ndarray) -> ParamGrads:
-    """Exact gradients of sum(pixel_grads * [C, E_id]) w.r.t. all Gaussian params.
+             color_grads: np.ndarray) -> ParamGrads:
+    """Exact gradients of sum(color_grads * C) w.r.t. all Gaussian params.
 
-    pixel_grads: (H, W, 3 + D) holding dL/dC and dL/dE_id. `out` must come from
-    render() on the same cloud and camera; culled or invisible Gaussians get
-    exactly zero gradients.
+    color_grads: (H, W, 3) holding dL/dC. `out` must come from render() on the
+    same cloud and camera; culled or invisible Gaussians get exactly zero
+    gradients, and the encoding gradients are zero.
     """
     dt = cloud.dtype
-    n, d_feat = cloud.n, cloud.dim
+    n = cloud.n
     h, w = out.shape
     if (h, w) != (cam.height, cam.width):
         raise ValueError("render output does not match camera dimensions")
     if out.splats.n_source != n:
         raise ValueError("render output does not match cloud size")
-    pixel_grads = np.asarray(pixel_grads, dtype=dt)
-    if pixel_grads.shape != (h, w, 3 + d_feat):
-        raise ValueError(f"pixel_grads must have shape {(h, w, 3 + d_feat)}")
+    color_grads = np.asarray(color_grads, dtype=dt)
+    if color_grads.shape != (h, w, 3):
+        raise ValueError(f"color_grads must have shape {(h, w, 3)}")
 
-    grads = ParamGrads.zeros(n, d_feat, dt)
+    grads = ParamGrads.zeros(n, cloud.dim, dt)
     if out.frag_source.size == 0:
         return grads
 
@@ -95,28 +95,23 @@ def backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutput,
     has_frag[srow] = True
     grads.visible[splats.index[has_frag]] = True
 
-    G = pixel_grads.reshape(h * w, 3 + d_feat)
-    feat_grads = out.weights.T @ G        # dL/df = W^T G
-    grads.colors[:] = feat_grads[:, :3]
-    grads.encodings[:] = feat_grads[:, 3:]
-    del feat_grads
+    G = color_grads.reshape(h * w, 3)
+    grads.colors[:] = out.weights.T @ G   # dL/dc = W^T G
 
     frag_start, counts = out.frag_start, np.diff(out.frag_start)
     alpha, t_before = out.frag_alpha, out.frag_t_before
-    table = np.concatenate([cloud.colors, cloud.encodings], axis=1)
 
-    # alpha gradient: dL/da_k = <G, f_k> T_k - <G, B_k> / (1 - a_k) with
-    # B_k = sum_{i>k} w_i f_i. G is constant within a pixel, so the suffix
+    # alpha gradient: dL/da_k = <G, c_k> T_k - <G, B_k> / (1 - a_k) with
+    # B_k = sum_{i>k} w_i c_i. G is constant within a pixel, so the suffix
     # dot product is a scalar suffix sum of per-fragment dots. The dots are
-    # formed in blocks of whole pixels, so no (F, 3 + D) gather exists; each
+    # formed in blocks of whole pixels, so no (F, 3) gather exists; each
     # row's einsum reads that row alone, so no dot depends on the blocks.
     dot = np.empty_like(alpha)
     for p0, p1 in _blocks(frag_start[:-1], alpha.size):
         f0, f1 = frag_start[p0], frag_start[p1]
         src = out.frag_source[f0:f1].astype(np.intp)
         np.einsum("fk,fk->f", np.repeat(G[p0:p1], counts[p0:p1], axis=0),
-                  np.take(table, src, axis=0), out=dot[f0:f1])
-    del table
+                  np.take(cloud.colors, src, axis=0), out=dot[f0:f1])
     suffix = _segment_suffix_sum(alpha * t_before * dot, frag_start)
     suffix /= 1.0 - alpha
 

@@ -94,18 +94,17 @@ class TrainSchedule:
         return s
 
     def validate(self) -> None:
-        if self.total_iters < 0:
-            raise ValueError("total_iters must be >= 0")
+        for name in ("total_iters", "seed", "checkpoint_interval", "densify_interval",
+                     "igd_interval", "log_interval", "knn_k", "knn_samples", "init_count"):
+            least = 0 if name in ("total_iters", "seed", "checkpoint_interval") else 1
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if self.total_iters > 0 and not (0 < self.densify_end <= self.igd_end <= self.total_iters):
             raise ValueError("need 0 < densify_end <= igd_end <= total_iters")
         if self.knn_switch is not None and self.knn_switch > self.total_iters:
             raise ValueError("knn_switch must be <= total_iters")
-        if self.alpha_2d < 0 or self.beta_3d < 0:
-            raise ValueError("loss weights must be >= 0")
-        if self.densify_interval < 1 or self.igd_interval < 1:
-            raise ValueError("densify_interval and igd_interval must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not (0 <= self.alpha_2d < np.inf and 0 <= self.beta_3d < np.inf):
+            raise ValueError("loss weights must be finite and >= 0")
 
 
 class AdamOptimizer:
@@ -181,18 +180,17 @@ def l1_loss(rendered: np.ndarray, target: np.ndarray):
 def total_loss(cloud: GaussianCloud, cam, out, head: ClassifierHead,
                alpha: float, beta: float, knn_mode: str, knn_k: int,
                knn_samples: int, rng_seed):
-    """Joint objective L1 + alpha*L2d + beta*L3d with all gradients.
+    """Joint objective L1 + alpha*L2d + beta*L3d with its training gradients.
 
-    Returns (parts dict, ParamGrads, (head_w_grad, head_b_grad)). L3d treats
-    the classifier head as a constant, so only L2d reaches the head.
+    Returns (parts dict, ParamGrads, (head_w_grad, head_b_grad)). Only L1 reaches
+    the geometry and colours; L2d trains the encodings and head, L3d the encodings.
     """
     l1, d_color = l1_loss(out.color, cam.image)
     l2d, d_ident, (hw2, hb2) = loss_2d(out.identity, cam.mask, head)
     l3d, ge3 = loss_3d(cloud, head, knn_samples, knn_k, knn_mode, rng_seed)
-    pixel_grads = np.concatenate(
-        [d_color, np.asarray(alpha, dtype=out.identity.dtype) * d_ident], axis=2)
-    grads = backward(cloud, cam, out, pixel_grads)
-    grads.encodings += beta * ge3
+    grads = backward(cloud, cam, out, d_color)
+    grads.encodings[:] = (out.weights.T @ (alpha * d_ident).reshape(-1, cloud.dim)
+                          + beta * ge3)
     parts = {"l1": l1, "l2d": l2d, "l3d": l3d,
              "total": l1 + alpha * l2d + beta * l3d}
     return parts, grads, (alpha * hw2, alpha * hb2)

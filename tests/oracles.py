@@ -433,15 +433,16 @@ def _stop_rule(frag_alpha: np.ndarray, frag_start: np.ndarray) -> np.ndarray:
 
 
 def recomputing_backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutput,
-                         pixel_grads: np.ndarray) -> ParamGrads:
-    """Gradients of sum(pixel_grads * [C, E_id]) in float64, recomputing each
-    fragment's falloff from the splat's mean and inverse covariance."""
+                         color_grads: np.ndarray) -> ParamGrads:
+    """Gradients of sum(color_grads * C) in float64, recomputing each
+    fragment's falloff from the splat's mean and inverse covariance. The
+    encoding gradients stay zero."""
     dt = np.dtype(np.float64)
     f64 = lambda a: np.asarray(a, dtype=dt)
     cloud = cloud.astype(dt)
-    n, d_feat = cloud.n, cloud.dim
+    n = cloud.n
     h, w = out.shape
-    grads = ParamGrads.zeros(n, d_feat, dt)
+    grads = ParamGrads.zeros(n, cloud.dim, dt)
     kept = _stop_rule(out.frag_alpha, out.frag_start)
     if not kept.any():
         return grads
@@ -455,15 +456,11 @@ def recomputing_backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutpu
     splats = SimpleNamespace(**{k: f64(getattr(out.splats, k)) for k in (
         "mean2d", "inv_cov", "A", "cov3d", "J", "t_cam", "R", "scales")})
     index, S = out.splats.index, out.splats.count
-    G = f64(pixel_grads).reshape(h * w, 3 + d_feat)
+    G = f64(color_grads).reshape(h * w, 3)
     weights = csr_array((alpha * t_before, src, frag_start), shape=(h * w, n))
-    feat_grads = weights.T @ G
-    grads.colors[:] = feat_grads[:, :3]
-    grads.encodings[:] = feat_grads[:, 3:]
+    grads.colors[:] = weights.T @ G
 
-    table = np.concatenate([cloud.colors, cloud.encodings], axis=1)
-
-    dot = np.einsum("fk,fk->f", G[frag_pix], table[src])
+    dot = np.einsum("fk,fk->f", G[frag_pix], cloud.colors[src])
     suffix = _segment_suffix_sum(alpha * t_before * dot, frag_start)
     g_alpha = dot * t_before - suffix / (1.0 - alpha)
 

@@ -4,8 +4,10 @@ measured numbers when it succeeds (run with -s to see them).
 Criteria 1-5: gradient correctness, the forward oracle, the neighbour-search
 oracle, KL-loss properties and the densification unit suite. Criteria 1-3
 spread independent checks over one worker process per CPU this process may
-run on. The end-to-end criteria (the desk run, ablation direction, PSNR
-non-degradation, determinism) are not written yet: item 5 of ROADMAP.md.
+run on. Criterion 8: the identity losses do not degrade reconstruction, on
+short training runs of the `gen --seed 42` scene. The other end-to-end
+criteria (the desk run, ablation direction, determinism; 6, 7 and 9) are
+not written yet: item 5 of ROADMAP.md.
 """
 
 import hashlib
@@ -20,11 +22,13 @@ import pytest
 from conftest import make_camera, random_cloud, reference_render
 from gradiseg.backward import backward
 from gradiseg.camera import CameraView, look_at
+from gradiseg.dataset import load_dataset
 from gradiseg.laknn import _neighbor_pairs, kl_pairs_loss, loss_3d
 from gradiseg.render import render
 from gradiseg.scene import GaussianCloud
 from gradiseg.semantic import ClassifierHead, loss_2d
-from gradiseg.trainer import l1_loss
+from gradiseg.synth import default_scene_spec, generate
+from gradiseg.trainer import TrainSchedule, l1_loss, train
 from oracles import global_neighbors, local_adaptive_neighbors
 
 RNG_BASE = 20260810
@@ -103,6 +107,7 @@ PERTURB = {
     "encodings": lambda c, ix, d: c.encodings.__setitem__(ix, c.encodings[ix] + d),
 }
 
+GEOMETRY = ("positions", "log_scales", "rotations", "logit_opacities")
 SHAPE_OF = {"positions": (N_GAUSS, 3), "log_scales": (N_GAUSS, 3),
             "rotations": (N_GAUSS, 4), "logit_opacities": (N_GAUSS,),
             "colors": (N_GAUSS, 3), "encodings": (N_GAUSS, DIM)}
@@ -117,15 +122,16 @@ def _check_one_config(seed):
     out = render(cloud, cam, smooth=True)
     _, d_color = l1_loss(out.color, target)
     _, d_ident, (hw2, hb2) = loss_2d(out.identity, mask, head)
-    zeros_c = np.zeros_like(d_color)
-    zeros_e = np.zeros_like(d_ident)
-    g1 = backward(cloud, cam, out, np.concatenate([d_color, zeros_e], axis=2))
-    g2 = backward(cloud, cam, out, np.concatenate([zeros_c, d_ident], axis=2))
+    g1 = backward(cloud, cam, out, d_color)
     _, ge3 = loss_3d(cloud, head, 5, 2, "global", (RNG_BASE, 33))
-    analytic = {
-        0: g1, 1: g2,
-        2: {"encodings": ge3},  # L3d touches only encodings among cloud params
-    }
+    # the gradients training applies: L1 through backward, L2d to the
+    # encodings through the blend operator's transpose, L3d to the encodings;
+    # L2d reaches no colour and L3d no other cloud parameter
+    analytic = [
+        {f: getattr(g1, f) for f in SHAPE_OF},
+        {"encodings": out.weights.T @ d_ident.reshape(-1, DIM)},
+        {"encodings": ge3},
+    ]
 
     failures = []
     entries = 0
@@ -139,10 +145,9 @@ def _check_one_config(seed):
             lm = _losses(cm, cam, head, mask, target)
             fd = [(a - b) / (2 * FD_H) for a, b in zip(lp, lm)]
             for li in range(3):
-                if li < 2:
-                    a = getattr(analytic[li], family)[ix]
-                else:
-                    a = ge3[ix] if family == "encodings" else 0.0
+                if li == 1 and family in GEOMETRY:
+                    continue   # training applies no L2d geometry gradient
+                a = analytic[li][family][ix] if family in analytic[li] else 0.0
                 entries += 1
                 if not _grad_close(a, fd[li]):
                     failures.append((seed, family, ix, li, a, fd[li]))
@@ -376,3 +381,54 @@ def test_criterion_5_densification_suite():
     np.testing.assert_allclose(ga.scale, [1.25, 0.625, 0.625])
     report(5, f"prune set {sorted(expected_prune)} removed, single split gave "
               f"N {n - 3}->{res.cloud.n}, monitors reset, optimizer rows in sync")
+
+
+# ---------------------------------------------------------------------------
+# Criterion 8: the identity losses do not degrade reconstruction
+# ---------------------------------------------------------------------------
+
+PSNR_MARGIN_DB = 1.0   # fixed before the first run
+
+
+@pytest.fixture(scope="module")
+def desk_dataset(tmp_path_factory):
+    """The `gradiseg gen --seed 42` dataset, read back from disk."""
+    out = tmp_path_factory.mktemp("desk")
+    generate(default_scene_spec(42), out)
+    return load_dataset(out / "manifest.json")
+
+
+def _short_run(dataset, tmp_path, name, **kw):
+    sched = TrainSchedule(seed=42, checkpoint_interval=0, **kw)
+    return train(dataset, sched, tmp_path / name)
+
+
+def test_criterion_8_geometry_ignores_identity_losses(desk_dataset, tmp_path):
+    # without IGD (which reads the encoding gradients) the geometry and the
+    # colours learn from L1 alone, so the identity loss weights leave them
+    # byte-identical, through standard densification and the switch to
+    # direction-aware neighbours
+    kw = dict(total_iters=60, init_count=300, use_igd=False, densify_interval=10)
+    t0 = time.time()
+    full = _short_run(desk_dataset, tmp_path, "full", **kw).cloud
+    photo = _short_run(desk_dataset, tmp_path, "photo", alpha_2d=0.0, beta_3d=0.0,
+                       **kw).cloud
+    elapsed = time.time() - t0
+    for name in ("positions", "scales", "rotations", "opacities", "colors"):
+        a, b = getattr(full, name), getattr(photo, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert np.any(full.encodings != photo.encodings)
+    report(8, f"60 iterations, N 300 -> {full.n}: geometry and colours "
+              f"byte-equal with and without L2d/L3d ({elapsed:.1f}s)")
+
+
+def test_criterion_8_psnr_not_degraded(desk_dataset, tmp_path):
+    # IGD on: the identity losses may change which Gaussians exist, but
+    # held-out PSNR stays within PSNR_MARGIN_DB of the photometric-only run
+    kw = dict(total_iters=120, init_count=600, densify_interval=20, igd_interval=10)
+    full = _short_run(desk_dataset, tmp_path, "full", **kw)
+    photo = _short_run(desk_dataset, tmp_path, "photo", alpha_2d=0.0, beta_3d=0.0, **kw)
+    p_full, p_photo = full.metrics_rows[-1][5], photo.metrics_rows[-1][5]
+    assert p_full >= p_photo - PSNR_MARGIN_DB, (p_full, p_photo)
+    report(8, f"held-out PSNR {p_full:.2f} dB with L2d/L3d and IGD, "
+              f"{p_photo:.2f} dB photometric-only (margin {PSNR_MARGIN_DB} dB)")

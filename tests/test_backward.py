@@ -24,12 +24,9 @@ def small_camera(w=8, h=8):
                       fx=28.0, fy=30.0, cx=w / 2.0, cy=h / 2.0, width=w, height=h)
 
 
-def render_dot(cloud, cam, pixel_grads):
-    """Scalar objective sum(pixel_grads * [C, E]) under the smooth renderer."""
-    out = render(cloud, cam, smooth=True)
-    d = cloud.dim
-    return float(np.sum(pixel_grads[..., :3] * out.color)
-                 + np.sum(pixel_grads[..., 3:] * out.identity))
+def render_dot(cloud, cam, color_grads):
+    """Scalar objective sum(color_grads * C) under the smooth renderer."""
+    return float(np.sum(color_grads * render(cloud, cam, smooth=True).color))
 
 
 PERTURB = {
@@ -73,7 +70,7 @@ class TestBackwardFiniteDifferences:
         cam = small_camera()
         for trial in range(4):
             cloud = random_cloud(rng, 6, dim=5, opacity_range=(0.1, 0.85))
-            pg = rng.standard_normal((8, 8, 8))
+            pg = rng.standard_normal((8, 8, 3))
             out = render(cloud, cam, smooth=True)
             grads = backward(cloud, cam, out, pg)
             loss = lambda c: render_dot(c, cam, pg)
@@ -89,7 +86,7 @@ class TestBackwardFiniteDifferences:
                          fx=6.0, fy=7.0, cx=4.0, cy=4.0, width=8, height=8,
                          mode="orthographic")
         cloud = random_cloud(rng, 5, dim=4)
-        pg = rng.standard_normal((8, 8, 7))
+        pg = rng.standard_normal((8, 8, 3))
         out = render(cloud, cam, smooth=True)
         grads = backward(cloud, cam, out, pg)
         loss = lambda c: render_dot(c, cam, pg)
@@ -100,7 +97,9 @@ class TestBackwardFiniteDifferences:
 
 class TestBackwardStructure:
     def test_single_fragment_encoding_grad(self):
-        # loss = E_id at one pixel dotted with a fixed vector -> dL/de = w1 * vector
+        # loss = [C, E_id] at one pixel dotted with a fixed vector -> dL/dc and
+        # dL/de are w1 * vector: the colour part from backward, which leaves the
+        # encodings at zero, the encoding part from the operator's transpose
         cloud = GaussianCloud(
             np.array([[0.0, 0.0, 0.0]]), np.array([[1e-4] * 3]),
             np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([0.6]),
@@ -108,27 +107,30 @@ class TestBackwardStructure:
         cam = CameraView(look_at((0.0, 0.0, -3.0), (0.0, 0.0, 0.0)),
                          fx=40.0, fy=40.0, cx=4.0, cy=4.0, width=9, height=9)
         out = render(cloud, cam)
-        vec = np.array([1.0, -2.0, 3.0, 0.5])
+        vec = np.array([1.0, -2.0, 3.0, 0.5, -1.5, 2.5, 0.25])
         pg = np.zeros((9, 9, 7))
-        pg[4, 4, 3:] = vec
-        grads = backward(cloud, cam, out, pg)
+        pg[4, 4] = vec
+        grads = backward(cloud, cam, out, pg[..., :3])
         frag = fragments_at(out, 4, 4)[0]
         w1 = frag.alpha * frag.transmittance_before
-        np.testing.assert_allclose(grads.encodings[0], w1 * vec, rtol=1e-12)
+        np.testing.assert_allclose(grads.colors[0], w1 * vec[:3], rtol=1e-12)
+        assert not np.any(grads.encodings)
+        enc = out.weights.T @ pg[..., 3:].reshape(81, 4)
+        np.testing.assert_allclose(enc[0], w1 * vec[3:], rtol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_feature_grads_match_fragment_loop(self, rng, dtype):
-        # dL/d[c | e] = sum over a Gaussian's fragments of w * [dC | dE], here
+        # dL/dc = sum over a Gaussian's fragments of w * dC, here
         # summed in float64 one fragment at a time; the engine accumulates in
         # the cloud's dtype, so each entry may differ by the summation error
         # bound (fragments - 1) * eps * sum |w * g| plus the rounding of w
         cam = make_camera(width=20, height=16)
         cloud = random_cloud(rng, 30, dim=5, dtype=dtype)
         out = render(cloud, cam)
-        pg = rng.standard_normal((16, 20, 8)).astype(dtype)
+        pg = rng.standard_normal((16, 20, 3)).astype(dtype)
         grads = backward(cloud, cam, out, pg)
-        want = np.zeros((30, 8))
-        bound = np.zeros((30, 8))
+        want = np.zeros((30, 3))
+        bound = np.zeros((30, 3))
         count = np.zeros(30)
         for y in range(16):
             for x in range(20):
@@ -138,15 +140,15 @@ class TestBackwardStructure:
                     bound[f.source_index] += np.abs(term)
                     count[f.source_index] += 1
         assert count.max() > 10
-        got = np.concatenate([grads.colors, grads.encodings], axis=1)
         tol = (count[:, None] + 2) * np.finfo(dtype).eps * bound
-        assert np.all(np.abs(got - want) <= tol)
+        assert np.all(np.abs(grads.colors - want) <= tol)
+        assert not np.any(grads.encodings)
 
     def test_zero_pixel_grads_zero_out(self, rng):
         cam = small_camera()
         cloud = random_cloud(rng, 5, dim=4)
         out = render(cloud, cam)
-        grads = backward(cloud, cam, out, np.zeros((8, 8, 7)))
+        grads = backward(cloud, cam, out, np.zeros((8, 8, 3)))
         for f in PER_GAUSSIAN:
             assert not np.any(getattr(grads, f))
 
@@ -156,7 +158,7 @@ class TestBackwardStructure:
         cloud.positions[2] = [50.0, 50.0, 0.0]   # far off screen
         cloud.positions[4, 2] = -50.0            # behind the camera
         out = render(cloud, cam)
-        grads = backward(cloud, cam, out, np.ones((8, 8, 7)))
+        grads = backward(cloud, cam, out, np.ones((8, 8, 3)))
         for i in (2, 4):
             assert not grads.visible[i]
             for f in PER_GAUSSIAN:
@@ -166,8 +168,8 @@ class TestBackwardStructure:
         cam = small_camera()
         cloud = random_cloud(rng, 6, dim=4)
         out = render(cloud, cam)
-        a = rng.standard_normal((8, 8, 7))
-        b = rng.standard_normal((8, 8, 7))
+        a = rng.standard_normal((8, 8, 3))
+        b = rng.standard_normal((8, 8, 3))
         ga = backward(cloud, cam, out, a)
         gb = backward(cloud, cam, out, b)
         gab = backward(cloud, cam, out, a + b)
@@ -180,7 +182,7 @@ class TestBackwardStructure:
         cam = small_camera()
         cloud = random_cloud(rng, 5, dim=4)
         out = render(cloud, cam)
-        grads = backward(cloud, cam, out, rng.standard_normal((8, 8, 7)))
+        grads = backward(cloud, cam, out, rng.standard_normal((8, 8, 3)))
         dots = np.einsum("nj,nj->n", grads.rotations, cloud.rotations)
         np.testing.assert_allclose(dots, 0.0, atol=1e-12)
 
@@ -188,15 +190,16 @@ class TestBackwardStructure:
         cam = small_camera()
         cloud = random_cloud(rng, 5, dim=4)
         out = render(cloud, cam)
-        with pytest.raises(ValueError, match="pixel_grads"):
-            backward(cloud, cam, out, np.zeros((8, 8, 5)))
+        # a colour-and-encoding gradient (3 + D channels) is not accepted
+        with pytest.raises(ValueError, match="color_grads"):
+            backward(cloud, cam, out, np.zeros((8, 8, 7)))
         bigger = random_cloud(rng, 7, dim=4)
         with pytest.raises(ValueError, match="cloud"):
-            backward(bigger, cam, out, np.zeros((8, 8, 7)))
+            backward(bigger, cam, out, np.zeros((8, 8, 3)))
 
 
 class TestBackwardBlocks:
-    """backward forms the per-fragment dots <G, f> in blocks of whole pixels
+    """backward forms the per-fragment dots <G, c> in blocks of whole pixels
     of about render.BLOCK fragments."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -206,7 +209,7 @@ class TestBackwardBlocks:
         for opacity in ((0.1, 0.85), (0.9, 0.99)):   # the second stops at T_STOP
             cloud = random_cloud(rng, 60, dim=4, dtype=dtype, opacity_range=opacity)
             out = render(cloud, cam)
-            pg = rng.standard_normal((17, 33, 7)).astype(dtype)
+            pg = rng.standard_normal((17, 33, 3)).astype(dtype)
             cases.append((cloud, out, pg, backward(cloud, cam, out, pg)))
         for block in (1, 7, 10 ** 6):
             monkeypatch.setattr(render_module, "BLOCK", block)
@@ -217,16 +220,16 @@ class TestBackwardBlocks:
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (block, f)
 
     def test_peak_memory_below_one_feature_table(self, rng):
-        # two (F, 3 + D) float32 gathers would take 2 * F * (3 + D) * 4 bytes;
-        # the whole call must stay below one such table. 140 Gaussians keep
-        # at least ten blocks of fragments under the stop rule
+        # the whole call must stay below one (F, 3 + D) float32 table of
+        # colours and encodings, D = 16. 140 Gaussians keep at least ten
+        # blocks of fragments under the stop rule
         cam = make_camera(width=64, height=64)
         cloud = random_cloud(rng, 140, dim=16, dtype=np.float32, scale_range=(0.2, 0.4))
         out = render(cloud, cam)
         n_frag = out.frag_source.size
         assert n_frag >= 10 * render_module.BLOCK
         channels = 3 + cloud.dim
-        pg = rng.standard_normal((64, 64, channels)).astype(np.float32)
+        pg = rng.standard_normal((64, 64, 3)).astype(np.float32)
         tracemalloc.start()
         try:
             backward(cloud, cam, out, pg)
@@ -272,7 +275,7 @@ class TestRecomputingOracle:
         for opacity in ((0.1, 0.85),) * 3 + ((0.9, 0.99),):
             cloud = random_cloud(rng, 120, dim=6, dtype=dtype, opacity_range=opacity)
             out = render(cloud, cam)
-            pg = rng.standard_normal((32, 40, 9)).astype(dtype)
+            pg = rng.standard_normal((32, 40, 3)).astype(dtype)
             assert_matches_oracle(backward(cloud, cam, out, pg),
                                   recomputing_backward(cloud, cam, out, pg), dtype)
 
@@ -284,7 +287,7 @@ class TestRecomputingOracle:
         own = out.frag_source == 0
         clamped = out.frag_alpha[own] == dtype(ALPHA_CLAMP)
         assert 0 < clamped.sum() < clamped.size
-        pg = rng.standard_normal((32, 40, 8)).astype(dtype)
+        pg = rng.standard_normal((32, 40, 3)).astype(dtype)
         grads = backward(cloud, cam, out, pg)
         assert_matches_oracle(grads, recomputing_backward(cloud, cam, out, pg), dtype)
         assert np.all(grads.positions[0] != 0)
@@ -293,8 +296,8 @@ class TestRecomputingOracle:
     def test_fully_clamped_splat_passes_no_geometry_gradient(self, rng, monkeypatch,
                                                               dtype):
         # a point-like splat centred on pixel (4, 4): with the cutoff at 0.5
-        # its one fragment is the clamped centre, so only colour and encoding
-        # see a gradient; the Gaussians behind it still get theirs. The
+        # its one fragment is the clamped centre, so only its colour sees a
+        # gradient; the Gaussians behind it still get theirs. The
         # camera's binning bbox keeps the 1/255 bound, a superset of these
         # fragments
         cam = CameraView(look_at((0.0, 0.0, -3.0), (0.0, 0.0, 0.0)),
@@ -308,11 +311,11 @@ class TestRecomputingOracle:
         out = render(cloud, cam)
         own = np.flatnonzero(out.frag_source == 0)
         assert own.size == 1 and out.frag_alpha[own[0]] == dtype(ALPHA_CLAMP)
-        pg = rng.standard_normal((9, 9, 7)).astype(dtype)
+        pg = rng.standard_normal((9, 9, 3)).astype(dtype)
         grads = backward(cloud, cam, out, pg)
         for f in GEOMETRY:
             assert not np.any(getattr(grads, f)[0]), f
-        assert np.any(grads.colors[0]) and np.any(grads.encodings[0])
+        assert np.any(grads.colors[0]) and not np.any(grads.encodings)
         assert np.any(grads.positions[1:])
         assert_matches_oracle(grads, recomputing_backward(cloud, cam, out, pg), dtype)
 

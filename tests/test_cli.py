@@ -389,6 +389,24 @@ class TestMalformedInput:
                            capsys, "knn_k", "'true'")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("line, words", [
+        ("log_interval = 0", "log_interval must be >= 1"),
+        ("checkpoint_interval = -5", "checkpoint_interval must be >= 0"),
+        ("knn_k = -3", "knn_k must be >= 1"),
+        ("knn_samples = 0", "knn_samples must be >= 1"),
+        ("init_count = 0", "init_count must be >= 1"),
+        ("alpha_2d = nan", "loss weights must be finite and >= 0"),
+        ("beta_3d = inf", "loss weights must be finite and >= 0"),
+    ], ids=["zero-log-interval", "negative-checkpoint-interval", "negative-knn-k",
+            "zero-knn-samples", "zero-init-count", "nan-alpha", "infinite-beta"])
+    def test_train_malformed_schedule(self, dataset_dir, tmp_path, capsys, line, words):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"total_iters = 4\n{line}\n")
+        assert_input_error(["train", "--data", str(dataset_dir), "--config", str(cfg),
+                            "--out", str(tmp_path / "run")], capsys,
+                           "training configuration", words)
+        assert not (tmp_path / "run").exists()
+
     def test_train_negative_iterations(self, dataset_dir, tmp_path, capsys):
         assert_input_error(["train", "--data", str(dataset_dir), "--iters", "-5",
                             "--out", str(tmp_path / "run")], capsys,

@@ -131,19 +131,49 @@ class TestTotalLoss:
         _, d_color = l1_loss(out.color, cam.image)
         _, d_ident, (hw2, hb2) = loss_2d(out.identity, cam.mask, head)
         _, ge3 = loss_3d(cloud, head, 5, 2, "global", 3)
-        pg1 = np.concatenate([d_color, np.zeros_like(out.identity)], axis=2)
-        pg2 = np.concatenate([np.zeros_like(d_color), d_ident], axis=2)
-        g1 = backward(cloud, cam, out, pg1)
-        g2 = backward(cloud, cam, out, pg2)
+        g1 = backward(cloud, cam, out, d_color)
+        g2 = out.weights.T @ d_ident.reshape(-1, cloud.dim)   # L2d's dL/de
         np.testing.assert_allclose(
-            grads.encodings, g1.encodings + alpha * g2.encodings + beta * ge3,
-            atol=1e-9)
-        np.testing.assert_allclose(
-            grads.positions, g1.positions + alpha * g2.positions, atol=1e-9)
+            grads.encodings, g1.encodings + alpha * g2 + beta * ge3, atol=1e-9)
+        # L2d does not reach the geometry
+        np.testing.assert_allclose(grads.positions, g1.positions, atol=1e-9)
         np.testing.assert_allclose(hw, alpha * hw2, atol=1e-12)
         np.testing.assert_allclose(hb, alpha * hb2, atol=1e-12)
         assert parts["total"] == pytest.approx(
             parts["l1"] + alpha * parts["l2d"] + beta * parts["l3d"])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_identity_losses_train_only_the_encodings(self, rng, dtype):
+        # the decoupling contract: every family but the encodings carries the
+        # bytes of backward on the L1 gradient alone, and the encodings get
+        # W.T @ (alpha dE) + beta ge3 (float64 reference)
+        from conftest import make_camera
+        cam = make_camera(width=16, height=12)
+        cloud = random_cloud(rng, 40, dim=4, dtype=dtype)
+        cam.image = rng.uniform(0, 1, (12, 16, 3))
+        cam.mask = rng.integers(0, 5, (12, 16)).astype(np.uint8)
+        head = ClassifierHead(rng.standard_normal((6, 4)).astype(dtype),
+                              rng.standard_normal(6).astype(dtype))
+        out = render(cloud, cam)
+        alpha, beta = 0.7, 1.3
+        _, grads, _ = total_loss(cloud, cam, out, head, alpha, beta, "global",
+                                 2, 10, rng_seed=3)
+
+        _, d_color = l1_loss(out.color, cam.image)
+        _, d_ident, _ = loss_2d(out.identity, cam.mask, head)
+        _, ge3 = loss_3d(cloud, head, 10, 2, "global", 3)
+        g1 = backward(cloud, cam, out, d_color)
+        for name in ("positions", "log_scales", "rotations", "logit_opacities",
+                     "colors", "visible"):
+            got, want = getattr(grads, name), getattr(g1, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert np.any(g1.positions)
+        w = out.weights.astype(np.float64)
+        want = (w.T @ (alpha * d_ident.astype(np.float64)).reshape(-1, 4)
+                + beta * ge3.astype(np.float64))
+        assert grads.encodings.dtype == dtype
+        tol = {np.float32: 1e-5, np.float64: 1e-12}[dtype] * np.abs(want).max()
+        assert np.abs(grads.encodings - want).max() <= tol
 
 
 class TestStandardDensify:
