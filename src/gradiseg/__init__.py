@@ -35,8 +35,8 @@ from .igd import igd_step
 from .laknn import loss_3d
 from .metrics import EvalReport, evaluate_masks, mbiou, miou, psnr
 from .render import RenderOutput, group_weight_mask
-from .scene import (GaussianCloud, GroupTable, assign_groups, extract_group,
-                    load_scene, recolor_group, remove_group, save_scene)
+from .scene import (GaussianCloud, assign_groups, extract_group, load_scene,
+                    recolor_group, remove_group, save_scene)
 from .semantic import ClassifierHead, loss_2d, segment_mask
 from .synth import SceneSpec, ObjectSpec, default_scene_spec, generate
 from .trainer import AdamOptimizer, TrainSchedule, total_loss, train
@@ -45,7 +45,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamOptimizer", "CameraView", "ClassifierHead", "Dataset", "EvalReport",
-    "GaussianCloud", "GroupTable", "ObjectSpec", "ParamGrads", "RenderOutput",
+    "GaussianCloud", "ObjectSpec", "ParamGrads", "RenderOutput",
     "SceneSpec", "TrainSchedule", "accumulate_monitors", "assign_groups",
     "default_scene_spec", "evaluate_masks", "extract_group", "generate",
     "group_weight_mask", "igd_step", "load_dataset", "load_scene", "look_at",

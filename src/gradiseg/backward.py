@@ -15,7 +15,7 @@ screen-mean and screen-covariance gradients. These flow per splat through the
 EWA covariance projection and the perspective Jacobian, down to every
 Gaussian parameter in its optimizer coordinates (log-scale, logit-opacity,
 tangent-projected raw quaternion). backward also reports per-Gaussian
-visibility for densification's monitors.
+visibility, which densification counts.
 """
 
 from __future__ import annotations
@@ -197,12 +197,8 @@ def backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutput,
 
 
 def accumulate_monitors(cloud: GaussianCloud, grads: ParamGrads) -> None:
-    """Update the per-Gaussian monitors after one backward pass.
-
-    id_grad_accum_i += ||dL/de_i||_2; visible_count increments where the
-    Gaussian produced at least one fragment; pos_grad_ema <- 0.9 ema + 0.1 dL/dp.
-    """
-    cloud.id_grad_accum += np.linalg.norm(grads.encodings, axis=1)
-    cloud.visible_count += grads.visible.astype(np.int64)
+    """Update the cloud's position-gradient monitor after one backward pass:
+    pos_grad_ema <- 0.9 ema + 0.1 dL/dp. Densification's sums are kept by
+    trainer.DensifyStats."""
     cloud.pos_grad_ema *= 0.9
     cloud.pos_grad_ema += 0.1 * grads.positions

@@ -131,6 +131,9 @@ def cmd_train(args) -> int:
     with _reading("training configuration"):
         sched = load_train_config(args.config, overrides).resolved()
     manifest, dataset = _read_dataset(args.data)
+    if len(dataset.views) < 2:
+        raise ValidationError(f"dataset {manifest.parent}: need at least 2 views "
+                              "(the last is held out)")
     result = train(dataset, sched, out)
     _write_run_json(out / "run.json", "train",
                     {"seed": sched.seed, "data": str(manifest),
@@ -215,7 +218,7 @@ def cmd_edit(args) -> int:
     ops = [o for o in (args.remove, args.recolor, args.extract) if o is not None]
     if len(ops) != 1:
         raise ValidationError("exactly one of --remove/--recolor/--extract is required")
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), _reading("edit"):
         warnings.simplefilter("always")
         if args.remove is not None:
             cloud = remove_group(cloud, args.remove)

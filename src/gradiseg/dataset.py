@@ -58,7 +58,10 @@ def load_dataset(manifest_path) -> Dataset:
             raise ValueError(f"mask id >= num_classes in {entry['mask']}")
         views.append(view)
     bbox = spec.get("scene_bbox")
-    bbox = np.asarray(bbox, dtype=np.float64) if bbox is not None else None
+    if bbox is not None:
+        bbox = np.asarray(bbox, dtype=np.float64)
+        if bbox.shape != (2, 3) or not np.all(np.isfinite(bbox)):
+            raise ValueError("scene_bbox must be two corners of 3 finite numbers")
     return Dataset(views=views, num_classes=num_classes, scene_bbox=bbox)
 
 

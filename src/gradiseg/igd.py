@@ -1,9 +1,10 @@
 """Identity-gradient-guided densification.
 
 Each pass over the cloud: prune near-transparent and oversized Gaussians,
-find those whose mean accumulated identity-encoding gradient is anomalous
-(above a percentile threshold), replace each with two children straddling the
-inferred boundary, and reset the gradient monitors.
+find those whose mean identity-encoding gradient since the last row edit is
+anomalous (above a percentile threshold), and replace each with two children
+straddling the inferred boundary. The sums it reads are the trainer's
+DensifyStats, which restart after every row edit.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def split_rows(cloud: GaussianCloud, rows: np.ndarray, offsets: np.ndarray,
 
     Child c of the i-th parent sits at the parent's position plus
     offsets[2i + c] with scales[i]; it copies the parent's other scene fields
-    and starts with zero gradient monitors.
+    and starts with a zero gradient monitor.
     """
     children = cloud.select(np.repeat(rows, 2))
     children.positions += offsets
@@ -49,12 +50,14 @@ def split_rows(cloud: GaussianCloud, rows: np.ndarray, offsets: np.ndarray,
     return children
 
 
-def igd_step(cloud: GaussianCloud, scene_extent: float) -> IgdResult:
-    """One densification pass: prune, split anomalous rows, reset monitors.
+def igd_step(cloud: GaussianCloud, id_accum: np.ndarray, visible: np.ndarray,
+             scene_extent: float) -> IgdResult:
+    """One densification pass: prune, then split anomalous rows.
 
-    Rows with opacity below OPACITY_EPS or a scale component above
-    TOO_LARGE_FRAC * scene_extent are pruned. Rows whose mean monitor
-    (accumulated identity-gradient norm per visible iteration) exceeds the
+    id_accum (N,) holds each row's summed identity-gradient norm ||dL/de||
+    and visible (N,) its visible-iteration count. Rows with opacity below
+    OPACITY_EPS or a scale component above TOO_LARGE_FRAC * scene_extent are
+    pruned. Rows whose mean (id_accum per visible iteration) exceeds the
     TAU_PERCENTILE of the surviving visible rows are split in two. The
     children sit at p +- SPLIT_OFFSET_FRAC * s_max * v, v the world-space
     axis of the largest scale component (ties to the lowest axis), with every
@@ -63,8 +66,8 @@ def igd_step(cloud: GaussianCloud, scene_extent: float) -> IgdResult:
     """
     alive = ~((cloud.opacities < OPACITY_EPS)
               | (cloud.scales.max(axis=1) > TOO_LARGE_FRAC * scene_extent))
-    m = cloud.id_grad_accum / np.maximum(cloud.visible_count, 1)
-    seen = alive & (cloud.visible_count > 0)
+    m = id_accum / np.maximum(visible, 1)
+    seen = alive & (visible > 0)
     if seen.any():
         tau = float(np.percentile(m[seen], TAU_PERCENTILE))
         split = alive & (m > tau)
@@ -87,6 +90,5 @@ def igd_step(cloud: GaussianCloud, scene_extent: float) -> IgdResult:
     offsets = np.stack([offset, -offset], axis=1).reshape(-1, 3)
 
     cloud = cloud.select(kept).append(split_rows(cloud, rows, offsets, new_scale))
-    cloud.reset_monitors()
     return IgdResult(cloud=cloud, kept=kept, n_pruned=int((~alive).sum()),
                      n_split=rows.size, threshold=tau)

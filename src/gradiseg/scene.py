@@ -1,8 +1,8 @@
 """Gaussian scene representation, GSEG1 persistence and group-level editing.
 
 The scene is stored struct-of-arrays: one ndarray per attribute, all row-aligned.
-Row i of every array (including the gradient monitors) describes Gaussian i, and
-every mutation (select/append) moves all arrays in lockstep.
+Row i of every array (including the position-gradient monitor) describes
+Gaussian i, and every mutation (select/append) moves all arrays in lockstep.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import math
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,31 +28,11 @@ class SceneFormatError(Exception):
     """Raised for malformed GSEG1 files or invariant-violating payloads."""
 
 
-@dataclass
-class GroupTable:
-    """Display metadata per group id. Id 0 is reserved for background."""
-
-    num_classes: int = 256
-    colors: dict[int, tuple[float, float, float]] = field(default_factory=dict)
-    labels: dict[int, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.colors.setdefault(0, (0.0, 0.0, 0.0))
-        self.labels.setdefault(0, "background")
-
-    def set_group(self, gid: int, color, label: str) -> None:
-        if not (0 <= gid < self.num_classes):
-            raise ValueError(f"group id {gid} outside [0, {self.num_classes})")
-        self.colors[gid] = tuple(float(c) for c in color)
-        self.labels[gid] = label
-
-
 # Every per-Gaussian row field, in constructor order: name, trailing shape
 # ("D" is the encoding dimension), dtype ("f" is the cloud's float dtype) and
 # the value of each row when the field is left out (None: required). The
-# last three are the gradient monitors that backward.accumulate_monitors
-# updates; IGD reads and resets id_grad_accum and visible_count, LA-KNN
-# reads pos_grad_ema.
+# last is the gradient monitor that backward.accumulate_monitors updates and
+# LA-KNN reads; densification's sums live in trainer.DensifyStats.
 ROW_FIELDS = (
     ("positions", (3,), "f", None),
     ("scales", (3,), "f", None),
@@ -62,12 +41,10 @@ ROW_FIELDS = (
     ("colors", (3,), "f", None),
     ("encodings", ("D",), "f", None),
     ("group_ids", (), np.int32, -1),
-    ("id_grad_accum", (), "f", 0),
     ("pos_grad_ema", (3,), "f", 0),
-    ("visible_count", (), np.int64, 0),
 )
 ROW_NAMES = tuple(f[0] for f in ROW_FIELDS)
-MONITORS = ROW_NAMES[-3:]
+MONITORS = ROW_NAMES[-1:]
 
 
 def _field_shape(shape: tuple, n: int, d: int) -> tuple:
@@ -76,14 +53,13 @@ def _field_shape(shape: tuple, n: int, d: int) -> tuple:
 
 
 class GaussianCloud:
-    """The trainable scene: N Gaussians plus per-Gaussian gradient monitors.
+    """The trainable scene: N Gaussians plus a per-Gaussian gradient monitor.
 
     One attribute per entry of ROW_FIELDS, all row-aligned: positions (N,3),
     scales (N,3) strictly positive, rotations (N,4) unit wxyz, opacities (N,),
     colors (N,3), encodings (N,D), group_ids (N,) int32 with -1 meaning
-    unassigned, id_grad_accum (N,) summed identity-gradient norms,
-    pos_grad_ema (N,3) and visible_count (N,) int64. Fields are passed in that
-    order or by name. Every row edit (select/append) moves all of them.
+    unassigned, and pos_grad_ema (N,3). Fields are passed in that order or by
+    name. Every row edit (select/append) moves all of them.
     """
 
     def __init__(self, *columns, **named):
@@ -171,10 +147,6 @@ class GaussianCloud:
             raise ValueError("opacity out of range")
         if np.any(self.colors < 0) or np.any(self.colors > 1):
             raise ValueError("color components out of range")
-        if np.any(self.id_grad_accum < 0):
-            raise ValueError("id_grad_accum must be non-negative")
-        if np.any(self.visible_count < 0):
-            raise ValueError("visible_count must be non-negative")
 
     # -- row edits (keep every array in lockstep) ----------------------------
 
@@ -190,12 +162,6 @@ class GaussianCloud:
             name: np.concatenate([getattr(self, name),
                                   getattr(other, name).astype(getattr(self, name).dtype)])
             for name in ROW_NAMES})
-
-    def reset_monitors(self) -> None:
-        """Zero the identity-gradient monitors after an IGD pass; the
-        position-gradient EMA carries on."""
-        self.id_grad_accum[:] = 0
-        self.visible_count[:] = 0
 
 
 # -- persistence (GSEG1 container) -------------------------------------------
@@ -318,7 +284,7 @@ def _require_groups(cloud: GaussianCloud) -> None:
 
 
 def remove_group(cloud: GaussianCloud, gid: int) -> GaussianCloud:
-    """Drop every Gaussian of group `gid` (accumulators filtered consistently)."""
+    """Drop every Gaussian of group `gid` (its monitor rows go with it)."""
     _require_groups(cloud)
     mask = cloud.group_ids != gid
     if mask.all():
@@ -340,7 +306,7 @@ def recolor_group(cloud: GaussianCloud, gid: int, rgb) -> GaussianCloud:
     """Set the color of every Gaussian in group `gid` to `rgb`."""
     _require_groups(cloud)
     rgb = np.asarray(rgb, dtype=cloud.dtype)
-    if rgb.shape != (3,) or np.any(rgb < 0) or np.any(rgb > 1):
+    if rgb.shape != (3,) or not np.all((0 <= rgb) & (rgb <= 1)):  # NaN fails too
         raise ValueError("rgb must be three components in [0, 1]")
     mask = cloud.group_ids == gid
     if not mask.any():

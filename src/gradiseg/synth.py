@@ -16,7 +16,7 @@ import numpy as np
 from .camera import CameraView, look_at
 from .dataset import Dataset, save_dataset
 from .render import render
-from .scene import GaussianCloud, GroupTable
+from .scene import GaussianCloud
 from .semantic import MAX_CLASSES, ClassifierHead, segment_mask
 
 RING_RADIUS = 2.5    # camera ring radius and height above the origin
@@ -45,7 +45,7 @@ class ObjectSpec:
     size: tuple                         # full extents per axis
     color: tuple
     count: int = 400
-    label: str = ""
+    label: str = ""                     # group name in generate's labels and run.json
 
     def __post_init__(self):
         if self.primitive not in ("sphere", "box", "ellipsoid"):
@@ -171,15 +171,15 @@ def generate(spec: SceneSpec, out_dir=None):
 
     Masks come from the blended per-group weights (argmax, background where
     the total foreground weight is below semantic.FOREGROUND_THRESHOLD), so
-    they are multi-view consistent by construction. Returns (gt_cloud, head, dataset, group_table);
-    with out_dir set, also writes the dataset + gt scene to disk.
+    they are multi-view consistent by construction. Returns (gt_cloud, head,
+    dataset, labels), labels naming each group id (0 is background); with
+    out_dir set, also writes the dataset + gt scene to disk.
     """
     rng = np.random.default_rng(spec.seed)
     cloud = build_gt_cloud(spec, rng)
     head = gt_classifier(spec)
-    table = GroupTable(num_classes=spec.num_classes)
-    for g, obj in enumerate(spec.objects, start=1):
-        table.set_group(g, obj.color, obj.label or f"object_{g}")
+    labels = {0: "background"} | {g: obj.label or f"object_{g}"
+                                  for g, obj in enumerate(spec.objects, start=1)}
 
     views = []
     lo = cloud.positions.min(axis=0) - cloud.scales.max() * 3
@@ -201,4 +201,4 @@ def generate(spec: SceneSpec, out_dir=None):
         from .scene import save_scene
         save_dataset(out_dir, views, spec.num_classes, dataset.scene_bbox)
         save_scene(cloud, head, f"{out_dir}/gt_scene.gseg")
-    return cloud, head, dataset, table
+    return cloud, head, dataset, labels

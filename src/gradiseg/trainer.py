@@ -7,10 +7,11 @@ Schedule phases (iteration i, total T):
                               direction-aware neighbor selection
 
 Each iteration renders one training view (round robin), computes
-L = L1 + alpha*L2d + beta*L3d, backpropagates, accumulates monitors, steps
-Adam, then applies any scheduled row edit. A densifier returns the new cloud
-and `kept`, the old rows that form its prefix; Adam keeps those rows'
-moments, new rows start at zero, and DensifyStats restarts. The last
+L = L1 + alpha*L2d + beta*L3d, backpropagates, updates the position-gradient
+monitor and DensifyStats, steps Adam, then applies any scheduled row edit.
+A densifier reads DensifyStats, the sums since the last row edit, and returns
+the new cloud and `kept`, the old rows that form its prefix; Adam keeps those
+rows' moments, new rows start at zero, and DensifyStats restarts. The last
 manifest view is held out for PSNR logging and never trained on.
 """
 
@@ -153,19 +154,22 @@ class AdamOptimizer:
 
 
 class DensifyStats:
-    """Accumulated positional-gradient norms and visible-iteration counts."""
+    """Per-row sums since the last row edit: position-gradient norms
+    (standard densification), identity-gradient norms ||dL/de|| (IGD) and
+    visible-iteration counts (both)."""
 
     def __init__(self, n: int, dtype):
         self.grad_accum = np.zeros(n, dtype=dtype)
+        self.id_accum = np.zeros(n, dtype=dtype)
         self.denom = np.zeros(n, dtype=np.int64)
 
     def update(self, grads: ParamGrads) -> None:
         self.grad_accum += np.linalg.norm(grads.positions, axis=1)
+        self.id_accum += np.linalg.norm(grads.encodings, axis=1)
         self.denom += grads.visible.astype(np.int64)
 
     def reset(self, n: int) -> None:
-        self.grad_accum = np.zeros(n, dtype=self.grad_accum.dtype)
-        self.denom = np.zeros(n, dtype=np.int64)
+        self.__init__(n, self.grad_accum.dtype)
 
 
 def l1_loss(rendered: np.ndarray, target: np.ndarray):
@@ -230,8 +234,8 @@ def standard_densify(cloud: GaussianCloud, stats: DensifyStats, scene_extent: fl
     above PERCENT_DENSE * scene_extent.
 
     Returns (new cloud, kept). The new cloud is the rows `kept`, then the
-    clones (which keep their source rows' monitors), then two children per
-    split row, placed by samples of the parent Gaussian.
+    clones (copies of their source rows, pos_grad_ema included), then two
+    children per split row, placed by samples of the parent Gaussian.
     """
     alive = cloud.opacities >= OPACITY_EPS
     hot = alive & (stats.grad_accum / np.maximum(stats.denom, 1)
@@ -347,7 +351,7 @@ def train(dataset: Dataset, schedule: TrainSchedule, out_dir) -> TrainResult:
             edit = standard_densify(cloud, stats, scene_extent, rng)
         elif (sched.use_igd and sched.densify_end <= nxt < sched.igd_end
               and nxt % sched.igd_interval == 0):
-            res = igd_step(cloud, scene_extent)
+            res = igd_step(cloud, stats.id_accum, stats.denom, scene_extent)
             edit = res.cloud, res.kept
         if edit is not None:
             cloud, kept = edit

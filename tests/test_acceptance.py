@@ -337,9 +337,9 @@ def test_criterion_5_densification_suite():
     cloud.opacities[:] = 0.5
     cloud.opacities[[5, 6]] = 0.0049   # below eps
     cloud.scales[9] = [5.0, 0.1, 0.1]  # too large
-    cloud.visible_count[:] = 1
-    cloud.id_grad_accum[:] = 1.0
-    cloud.id_grad_accum[40] = 100.0    # exactly one anomalous row
+    visible = np.ones(n, dtype=np.int64)
+    id_accum = np.ones(n)
+    id_accum[40] = 100.0               # exactly one anomalous row
 
     shapes = {k: (n,) + s for k, s in
               [("positions", (3,)), ("log_scales", (3,)), ("rotations", (4,)),
@@ -351,18 +351,16 @@ def test_criterion_5_densification_suite():
     scene_extent = 10.0
     expected_prune = {5, 6, 9}
     parent_pos = cloud.positions[40].copy()
-    res = igd_step(cloud, scene_extent)
+    res = igd_step(cloud, id_accum, visible, scene_extent)
     opt.keep_rows(res.kept, res.cloud.n)
 
     # pruning removed exactly {o < 0.005} union {too large}
     assert res.n_pruned == len(expected_prune)
     assert np.all(res.cloud.opacities >= OPACITY_EPS)
     assert np.all(res.cloud.scales.max(axis=1) <= TOO_LARGE_FRAC * scene_extent)
-    # one above threshold -> N + 1, monitors zeroed
+    # one above threshold -> N + 1
     assert res.n_split == 1
     assert res.cloud.n == n - 3 + 1
-    assert not np.any(res.cloud.id_grad_accum)
-    assert not np.any(res.cloud.visible_count)
     # children mirror-symmetric about the parent
     kids = res.cloud.positions[-2:]
     np.testing.assert_allclose(0.5 * (kids[0] + kids[1]), parent_pos, atol=1e-7)
@@ -380,7 +378,44 @@ def test_criterion_5_densification_suite():
     np.testing.assert_allclose(ga.position, [1.0, 0.0, 0.0])
     np.testing.assert_allclose(ga.scale, [1.25, 0.625, 0.625])
     report(5, f"prune set {sorted(expected_prune)} removed, single split gave "
-              f"N {n - 3}->{res.cloud.n}, monitors reset, optimizer rows in sync")
+              f"N {n - 3}->{res.cloud.n}, optimizer rows in sync")
+
+
+def test_criterion_5_igd_reads_counts_since_last_edit(desk_dataset, tmp_path,
+                                                      monkeypatch):
+    # IGD averages each row's identity gradient over the iterations since
+    # the previous row edit, as 3DGS densification does: standard
+    # densification at 8, then IGD at 16, 24, 32 and 40
+    import gradiseg.trainer as trainer_mod
+    since, windows = [0], []
+    orig_update = trainer_mod.DensifyStats.update
+    orig_densify, orig_igd = trainer_mod.standard_densify, trainer_mod.igd_step
+
+    def spy_update(stats, grads):
+        since[0] += 1
+        return orig_update(stats, grads)
+
+    def spy_densify(*a, **k):
+        since[0] = 0
+        return orig_densify(*a, **k)
+
+    def spy_igd(cloud, id_accum, visible, scene_extent):
+        windows.append((since[0], cloud.n, id_accum.shape, visible.shape,
+                        int(visible.max())))
+        since[0] = 0
+        return orig_igd(cloud, id_accum, visible, scene_extent)
+
+    monkeypatch.setattr(trainer_mod.DensifyStats, "update", spy_update)
+    monkeypatch.setattr(trainer_mod, "standard_densify", spy_densify)
+    monkeypatch.setattr(trainer_mod, "igd_step", spy_igd)
+    _short_run(desk_dataset, tmp_path, "igd", total_iters=48, init_count=300,
+               densify_end=16, igd_end=48, densify_interval=8, igd_interval=8)
+    assert [w[0] for w in windows] == [8, 8, 8, 8]
+    for since_edit, n, accum_shape, visible_shape, most_visible in windows:
+        assert accum_shape == visible_shape == (n,)
+        assert 0 < most_visible <= since_edit
+    report(5, f"{len(windows)} IGD passes each read at most the 8 iterations "
+              f"since the previous row edit")
 
 
 # ---------------------------------------------------------------------------

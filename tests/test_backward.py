@@ -350,20 +350,6 @@ class TestMonitors:
             np.full((n, 3), 0.5), np.zeros((n, dim)))
         return cloud, g
 
-    def test_zero_grads_leave_accum(self):
-        cloud, g = self.make()
-        accumulate_monitors(cloud, g)
-        assert not np.any(cloud.id_grad_accum)
-        assert not np.any(cloud.visible_count)
-
-    def test_norm_accumulation_345(self):
-        cloud, g = self.make(1)
-        g.encodings[0, :2] = [3.0, 4.0]
-        g.visible[0] = True
-        accumulate_monitors(cloud, g)
-        assert cloud.id_grad_accum[0] == pytest.approx(5.0)
-        assert cloud.visible_count[0] == 1
-
     def test_ema_closed_form(self):
         # 10 iterations of constant dL/dp = g -> ema = g * (1 - 0.9^10)
         cloud, g = self.make(1)

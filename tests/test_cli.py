@@ -413,16 +413,51 @@ class TestMalformedInput:
                            "total_iters")
         assert not (tmp_path / "run").exists()
 
-    def test_later_errors_stay_internal(self, dataset_dir, tmp_path, capsys):
-        # a dataset of one view reads fine; training it fails afterwards
+    def test_train_one_view(self, dataset_dir, tmp_path, capsys):
+        # the last view is held out, so one view leaves nothing to train on
         ds = copy_dataset(dataset_dir, tmp_path)
         manifest = json.loads((ds / "manifest.json").read_text())
         manifest["views"] = manifest["views"][:1]
         (ds / "manifest.json").write_text(json.dumps(manifest))
-        rc = main(["train", "--data", str(ds), "--iters", "0",
+        assert_input_error(["train", "--data", str(ds), "--iters", "0",
+                            "--out", str(tmp_path / "run")], capsys,
+                           f"dataset {ds}", "need at least 2 views")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("bbox", [[[0, 0], [1, 1]], [[0, 0, float("nan")], [1, 1, 1]]],
+                             ids=["two-axis-corners", "nan-corner"])
+    def test_train_malformed_scene_bbox(self, dataset_dir, tmp_path, capsys, bbox):
+        ds = copy_dataset(dataset_dir, tmp_path)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        manifest["scene_bbox"] = bbox   # json writes NaN as the bare word NaN
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        assert_input_error(["train", "--data", str(ds), "--iters", "0",
+                            "--out", str(tmp_path / "run")], capsys,
+                           "scene_bbox must be two corners of 3 finite numbers")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("rgb", ["2,0,0", "nan,0,0"], ids=["above-one", "nan"])
+    def test_edit_recolor_out_of_range(self, dataset_dir, tmp_path, capsys, rgb):
+        assert_input_error(["edit", "--scene", str(dataset_dir / "gt_scene.gseg"),
+                            "--recolor", f"1:{rgb}", "--out", str(tmp_path / "x.gseg")],
+                           capsys, "rgb must be three components in [0, 1]")
+        assert not (tmp_path / "x.gseg").exists()
+
+    def test_later_errors_stay_internal(self, dataset_dir, tmp_path, capsys,
+                                        monkeypatch):
+        # a ValueError from training itself, after every input was read and
+        # checked, is an internal error rather than malformed input
+        import gradiseg.trainer as trainer_mod
+
+        def failing_train(*a, **k):
+            raise ValueError("raised inside training")
+
+        monkeypatch.setattr(trainer_mod, "train", failing_train)
+        rc = main(["train", "--data", str(dataset_dir), "--iters", "0",
                    "--out", str(tmp_path / "run")])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("internal error: ValueError")
+        assert capsys.readouterr().err.startswith(
+            "internal error: ValueError: raised inside training")
 
 
 class TestTrainSmoke:

@@ -11,9 +11,9 @@ import pytest
 import gradiseg.scene as scene_module
 from conftest import HalfWrite, make_camera, random_cloud
 from gradiseg.render import render
-from gradiseg.scene import (GaussianCloud, GroupTable, SceneFormatError,
-                            assign_groups, extract_group, load_scene,
-                            recolor_group, remove_group, save_scene)
+from gradiseg.scene import (GaussianCloud, SceneFormatError, assign_groups,
+                            extract_group, load_scene, recolor_group,
+                            remove_group, save_scene)
 from gradiseg.semantic import ClassifierHead
 
 
@@ -289,13 +289,20 @@ class TestEdits:
         np.testing.assert_array_equal(out.colors[2], [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(out.colors[0], cloud.colors[0])
 
+    @pytest.mark.parametrize("rgb", [(np.nan, 0.0, 0.0), (0.0, -0.1, 0.0)],
+                             ids=["nan", "negative"])
+    def test_recolor_rejects_components_outside_unit_range(self, rng, rgb):
+        cloud = self.grouped_cloud(rng, [1, 2])
+        with pytest.raises(ValueError, match=r"rgb must be three components"):
+            recolor_group(cloud, 2, rgb)
+
     def test_accumulators_filtered_consistently(self, rng):
         cloud = self.grouped_cloud(rng, [1, 2, 1])
-        cloud.id_grad_accum[:] = [10.0, 20.0, 30.0]
-        cloud.visible_count[:] = [1, 2, 3]
+        cloud.pos_grad_ema[:] = [[10.0, 11.0, 12.0], [20.0, 21.0, 22.0],
+                                 [30.0, 31.0, 32.0]]
         out = remove_group(cloud, 2)
-        np.testing.assert_array_equal(out.id_grad_accum, [10.0, 30.0])
-        np.testing.assert_array_equal(out.visible_count, [1, 3])
+        np.testing.assert_array_equal(out.pos_grad_ema,
+                                      [[10.0, 11.0, 12.0], [30.0, 31.0, 32.0]])
 
     def test_edits_require_assignment(self, rng):
         cloud = random_cloud(rng, 3, dim=8)  # group_ids all -1
@@ -353,9 +360,3 @@ class TestEditRendering:
             allowed = binary_dilation(silhouette, np.ones((7, 7), dtype=bool))
             assert not (lit & ~allowed).any()
 
-
-def test_group_table_reserved_background():
-    table = GroupTable(num_classes=8)
-    assert table.labels[0] == "background"
-    with pytest.raises(ValueError):
-        table.set_group(8, (1, 0, 0), "oob")

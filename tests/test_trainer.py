@@ -12,7 +12,7 @@ import pytest
 import gradiseg
 import gradiseg.scene as scene_module
 from conftest import HalfWrite, random_cloud
-from gradiseg.backward import backward
+from gradiseg.backward import ParamGrads, backward
 from gradiseg.render import render
 from gradiseg.scene import GaussianCloud
 from gradiseg.semantic import ClassifierHead, loss_2d
@@ -176,6 +176,25 @@ class TestTotalLoss:
         assert np.abs(grads.encodings - want).max() <= tol
 
 
+class TestDensifyStats:
+    def test_zero_grads_leave_accum(self):
+        stats = DensifyStats(3, np.float64)
+        stats.update(ParamGrads.zeros(3, 4, np.float64))
+        for sums in (stats.grad_accum, stats.id_accum, stats.denom):
+            assert not np.any(sums)
+
+    def test_norm_accumulation_345(self):
+        g = ParamGrads.zeros(1, 4, np.float64)
+        g.positions[0] = [0.0, 6.0, 8.0]
+        g.encodings[0, :2] = [3.0, 4.0]
+        g.visible[0] = True
+        stats = DensifyStats(1, np.float64)
+        stats.update(g)
+        assert stats.grad_accum[0] == pytest.approx(10.0)
+        assert stats.id_accum[0] == pytest.approx(5.0)
+        assert stats.denom[0] == 1
+
+
 class TestStandardDensify:
     def stats_for(self, cloud, grads, denom=1):
         stats = DensifyStats(cloud.n, cloud.dtype)
@@ -218,8 +237,6 @@ class TestStandardDensify:
         cloud.scales[[2, 7, 9]] = 0.5
         cloud.opacities[:] = 0.5
         cloud.opacities[[1, 9]] = 0.001
-        cloud.id_grad_accum[:] = np.arange(n) + 1.0
-        cloud.visible_count[:] = np.arange(n) + 1
         cloud.pos_grad_ema[:] = rng.standard_normal((n, 3))
         grads = np.zeros(n)
         grads[[1, 2, 3, 5, 7, 9]] = 1.0
@@ -243,11 +260,10 @@ class TestStandardDensify:
         np.testing.assert_array_equal(out.encodings, cloud.encodings[sources])
         np.testing.assert_array_equal(out.positions[:10], cloud.positions[sources[:10]])
         np.testing.assert_array_equal(out.scales[10:], cloud.scales[sources[10:]] / 1.6)
-        # survivors and clones carry their source rows' monitors; children start at zero
-        for name in ("id_grad_accum", "visible_count", "pos_grad_ema"):
-            np.testing.assert_array_equal(getattr(out, name)[:10],
-                                          getattr(cloud, name)[sources[:10]])
-            assert not np.any(getattr(out, name)[10:])
+        # survivors and clones carry their source rows' monitor; children start at zero
+        np.testing.assert_array_equal(out.pos_grad_ema[:10],
+                                      cloud.pos_grad_ema[sources[:10]])
+        assert not np.any(out.pos_grad_ema[10:])
         # survivors keep their Adam moments; clones and children start at zero
         for name in ("positions", "encodings"):
             for new, old in ((opt.m, old_m), (opt.v, old_v)):
@@ -440,17 +456,18 @@ class TestTrainLoop:
         def spy_update(stats, grads):
             if edited:  # first update after a row edit
                 edited.clear()
-                seen.append((stats.grad_accum.shape, grads.positions.shape[0],
-                             np.any(stats.grad_accum), np.any(stats.denom)))
+                sums = (stats.grad_accum, stats.id_accum, stats.denom)
+                seen.append(([a.shape for a in sums], grads.positions.shape[0],
+                             [np.any(a) for a in sums]))
             return orig_update(stats, grads)
 
         monkeypatch.setattr(trainer_mod.DensifyStats, "update", spy_update)
         train(tiny_dataset(), fast_schedule(log_interval=1000, checkpoint_interval=0),
               tmp_path)
         assert len(seen) == 2  # standard densify at 8, IGD at 16
-        for shape, n, any_grad, any_denom in seen:
-            assert shape == (n,)
-            assert not any_grad and not any_denom
+        for shapes, n, nonzero in seen:
+            assert shapes == [(n,)] * 3
+            assert not any(nonzero)
 
     def test_schedule_without_igd_pass_warns(self):
         # phases at 0.4 T and 0.5 T give [120, 150), which holds no multiple of 100
