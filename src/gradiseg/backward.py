@@ -57,12 +57,15 @@ PER_GAUSSIAN = tuple(f.name for f in fields(ParamGrads) if f.name != "visible")
 def _segment_suffix_sum(values: np.ndarray, frag_start: np.ndarray) -> np.ndarray:
     """Per-fragment sum of the values strictly after it within its pixel segment:
     the running sum at the segment's last fragment minus the running sum here.
+    The running sum spans the whole image, so it is kept in float64: in
+    float32 a pixel's suffix would cancel against totals far larger than it.
 
     values: (F,) with F >= 1; frag_start: CSR offsets (P+1,).
     """
-    incl = np.cumsum(values)
+    incl = np.cumsum(values, dtype=np.float64)
     # an empty segment's end index may be -1: it is repeated zero times
-    return np.repeat(incl[frag_start[1:] - 1], np.diff(frag_start)) - incl
+    suffix = np.repeat(incl[frag_start[1:] - 1], np.diff(frag_start)) - incl
+    return suffix.astype(values.dtype, copy=False)
 
 
 def backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutput,

@@ -4,10 +4,11 @@ Conventions: world_to_camera is a rigid 4x4 transform, camera looks down +z,
 pixel (x, y) samples at integer coordinates with u = fx*tx/tz + cx (pinhole)
 or u = fx*tx + cx (orthographic). Depth is camera-space z.
 
-The rasterizer's cutoffs are the constants of 3DGS: splats are culled and
-supports truncated at CULL_SIGMA standard deviations, and fragments with
-alpha below ALPHA_CUTOFF are dropped. `smooth=True` turns both off, so the
-rendered map is differentiable everywhere; only the gradient checks set it.
+The rasterizer's cutoffs are the constants of 3DGS: supports are truncated
+at CULL_SIGMA standard deviations and fragments with alpha below
+ALPHA_CUTOFF are dropped, so a splat that could make no fragment in the
+image is culled. `smooth=True` turns both cutoffs off, so the rendered map
+is differentiable everywhere; only the gradient checks set it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .scene import GaussianCloud
 
 NEAR_PLANE = 0.01
 COV_DILATION = 0.3   # px^2 added to the cov2d diagonal (anti-aliasing floor)
-CULL_SIGMA = 3.0     # screen-extent culling and support truncation radius
+CULL_SIGMA = 3.0     # support truncation radius, in standard deviations
 ALPHA_CUTOFF = 1.0 / 255.0   # fragments with a smaller alpha are dropped
 
 
@@ -111,12 +112,12 @@ def project_cloud(cloud: GaussianCloud, cam: CameraView,
                   smooth: bool = False) -> ProjectedSplats:
     """Project every Gaussian, cull, and depth-sort (ties by source index).
 
-    Culling removes Gaussians with depth <= NEAR_PLANE and, unless smooth,
-    those whose CULL_SIGMA screen ellipse misses the image. COV_DILATION is
-    added to every cov2d diagonal. The rasterizer's candidate bboxes shrink
-    to the radius where alpha can still reach ALPHA_CUTOFF (opacity-
-    dependent); visibility itself stays determined by the CULL_SIGMA
-    ellipse. With smooth set, every bbox is the whole image.
+    COV_DILATION is added to every cov2d diagonal. Each splat's candidate
+    bbox reaches as far as its alpha can still reach ALPHA_CUTOFF (opacity-
+    dependent, at most CULL_SIGMA standard deviations), clipped to the
+    image. Culling removes Gaussians with depth <= NEAR_PLANE and, unless
+    smooth, those whose bbox misses the image: they could make no fragment.
+    With smooth set, every bbox is the whole image.
     """
     dt = cloud.dtype
     n = cloud.n
@@ -159,28 +160,21 @@ def project_cloud(cloud: GaussianCloud, cam: CameraView,
         x0 = np.zeros(n); x1 = np.full(n, cam.width - 1)
         y0 = np.zeros(n); y1 = np.full(n, cam.height - 1)
     else:
-        # CULL_SIGMA screen radius from the largest eigenvalue of cov2d
+        # the largest screen standard deviation; the bbox reaches as many of
+        # them as alpha >= ALPHA_CUTOFF allows, at most CULL_SIGMA
         a, b, c = cov2d[:, 0, 0], cov2d[:, 0, 1], cov2d[:, 1, 1]
         mid = 0.5 * (a + c)
         disc = np.sqrt(np.maximum(mid * mid - (a * c - b * b), 0.0))
         sqrt_lam = np.sqrt(np.maximum(mid + disc, 0.0))
-        radius = CULL_SIGMA * sqrt_lam
-        # visibility from the sigma-ellipse; the binning bbox shrinks to the
-        # radius where alpha >= ALPHA_CUTOFF is still attainable
-        vx0 = np.ceil(mean2d[:, 0] - radius)
-        vx1 = np.floor(mean2d[:, 0] + radius)
-        vy0 = np.ceil(mean2d[:, 1] - radius)
-        vy1 = np.floor(mean2d[:, 1] + radius)
-        alive &= ((np.maximum(vx0, 0) <= np.minimum(vx1, cam.width - 1))
-                  & (np.maximum(vy0, 0) <= np.minimum(vy1, cam.height - 1)))
         with np.errstate(divide="ignore", invalid="ignore"):
             q_max = 2.0 * np.log(np.maximum(cloud.opacities / ALPHA_CUTOFF,
                                             1e-30)) + 1e-4
-        bin_radius = np.sqrt(np.clip(q_max, 0.0, CULL_SIGMA * CULL_SIGMA)) * sqrt_lam
-        x0 = np.maximum(np.ceil(mean2d[:, 0] - bin_radius), 0)
-        x1 = np.minimum(np.floor(mean2d[:, 0] + bin_radius), cam.width - 1)
-        y0 = np.maximum(np.ceil(mean2d[:, 1] - bin_radius), 0)
-        y1 = np.minimum(np.floor(mean2d[:, 1] + bin_radius), cam.height - 1)
+        radius = np.sqrt(np.clip(q_max, 0.0, CULL_SIGMA * CULL_SIGMA)) * sqrt_lam
+        x0 = np.maximum(np.ceil(mean2d[:, 0] - radius), 0)
+        x1 = np.minimum(np.floor(mean2d[:, 0] + radius), cam.width - 1)
+        y0 = np.maximum(np.ceil(mean2d[:, 1] - radius), 0)
+        y1 = np.minimum(np.floor(mean2d[:, 1] + radius), cam.height - 1)
+        alive &= (x0 <= x1) & (y0 <= y1)
 
     idx = np.nonzero(alive)[0]
     order = np.lexsort((idx, depth[idx]))  # ascending depth, ties by index

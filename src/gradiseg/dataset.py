@@ -3,7 +3,7 @@
 The manifest lists one entry per view with intrinsics, a row-major 4x4
 world_to_camera, and relative paths to the image (P6 PPM) and mask (P5 PGM).
 Optional top-level keys: num_classes (1 to 256, default 256) and scene_bbox
-([[min x,y,z],[max x,y,z]]) used to seed training.
+([[min x,y,z],[max x,y,z]], max > min on every axis) used to seed training.
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ def load_dataset(manifest_path) -> Dataset:
         bbox = np.asarray(bbox, dtype=np.float64)
         if bbox.shape != (2, 3) or not np.all(np.isfinite(bbox)):
             raise ValueError("scene_bbox must be two corners of 3 finite numbers")
+        if not np.all(bbox[1] > bbox[0]):
+            raise ValueError("scene_bbox max must exceed min on every axis")
     return Dataset(views=views, num_classes=num_classes, scene_bbox=bbox)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.ndimage import binary_dilation, binary_erosion
@@ -117,16 +117,7 @@ class EvalReport:
     pixel_counts: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "per_class_iou": {str(k): v for k, v in self.per_class_iou.items()},
-            "miou": self.miou,
-            "mbiou": self.mbiou,
-            "miou_per_view": self.miou_per_view,
-            "mbiou_per_view": self.mbiou_per_view,
-            "psnr_per_view": self.psnr_per_view,
-            "psnr_mean": self.psnr_mean,
-            "pixel_counts": {str(k): v for k, v in self.pixel_counts.items()},
-        }, indent=1)
+        return json.dumps(asdict(self), indent=1)
 
 
 def evaluate_masks(pred_masks, gt_masks, band_px: int | None = None) -> EvalReport:

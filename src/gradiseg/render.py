@@ -12,7 +12,7 @@ pass takes W.T of the upstream gradients.
 
 A splat contributes a fragment at a pixel when alpha >= ALPHA_CUTOFF and the
 pixel lies within the splat's support ellipse (CULL_SIGMA standard
-deviations; the same radius used for screen culling). Alpha is always
+deviations). Alpha is always
 clamped to ALPHA_CLAMP. `render(..., smooth=True)` drops both cutoffs, so a
 splat contributes wherever its alpha is positive and the rendered map is
 differentiable everywhere; only the gradient checks use it. Only the pixels
@@ -52,7 +52,7 @@ from scipy.sparse import csr_array
 from .camera import (ALPHA_CUTOFF, CULL_SIGMA, CameraView, ProjectedSplats,
                      project_cloud)
 from .scene import GaussianCloud
-from .semantic import FOREGROUND_THRESHOLD
+from .semantic import ClassifierHead, segment_mask
 
 ALPHA_CLAMP = 0.99
 T_STOP = 1e-5     # a pixel keeps the fragments with transmittance >= T_STOP
@@ -316,10 +316,9 @@ def _render_groups(cloud: GaussianCloud, cam: CameraView) -> RenderOutput:
 
 
 def group_weight_mask(cloud: GaussianCloud, cam: CameraView) -> np.ndarray:
-    """Instance-id mask from group weights: argmax group per pixel, background
-    (id 0) where the total foreground weight 1 - T_final falls below
-    semantic.FOREGROUND_THRESHOLD."""
+    """Instance-id mask from group weights: semantic.segment_mask of the
+    per-group weight render under an identity head."""
     out = _render_groups(cloud, cam)
-    mask = np.argmax(out.identity, axis=2).astype(np.uint8)
-    mask[(1.0 - out.final_transmittance) < FOREGROUND_THRESHOLD] = 0
-    return mask
+    g = out.identity.shape[2]
+    head = ClassifierHead(np.eye(g, dtype=cloud.dtype), np.zeros(g, dtype=cloud.dtype))
+    return segment_mask(out.identity, out.final_transmittance, head)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .semantic import class_groups
+from .semantic import predict
 
 GSEG_MAGIC = b"GSEG1"
 GSEG_VERSION = 1
@@ -264,17 +264,12 @@ def load_scene(path):
 
 
 def assign_groups(cloud: GaussianCloud, head) -> GaussianCloud:
-    """Set each Gaussian's group_id to the argmax class of head logits on its
-    encoding. Logits are taken once per distinct head row
-    (semantic.class_groups), and ties resolve to the lowest class index."""
+    """Set each Gaussian's group_id to the class that semantic.predict gives
+    its encoding."""
     if not np.all(np.isfinite(head.weights)) or not np.all(np.isfinite(head.biases)):
         raise ValueError("classifier head must be finite")
     out = cloud.copy()
-    if cloud.n == 0:
-        return out
-    groups = class_groups(head)
-    best = np.argmax(groups.head.logits(cloud.encodings), axis=1)
-    out.group_ids = groups.first[best].astype(np.int32)
+    out.group_ids = predict(cloud.encodings, head).astype(np.int32)
     return out
 
 

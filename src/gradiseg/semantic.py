@@ -105,29 +105,32 @@ def _group_probs(features: np.ndarray, groups: ClassGroups) -> np.ndarray:
     return softmax(groups.head.logits(features), groups.size)[0]
 
 
+def predict(features: np.ndarray, head: ClassifierHead) -> np.ndarray:
+    """Class of each (..., D) feature row: the argmax of the head's logits.
+    Logits are taken once per distinct head row (class_groups), and a tie
+    goes to the lowest class index."""
+    groups = class_groups(head)
+    return groups.first[np.argmax(groups.head.logits(features), axis=-1)]
+
+
 def segment_mask(identity_map: np.ndarray, final_transmittance: np.ndarray,
                  head: ClassifierHead) -> np.ndarray:
-    """Instance-id mask: per-pixel argmax class of the rendered identity
+    """Instance-id mask: the predicted class of the rendered identity
     features where the total blended foreground weight 1 - T_final reaches
-    FOREGROUND_THRESHOLD, background (0) elsewhere. Logits are taken only
-    for the foreground pixels and only for distinct head rows; a tie goes
-    to the lowest class index."""
+    FOREGROUND_THRESHOLD, background (0) elsewhere. Only the foreground
+    pixels are classified."""
     fg = (1.0 - final_transmittance) >= FOREGROUND_THRESHOLD
     mask = np.zeros(fg.shape, dtype=np.uint8)
-    groups = class_groups(head)
-    mask[fg] = groups.first[np.argmax(groups.head.logits(identity_map[fg]), axis=-1)]
+    mask[fg] = predict(identity_map[fg], head)
     return mask
 
 
 def loss_2d(identity_map: np.ndarray, mask: np.ndarray, head: ClassifierHead):
     """Mean per-pixel cross-entropy of softmax(W f + b) against mask ids.
 
-    Returns (loss, dL/didentity_map, (dL/dW, dL/db)). A pixel whose feature
-    row is all zero (no fragment, or zero encodings) has logits exactly b, so
-    that row is classified once: those pixels enter the loss and dL/db through
-    their label counts, add nothing to dL/dW, and share one dL/dfeatures row
-    per label. Class-space work runs on the head's distinct rows, with every
-    label class in a group of its own (class_groups).
+    Returns (loss, dL/didentity_map, (dL/dW, dL/db)). Every pixel takes one
+    softmax over the head's distinct rows, with every label class in a group
+    of its own (class_groups).
     """
     h, w, d = identity_map.shape
     if mask.shape != (h, w):
@@ -140,31 +143,16 @@ def loss_2d(identity_map: np.ndarray, mask: np.ndarray, head: ClassifierHead):
 
     feats = identity_map.reshape(-1, d)
     npix = feats.shape[0]
-    covered = feats.any(axis=1)
-    rows, zero_rows = np.flatnonzero(covered), np.flatnonzero(~covered)
-    fc, lc = np.take(feats, rows, axis=0), labels[rows]
-    p = _group_probs(fc, groups)
+    p = _group_probs(feats, groups)
     eps = np.finfo(p.dtype).tiny
-    at = np.arange(rows.size)
-    nll = -np.log(np.maximum(p[at, lc], eps)).sum()
-
-    # all-zero rows: one softmax of b, weighted by each label's pixel count
-    counts = np.bincount(labels[zero_rows], minlength=groups.first.size)
-    p_b = _group_probs(np.zeros((1, d), dtype=p.dtype), groups)
-    nll += counts @ -np.log(np.maximum(p_b[0], eps))
-    loss = float(nll / npix)
+    at = np.arange(npix)
+    loss = float(-np.log(np.maximum(p[at, labels], eps)).sum() / npix)
 
     dlogits = p  # the loss is taken, so p's buffer becomes the gradient
-    dlogits[at, lc] -= 1.0
+    dlogits[at, labels] -= 1.0
     dlogits /= npix
-    weights = groups.head.weights.astype(p.dtype)
-    d_w = dlogits.T @ fc
+    d_feats = groups.weigh(dlogits) @ groups.head.weights.astype(p.dtype)
+    d_w = dlogits.T @ feats
     d_b = dlogits.sum(axis=0)
-    d_b += (zero_rows.size * p_b[0] - counts) / npix
-    d_feats = np.empty((npix, d), dtype=p.dtype)
-    d_feats[rows] = groups.weigh(dlogits) @ weights
-    # row l: (p_b - onehot(l)) @ W / npix
-    d_label = (groups.weigh(p_b) @ weights - weights) / npix
-    d_feats[zero_rows] = np.take(d_label, labels[zero_rows], axis=0)
     return (loss, d_feats.reshape(h, w, d),
             (groups.expand(d_w, axis=0), groups.expand(d_b)))

@@ -169,9 +169,9 @@ def ring_cameras(spec: SceneSpec) -> list[CameraView]:
 def generate(spec: SceneSpec, out_dir=None):
     """Build the ground-truth cloud and render the multi-view dataset.
 
-    Masks come from the blended per-group weights (argmax, background where
-    the total foreground weight is below semantic.FOREGROUND_THRESHOLD), so
-    they are multi-view consistent by construction. Returns (gt_cloud, head,
+    Masks come from the blended per-group weights (semantic.segment_mask
+    under the ground-truth head), so they are multi-view consistent by
+    construction. Returns (gt_cloud, head,
     dataset, labels), labels naming each group id (0 is background); with
     out_dir set, also writes the dataset + gt scene to disk.
     """

@@ -24,12 +24,11 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .backward import PER_GAUSSIAN, ParamGrads, accumulate_monitors, backward
 from .dataset import Dataset, infer_scene_bounds
 from .igd import OPACITY_EPS, SPLIT_SCALE_DIV, igd_step, split_rows
-from .laknn import loss_3d
+from .laknn import _tree_neighbors, loss_3d
 from .metrics import psnr
 from .render import render
 from .rotation import quat_to_rot
@@ -207,10 +206,9 @@ def init_cloud(bbox: np.ndarray, count: int, dim: int, rng: np.random.Generator,
     encodings."""
     lo, hi = np.asarray(bbox[0]), np.asarray(bbox[1])
     pos = rng.uniform(lo, hi, size=(count, 3))
-    # mean nearest-neighbor distance; each distance is recomputed from the
-    # neighbour index so that it does not depend on the tree's arithmetic
+    # mean nearest-neighbor distance, recomputed from the neighbour index
     if count > 1:
-        nearest = cKDTree(pos).query(pos, k=2)[1][:, 1]
+        nearest = _tree_neighbors(pos, np.arange(count), 1)[:, 0]
         scale = float(np.mean(np.sqrt(((pos - pos[nearest]) ** 2).sum(-1))))
     else:
         scale = 0.1

@@ -33,17 +33,16 @@ once, kept here as test oracles with their bodies unchanged:
   float64 on the render's stored intermediates, and keeps a pixel's
   fragments only until its own float64 running transmittance falls below
   T_STOP;
-- `full_image_loss_2d`: the 2D cross-entropy with a softmax over every
-  pixel, which the engine's single classification of all-zero feature
-  rows replaced;
 - `dense_softmax`, `dense_classify`, `dense_loss_2d` and
   `dense_kl_pairs_loss`: the softmax, classification, 2D cross-entropy and
   closed-form KL with one column per class, which the engine's work on
   distinct head rows replaced. On a head without repeated rows the engine
-  returns their bytes. `dense_kl_pairs_loss` adds its pair rows in pair
-  order, as the engine does; the sort and `np.add.reduceat` the engine
-  used before added them in another order, so its bytes differ from these
-  in the last bit;
+  returns their bytes. `dense_loss_2d` takes one softmax per pixel, as the
+  engine does; both have dropped the single classification of all-zero
+  feature rows they used to share. `dense_kl_pairs_loss` adds its pair
+  rows in pair order, as the engine does; the sort and `np.add.reduceat`
+  the engine used before added them in another order, so its bytes differ
+  from these in the last bit;
 - `stacked_quat_grad`: the rotation-to-quaternion gradient contracted with
   the four stacked matrices dR/dq, which the engine's closed form replaced.
 """
@@ -519,27 +518,6 @@ def recomputing_backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutpu
     return grads
 
 
-def full_image_loss_2d(identity_map: np.ndarray, mask: np.ndarray, head: ClassifierHead):
-    """Mean per-pixel cross-entropy with a softmax over every pixel.
-    Returns (loss, dL/didentity_map, (dL/dW, dL/db))."""
-    h, w, d = identity_map.shape
-    labels = np.asarray(mask).reshape(-1).astype(np.int64)
-    feats = identity_map.reshape(-1, d)
-    p = dense_classify(feats, head)
-    npix = feats.shape[0]
-    rows = np.arange(npix)
-    eps = np.finfo(p.dtype).tiny
-    loss = float(-np.log(np.maximum(p[rows, labels], eps)).mean())
-
-    dlogits = p
-    dlogits[rows, labels] -= 1.0
-    dlogits /= npix
-    d_feats = dlogits @ head.weights.astype(p.dtype)
-    d_w = dlogits.T @ feats
-    d_b = dlogits.sum(axis=0)
-    return loss, d_feats.reshape(h, w, d), (d_w, d_b)
-
-
 def dense_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Softmax over every class of the last axis, in the logits' buffer, and
     the logsumexp of each row."""
@@ -557,37 +535,23 @@ def dense_classify(features: np.ndarray, head: ClassifierHead) -> np.ndarray:
 
 
 def dense_loss_2d(identity_map: np.ndarray, mask: np.ndarray, head: ClassifierHead):
-    """loss_2d with every class in its own softmax column: all-zero feature
-    rows classified once, covered rows one softmax each.
-    Returns (loss, dL/didentity_map, (dL/dW, dL/db))."""
+    """loss_2d with every class in its own softmax column, one softmax per
+    pixel. Returns (loss, dL/didentity_map, (dL/dW, dL/db))."""
     h, w, d = identity_map.shape
     labels = np.asarray(mask).reshape(-1).astype(np.int64)
     feats = identity_map.reshape(-1, d)
     npix = feats.shape[0]
-    covered = feats.any(axis=1)
-    rows, zero_rows = np.flatnonzero(covered), np.flatnonzero(~covered)
-    fc, lc = np.take(feats, rows, axis=0), labels[rows]
-    p = dense_classify(fc, head)
+    p = dense_classify(feats, head)
     eps = np.finfo(p.dtype).tiny
-    at = np.arange(rows.size)
-    nll = -np.log(np.maximum(p[at, lc], eps)).sum()
-
-    counts = np.bincount(labels[zero_rows], minlength=head.num_classes)
-    p_b = dense_classify(np.zeros((1, d), dtype=p.dtype), head)
-    nll += counts @ -np.log(np.maximum(p_b[0], eps))
-    loss = float(nll / npix)
+    at = np.arange(npix)
+    loss = float(-np.log(np.maximum(p[at, labels], eps)).sum() / npix)
 
     dlogits = p
-    dlogits[at, lc] -= 1.0
+    dlogits[at, labels] -= 1.0
     dlogits /= npix
-    weights = head.weights.astype(p.dtype)
-    d_w = dlogits.T @ fc
+    d_feats = dlogits @ head.weights.astype(p.dtype)
+    d_w = dlogits.T @ feats
     d_b = dlogits.sum(axis=0)
-    d_b += (zero_rows.size * p_b[0] - counts) / npix
-    d_feats = np.empty((npix, d), dtype=p.dtype)
-    d_feats[rows] = dlogits @ weights
-    d_label = (p_b @ weights - weights) / npix
-    d_feats[zero_rows] = np.take(d_label, labels[zero_rows], axis=0)
     return loss, d_feats.reshape(h, w, d), (d_w, d_b)
 
 

@@ -319,6 +319,24 @@ class TestRecomputingOracle:
         assert np.any(grads.positions[1:])
         assert_matches_oracle(grads, recomputing_backward(cloud, cam, out, pg), dtype)
 
+    def test_float32_rows_on_a_deep_render(self):
+        # every visible row's geometry gradient, relative to that row: a
+        # pixel's alpha suffix sum is tiny beside the image's running total,
+        # and a sign-valued colour gradient (as L1 gives) makes rows cancel
+        rng = np.random.default_rng(5)
+        cam = make_camera(width=64, height=64)
+        cloud = random_cloud(rng, 600, dim=4, dtype=np.float32)
+        out = render(cloud, cam)
+        assert out.frag_source.size >= 200_000
+        pg = np.sign(rng.standard_normal((64, 64, 3))).astype(np.float32)
+        grads = backward(cloud, cam, out, pg)
+        want = recomputing_backward(cloud, cam, out, pg)
+        rows = np.flatnonzero(want.visible)
+        for f in GEOMETRY:
+            got, ref = (getattr(g, f)[rows].reshape(rows.size, -1) for g in (grads, want))
+            err = np.linalg.norm(got - ref, axis=1)
+            assert np.all(err <= 1e-3 * np.linalg.norm(ref, axis=1)), f
+
 
 class TestQuatGradOracle:
     """The closed-form contraction against the stacked dR/dq matrices."""

@@ -142,6 +142,17 @@ class TestDepthSort:
         np.testing.assert_array_equal(splats.index, [4, 3])
         assert splats.n_source == 5
 
+    def test_splat_that_reaches_no_pixel_culled(self):
+        # opacity below ALPHA_CUTOFF shrinks the bbox to the mean, here
+        # (32.5, 32): no integer pixel, so no fragment, though its CULL_SIGMA
+        # ellipse covers several pixels
+        cloud = depth_cloud([[0.01, 0.0, 2.0], [0.0, 0.0, 2.5]])
+        cloud.opacities[0] = 0.003
+        splats = project_cloud(cloud, identity_camera())
+        np.testing.assert_array_equal(splats.index, [1])
+        smooth = project_cloud(cloud, identity_camera(), smooth=True)
+        np.testing.assert_array_equal(smooth.index, [0, 1])
+
 
 class TestCameraValidation:
     def test_bad_focal(self):

@@ -436,6 +436,18 @@ class TestMalformedInput:
                            "scene_bbox must be two corners of 3 finite numbers")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("bbox", [[[0, 0, 0], [0, 0, 0]], [[1, 1, 1], [-1, -1, -1]]],
+                             ids=["zero-extent", "inverted"])
+    def test_train_scene_bbox_without_extent(self, dataset_dir, tmp_path, capsys, bbox):
+        ds = copy_dataset(dataset_dir, tmp_path)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        manifest["scene_bbox"] = bbox
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        assert_input_error(["train", "--data", str(ds), "--iters", "0",
+                            "--out", str(tmp_path / "run")], capsys,
+                           "scene_bbox max must exceed min on every axis")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("rgb", ["2,0,0", "nan,0,0"], ids=["above-one", "nan"])
     def test_edit_recolor_out_of_range(self, dataset_dir, tmp_path, capsys, rgb):
         assert_input_error(["edit", "--scene", str(dataset_dir / "gt_scene.gseg"),

@@ -7,8 +7,7 @@ from conftest import make_camera, random_cloud
 from gradiseg.render import render
 from gradiseg.semantic import (ClassifierHead, _group_probs, class_groups, loss_2d,
                                segment_mask)
-from oracles import (dense_classify, dense_loss_2d, full_image_loss_2d,
-                     full_image_segment_mask)
+from oracles import dense_classify, dense_loss_2d, full_image_segment_mask
 
 
 def classify(features, head):
@@ -152,7 +151,7 @@ def identity_map(kind, rng, dtype, h=37, w=29, d=8):
 
 
 class TestLoss2dOracle:
-    """loss_2d against the full-image expression. Each output may differ by
+    """loss_2d against the per-class expression. Each output may differ by
     the summation error bound of the sums behind it: n eps sum|terms| with n
     the number of terms (pixels for the loss, dW and db; classes for the
     feature gradients)."""
@@ -167,7 +166,7 @@ class TestLoss2dOracle:
                               rng.standard_normal(c).astype(dtype))
         mask = rng.integers(0, c, (h, w)).astype(np.uint8)
         loss, d_feats, (dw, db) = loss_2d(ident, mask, head)
-        want_loss, want_feats, (want_dw, want_db) = full_image_loss_2d(
+        want_loss, want_feats, (want_dw, want_db) = dense_loss_2d(
             ident.copy(), mask, head)
         for got in (d_feats, dw, db):
             assert got.dtype == dtype
@@ -337,7 +336,7 @@ class TestRepeatedRows:
         c = head.num_classes
         mask = rng.choice([0, 3, 5, 9, 11, 21], (h, w)).astype(np.uint8)
         loss, d_feats, (dw, db) = loss_2d(ident, mask, head)
-        want_loss, want_feats, (want_dw, want_db) = full_image_loss_2d(
+        want_loss, want_feats, (want_dw, want_db) = dense_loss_2d(
             ident.astype(np.float64), mask, float64_head(head))
         for got in (d_feats, dw, db):
             assert got.dtype == dtype
