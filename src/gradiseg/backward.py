@@ -12,7 +12,8 @@ render's alpha is exactly o * exp(-q/2), q = d^T P d, so the falloff is not
 recomputed: with coef = dL/dalpha * alpha on unclamped fragments, six
 per-splat sums of coef * [1, dx, dy, dx^2, dx dy, dy^2] give the opacity,
 screen-mean and screen-covariance gradients. These flow per splat through the
-EWA covariance projection and the perspective Jacobian, down to every
+EWA covariance projection and the perspective Jacobian, written entry by
+entry on camera.ewa_factors recomputed for the kept rows, down to every
 Gaussian parameter in its optimizer coordinates (log-scale, logit-opacity,
 tangent-projected raw quaternion). backward also reports per-Gaussian
 visibility, which densification counts.
@@ -24,7 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .camera import CameraView
+from .camera import CameraView, ewa_factors
 from .render import ALPHA_CLAMP, RenderOutput, _blocks
 from .rotation import rot_grad_to_quat_grad
 from .scene import GaussianCloud
@@ -74,7 +75,10 @@ def backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutput,
 
     color_grads: (H, W, 3) holding dL/dC. `out` must come from render() on the
     same cloud and camera; culled or invisible Gaussians get exactly zero
-    gradients, and the encoding gradients are zero.
+    gradients, and the encoding gradients are zero. Of the projection it
+    reads each splat's index, screen mean, inverse covariance and
+    camera-space centre; the rest of the EWA geometry is recomputed from the
+    cloud's rotations and scales.
     """
     dt = cloud.dtype
     n = cloud.n
@@ -154,48 +158,43 @@ def backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutput,
     idx = splats.index  # unique rows: plain indexed assignment
     grads.logit_opacities[idx] = (1.0 - cloud.opacities[idx]) * s_c
 
-    # dL/dmu = P sum coef d; dL/dSigma2 = (1/2) P (sum coef d d^T) P
-    P = splats.inv_cov
-    gmu = np.einsum("sij,sj->si", P, np.stack([s_x, s_y], axis=1))
-    dd = np.stack([s_xx, s_xy, s_xy, s_yy], axis=1).reshape(S, 2, 2)
-    gcov = 0.5 * (P @ dd @ P)
+    # dL/dmu = P sum coef d and dL/dSigma2 = (1/2) P D P with D = sum coef
+    # d d^T, each entry written out; K = P D P is twice dL/dSigma2
+    p00, p01, p11 = splats.inv_cov[:, 0, 0], splats.inv_cov[:, 0, 1], splats.inv_cov[:, 1, 1]
+    gmu0, gmu1 = p00 * s_x + p01 * s_y, p01 * s_x + p11 * s_y
+    pd00, pd01 = p00 * s_xx + p01 * s_xy, p00 * s_xy + p01 * s_yy
+    pd10, pd11 = p01 * s_xx + p11 * s_xy, p01 * s_xy + p11 * s_yy
+    k00, k01, k11 = pd00 * p00 + pd01 * p01, pd00 * p01 + pd01 * p11, pd10 * p01 + pd11 * p11
 
-    # geometry chain per splat
-    A = splats.A                  # (S, 2, 3) = J @ R_cw
-    cov3d = splats.cov3d          # world covariance
-    gA = 2.0 * (gcov @ A @ cov3d)
-    gX = np.swapaxes(A, 1, 2) @ gcov @ A   # dL/dSigma3_world
+    # Sigma2 = B B^T with B = A M, A = J R_cw, M = R(q) diag(s), so dL/dB =
+    # K B, dL/dA = (K B) M^T and dL/dM = A^T (K B); all per splat, by
+    # entry, component-major
+    t_cam = splats.t_cam
+    q, s = np.take(cloud.rotations, idx, axis=0), np.take(cloud.scales, idx, axis=0)
+    (j00, j02, j11, j12), A, M, B = ewa_factors(cam, t_cam, q, s)
+    gB = np.stack([k00 * B[0] + k01 * B[1], k01 * B[0] + k11 * B[1]])
+    gA = gB[:, 0, None] * M[:, 0] + gB[:, 1, None] * M[:, 1] + gB[:, 2, None] * M[:, 2]
+    gM = A[0, :, None] * gB[0] + A[1, :, None] * gB[1]
 
+    # J's four entries: dL/dJ = dL/dA R_cw^T; the mean adds J^T dL/dmu
     Rcw = cam.rotation.astype(dt)
-    gJ = gA @ Rcw.T
-    gt = np.einsum("sij,si->sj", splats.J, gmu)  # J^T gmu, projection path
-
+    (gj00, gj02), (gj11, gj12) = Rcw[[0, 2]] @ gA[0], Rcw[[1, 2]] @ gA[1]
+    gt = np.stack([j00 * gmu0, j11 * gmu1, j02 * gmu0 + j12 * gmu1])
     if cam.mode == "pinhole":
         fx, fy = dt.type(cam.fx), dt.type(cam.fy)
-        t_cam = splats.t_cam
         inv_z = 1.0 / t_cam[:, 2]
         inv_z2 = inv_z * inv_z
-        gt[:, 0] += gJ[:, 0, 2] * (-fx * inv_z2)
-        gt[:, 1] += gJ[:, 1, 2] * (-fy * inv_z2)
-        gt[:, 2] += (gJ[:, 0, 0] * (-fx * inv_z2)
-                     + gJ[:, 1, 1] * (-fy * inv_z2)
-                     + gJ[:, 0, 2] * (2 * fx * t_cam[:, 0] * inv_z2 * inv_z)
-                     + gJ[:, 1, 2] * (2 * fy * t_cam[:, 1] * inv_z2 * inv_z))
+        gt[0] += gj02 * (-fx * inv_z2)
+        gt[1] += gj12 * (-fy * inv_z2)
+        gt[2] += (gj00 * (-fx * inv_z2) + gj11 * (-fy * inv_z2)
+                  + gj02 * (2 * fx * t_cam[:, 0] * inv_z2 * inv_z)
+                  + gj12 * (2 * fy * t_cam[:, 1] * inv_z2 * inv_z))
 
-    gp = gt @ Rcw  # dL/dp = R_cw^T dL/dt
-
-    # Sigma3 = M M^T with M = R diag(s)
-    R = splats.R
-    s = splats.scales
-    M = R * s[:, None, :]
-    gM = 2.0 * (gX @ M)
-    gs = np.einsum("sij,sij->sj", gM, R)
-    gR = gM * s[:, None, :]
-    gq = rot_grad_to_quat_grad(np.take(cloud.rotations, idx, axis=0), gR)
-
-    grads.positions[idx] = gp
-    grads.log_scales[idx] = gs * s
-    grads.rotations[idx] = gq
+    # M = R diag(s): dL/dlog s_k = sum_i gM_ik M_ik, dL/dR = gM diag(s)
+    grads.positions[idx] = (Rcw.T @ gt).T   # dL/dp = R_cw^T dL/dt
+    grads.log_scales[idx] = (gM * M).sum(axis=0).T
+    gM *= s.T
+    grads.rotations[idx] = rot_grad_to_quat_grad(q, gM.transpose(2, 0, 1))
     return grads
 
 

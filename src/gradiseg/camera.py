@@ -93,11 +93,12 @@ def look_at(position, target, up=(0.0, 0.0, 1.0)) -> np.ndarray:
 
 
 class ProjectedSplats:
-    """Screen-space Gaussians for one camera, depth-ordered, with the cached
-    intermediates the backward pass reuses."""
+    """Screen-space Gaussians for one camera, depth-ordered: source index,
+    screen mean, covariance and its inverse, depth, camera-space centre and
+    pixel bbox. backward recomputes the rest of the geometry (ewa_factors)."""
 
     __slots__ = ("index", "mean2d", "cov2d", "inv_cov", "depth", "t_cam",
-                 "bbox", "J", "A", "R", "cov3d", "scales", "n_source")
+                 "bbox", "n_source")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -108,52 +109,60 @@ class ProjectedSplats:
         return self.index.shape[0]
 
 
+def ewa_factors(cam: CameraView, t: np.ndarray, rotations: np.ndarray,
+                scales: np.ndarray):
+    """The per-splat EWA geometry at camera-space centres t (n, 3), written
+    component by component: the projection Jacobian's non-zero entries
+    (j00, j02, j11, j12) as (n,) arrays, and A = J R_cw, M = R(q) diag(s)
+    and B = A M component-major, as (2, 3, n), (3, 3, n) and (2, 3, n)
+    arrays, so Sigma2 = B B^T. A centre at or behind NEAR_PLANE gets a zero
+    pinhole Jacobian."""
+    dt = t.dtype
+    fx, fy = dt.type(cam.fx), dt.type(cam.fy)
+    if cam.mode == "pinhole":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv_z = np.where(t[:, 2] > NEAR_PLANE, 1.0 / t[:, 2], 0.0)
+        jac = (fx * inv_z, -fx * t[:, 0] * inv_z ** 2,
+               fy * inv_z, -fy * t[:, 1] * inv_z ** 2)
+    else:
+        zero = np.zeros(t.shape[0], dtype=dt)
+        jac = (zero + fx, zero, zero + fy, zero)
+    Rcw = cam.rotation.astype(dt)[:, :, None]
+    A = np.stack([jac[0] * Rcw[0] + jac[1] * Rcw[2], jac[2] * Rcw[1] + jac[3] * Rcw[2]])
+    M = np.multiply(quat_to_rot(rotations).transpose(1, 2, 0), scales.T, order="C")
+    B = A[:, 0, None] * M[0] + A[:, 1, None] * M[1] + A[:, 2, None] * M[2]
+    return jac, A, M, B
+
+
 def project_cloud(cloud: GaussianCloud, cam: CameraView,
                   smooth: bool = False) -> ProjectedSplats:
     """Project every Gaussian, cull, and depth-sort (ties by source index).
 
-    COV_DILATION is added to every cov2d diagonal. Each splat's candidate
-    bbox reaches as far as its alpha can still reach ALPHA_CUTOFF (opacity-
-    dependent, at most CULL_SIGMA standard deviations), clipped to the
-    image. Culling removes Gaussians with depth <= NEAR_PLANE and, unless
-    smooth, those whose bbox misses the image: they could make no fragment.
-    With smooth set, every bbox is the whole image.
+    The screen covariance is B B^T from ewa_factors, plus COV_DILATION on
+    its diagonal. Each splat's candidate bbox reaches as far as its alpha
+    can still reach ALPHA_CUTOFF (opacity-dependent, at most CULL_SIGMA
+    standard deviations), clipped to the image. Culling removes Gaussians
+    with depth <= NEAR_PLANE and, unless smooth, those whose bbox misses the
+    image: they could make no fragment. With smooth set, every bbox is the
+    whole image. No factor of the covariance is kept: backward recomputes
+    them with ewa_factors.
     """
     dt = cloud.dtype
     n = cloud.n
     Rcw = cam.rotation.astype(dt)
     tcw = cam.translation.astype(dt)
-    fx, fy, cx, cy = (dt.type(v) for v in (cam.fx, cam.fy, cam.cx, cam.cy))
+    cx, cy = dt.type(cam.cx), dt.type(cam.cy)
 
     t = cloud.positions @ Rcw.T + tcw  # camera-space centers
     depth = t[:, 2]
     alive = depth > NEAR_PLANE
 
-    # screen means and projection Jacobians
-    mean2d = np.empty((n, 2), dtype=dt)
-    J = np.zeros((n, 2, 3), dtype=dt)
-    if cam.mode == "pinhole":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_z = np.where(alive, 1.0 / depth, 0.0)
-        mean2d[:, 0] = fx * t[:, 0] * inv_z + cx
-        mean2d[:, 1] = fy * t[:, 1] * inv_z + cy
-        J[:, 0, 0] = fx * inv_z
-        J[:, 1, 1] = fy * inv_z
-        J[:, 0, 2] = -fx * t[:, 0] * inv_z ** 2
-        J[:, 1, 2] = -fy * t[:, 1] * inv_z ** 2
-    else:
-        mean2d[:, 0] = fx * t[:, 0] + cx
-        mean2d[:, 1] = fy * t[:, 1] + cy
-        J[:, 0, 0] = fx
-        J[:, 1, 1] = fy
-
-    R = quat_to_rot(cloud.rotations)
-    M = R * cloud.scales[:, None, :]         # R @ diag(s)
-    cov3d = M @ np.swapaxes(M, 1, 2)
-    A = J @ Rcw
-    cov2d = A @ cov3d @ np.swapaxes(A, 1, 2)
-    cov2d[:, 0, 0] += COV_DILATION
-    cov2d[:, 1, 1] += COV_DILATION
+    jac, _, _, B = ewa_factors(cam, t, cloud.rotations, cloud.scales)
+    mean2d = np.stack([jac[0] * t[:, 0] + cx, jac[2] * t[:, 1] + cy], axis=1)
+    cov2d = np.empty((n, 2, 2), dtype=dt)
+    cov2d[:, 0, 0] = (B[0] * B[0]).sum(axis=0) + COV_DILATION
+    cov2d[:, 0, 1] = cov2d[:, 1, 0] = (B[0] * B[1]).sum(axis=0)
+    cov2d[:, 1, 1] = (B[1] * B[1]).sum(axis=0) + COV_DILATION
 
     if smooth:
         # keep everything in front of the camera, covering the whole image
@@ -193,6 +202,5 @@ def project_cloud(cloud: GaussianCloud, cam: CameraView,
     bbox = np.stack([take(x0), take(x1), take(y0), take(y1)], axis=1).astype(np.int64)
     return ProjectedSplats(
         index=idx.astype(np.int32), mean2d=take(mean2d), cov2d=cov_sel, inv_cov=inv,
-        depth=take(depth), t_cam=take(t), bbox=bbox, J=take(J), A=take(A),
-        R=take(R), cov3d=take(cov3d), scales=take(cloud.scales), n_source=n,
+        depth=take(depth), t_cam=take(t), bbox=bbox, n_source=n,
     )

@@ -48,15 +48,20 @@ _CHUNK = 32
 _TREE_MARGIN = 1e-9
 
 
-def _projections(pos: np.ndarray, tgt: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _projections(pos1: np.ndarray, tgt: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The (targets, N) block d[t, j] = (p_j - p_t) . u_t, inf at each
-    target's own column. A lone target is computed inside a two-row
-    product: BLAS rounds a one-row float32 product (gemv) differently from
-    a many-row one (gemm), which rounds a float32 row alike at any size."""
-    d = (u if tgt.size > 1 else np.repeat(u, 2, axis=0)) @ pos.T
-    d = d[:tgt.size]
-    d -= np.einsum("tj,tj->t", u, pos[tgt])[:, None]
-    d[np.arange(tgt.size), tgt] = np.inf
+    target's own column, from pos1 = [pos^T; 1], a contiguous (4, N) array:
+    one product [u | -u . p_t] @ pos1. A lone target is computed inside a
+    two-row product: BLAS rounds a one-row float32 product (gemv)
+    differently from a many-row one (gemm), which rounds a float32 row alike
+    at any size."""
+    m = tgt.size
+    ua = np.empty((max(m, 2), 4), dtype=pos1.dtype)
+    ua[:m, :3] = u
+    ua[:m, 3] = -np.einsum("tj,jt->t", u, pos1[:3, tgt])
+    ua[m:] = ua[:1]
+    d = (ua @ pos1)[:m]
+    d[np.arange(m), tgt] = np.inf
     return d
 
 
@@ -81,9 +86,11 @@ def _direction_neighbors(pos: np.ndarray, tgt: np.ndarray, u: np.ndarray,
     uint = np.dtype(f"u{dt.itemsize}")
     top = np.array(np.finfo(dt).max, dtype=dt).view(uint)
     starts = np.arange(take) * n // take   # take <= n - 1: no group is empty
+    pos1 = np.ones((4, n), dtype=dt)
+    pos1[:3] = pos.T
     rows, cols, vals = [], [], []
     for lo in range(0, tgt.size, _CHUNK):
-        d = _projections(pos, tgt[lo:lo + _CHUNK], u[lo:lo + _CHUNK])
+        d = _projections(pos1, tgt[lo:lo + _CHUNK], u[lo:lo + _CHUNK])
         bits = d.view(uint)
         low = np.minimum.reduceat(bits, starts, axis=1)
         tau = low.max(axis=1)

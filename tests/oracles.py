@@ -30,9 +30,12 @@ once, kept here as test oracles with their bodies unchanged:
   fragment's offset, `q` and falloff `exp(-q/2)`, gates on `o * g <
   ALPHA_CLAMP` and takes five per-splat `bincount`s of `(P d)(P d)^T`
   terms, which the engine's pass from render's alpha replaced. It runs in
-  float64 on the render's stored intermediates, and keeps a pixel's
-  fragments only until its own float64 running transmittance falls below
-  T_STOP;
+  float64 and reads from the render only each splat's index, screen mean
+  and inverse covariance and the fragment records. It forms its own
+  per-pixel suffix sums, as reversed cumsums, and the EWA chain as stacked
+  2x3 and 3x3 matrix products from the cloud and the camera, the form the
+  engine's closed form replaced. It keeps a pixel's fragments only until
+  its own float64 running transmittance falls below T_STOP;
 - `dense_softmax`, `dense_classify`, `dense_loss_2d` and
   `dense_kl_pairs_loss`: the softmax, classification, 2D cross-entropy and
   closed-form KL with one column per class, which the engine's work on
@@ -48,12 +51,11 @@ once, kept here as test oracles with their bodies unchanged:
 """
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 from scipy.sparse import csr_array
 
-from gradiseg.backward import ParamGrads, _segment_suffix_sum
+from gradiseg.backward import ParamGrads
 from gradiseg.camera import ALPHA_CUTOFF, CULL_SIGMA, CameraView, project_cloud
 from gradiseg.igd import SPLIT_OFFSET_FRAC, SPLIT_SCALE_DIV
 from gradiseg.laknn import EMA_FLOOR
@@ -417,6 +419,16 @@ def full_image_segment_mask(identity_map: np.ndarray, final_transmittance: np.nd
     return mask
 
 
+def _pixel_suffix_sums(values: np.ndarray, frag_start: np.ndarray) -> np.ndarray:
+    """Per-fragment sum of the values strictly after it in its pixel: a
+    reversed cumsum over each pixel's fragments, shifted by one."""
+    suffix = np.zeros_like(values)
+    for p in np.flatnonzero(np.diff(frag_start) > 1):
+        lo, hi = frag_start[p], frag_start[p + 1]
+        suffix[lo:hi - 1] = np.cumsum(values[hi - 1:lo:-1])[::-1]
+    return suffix
+
+
 def _stop_rule(frag_alpha: np.ndarray, frag_start: np.ndarray) -> np.ndarray:
     """Mask of the fragments a pixel composites when its loop breaks once
     the float64 running transmittance falls below T_STOP."""
@@ -452,21 +464,20 @@ def recomputing_backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutpu
     alpha, t_before = f64(out.frag_alpha[kept]), f64(out.frag_t_before[kept])
     grads.visible[src] = True
 
-    splats = SimpleNamespace(**{k: f64(getattr(out.splats, k)) for k in (
-        "mean2d", "inv_cov", "A", "cov3d", "J", "t_cam", "R", "scales")})
     index, S = out.splats.index, out.splats.count
+    mean2d, inv_cov = f64(out.splats.mean2d), f64(out.splats.inv_cov)
     G = f64(color_grads).reshape(h * w, 3)
     weights = csr_array((alpha * t_before, src, frag_start), shape=(h * w, n))
     grads.colors[:] = weights.T @ G
 
     dot = np.einsum("fk,fk->f", G[frag_pix], cloud.colors[src])
-    suffix = _segment_suffix_sum(alpha * t_before * dot, frag_start)
+    suffix = _pixel_suffix_sums(alpha * t_before * dot, frag_start)
     g_alpha = dot * t_before - suffix / (1.0 - alpha)
 
     o_src = cloud.opacities[src]
     pix_xy = np.stack([frag_pix % w, frag_pix // w], axis=1).astype(dt)
-    dvec = pix_xy - splats.mean2d[srow]
-    ic = splats.inv_cov[srow]
+    dvec = pix_xy - mean2d[srow]
+    ic = inv_cov[srow]
     pd0 = ic[:, 0, 0] * dvec[:, 0] + ic[:, 0, 1] * dvec[:, 1]
     pd1 = ic[:, 1, 0] * dvec[:, 0] + ic[:, 1, 1] * dvec[:, 1]
     q = pd0 * dvec[:, 0] + pd1 * dvec[:, 1]
@@ -488,16 +499,27 @@ def recomputing_backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutpu
     gcov[:, 1, 0] = gcov[:, 0, 1]
     gcov[:, 1, 1] = np.bincount(srow, weights=half * pd1 * pd1, minlength=S)
 
-    A, cov3d = splats.A, splats.cov3d
+    # the stacked-matrix EWA chain, from the cloud and the camera alone
+    Rcw = cam.rotation
+    t_cam = cloud.positions[index] @ Rcw.T + cam.translation
+    J = np.zeros((S, 2, 3))
+    if cam.mode == "pinhole":
+        inv_z = 1.0 / t_cam[:, 2]
+        J[:, 0, 0], J[:, 1, 1] = cam.fx * inv_z, cam.fy * inv_z
+        J[:, 0, 2] = -cam.fx * t_cam[:, 0] * inv_z ** 2
+        J[:, 1, 2] = -cam.fy * t_cam[:, 1] * inv_z ** 2
+    else:
+        J[:, 0, 0], J[:, 1, 1] = cam.fx, cam.fy
+    A = J @ Rcw
+    R, s = quat_to_rot(cloud.rotations[index]), cloud.scales[index]
+    M = R * s[:, None, :]
+    cov3d = M @ np.swapaxes(M, 1, 2)
     gA = 2.0 * (gcov @ A @ cov3d)
     gX = np.swapaxes(A, 1, 2) @ gcov @ A
-    Rcw = cam.rotation.astype(dt)
     gJ = gA @ Rcw.T
-    gt = np.einsum("sij,si->sj", splats.J, gmu)
+    gt = np.einsum("sij,si->sj", J, gmu)
     if cam.mode == "pinhole":
         fx, fy = cam.fx, cam.fy
-        t_cam = splats.t_cam
-        inv_z = 1.0 / t_cam[:, 2]
         inv_z2 = inv_z * inv_z
         gt[:, 0] += gJ[:, 0, 2] * (-fx * inv_z2)
         gt[:, 1] += gJ[:, 1, 2] * (-fy * inv_z2)
@@ -507,8 +529,6 @@ def recomputing_backward(cloud: GaussianCloud, cam: CameraView, out: RenderOutpu
                      + gJ[:, 1, 2] * (2 * fy * t_cam[:, 1] * inv_z2 * inv_z))
     gp = gt @ Rcw
 
-    R, s = splats.R, splats.scales
-    M = R * s[:, None, :]
     gM = 2.0 * (gX @ M)
     gs = np.einsum("sij,sij->sj", gM, R)
     gR = gM * s[:, None, :]

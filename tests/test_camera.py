@@ -79,6 +79,34 @@ class TestProjection:
             checked += 1
         assert checked == 100
 
+    @pytest.mark.parametrize("mode", ["pinhole", "orthographic"])
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-4)])
+    def test_cov2d_matches_stacked_matrices(self, rng, mode, dtype, rtol):
+        # float64 reference A Sigma3 A^T + dilation, A = J R_cw, as stacked
+        # matrices from the cloud's own (possibly float32) values; each
+        # row's error is bounded by rtol times its largest entry
+        cloud = random_cloud(rng, 200, dim=4, dtype=dtype, scale_range=(0.01, 0.8))
+        f = 90.0 if mode == "pinhole" else 30.0
+        cam = CameraView(look_at((0.3, -0.2, -3.0), (0.0, 0.0, 0.0)), fx=f,
+                         fy=1.2 * f, cx=24.0, cy=20.0, width=48, height=40, mode=mode)
+        splats = project_cloud(cloud, cam, smooth=True)
+        assert splats.count == 200 and splats.cov2d.dtype == dtype
+        idx = splats.index
+        t = cloud.positions[idx].astype(np.float64) @ cam.rotation.T + cam.translation
+        J = np.zeros((200, 2, 3))
+        if mode == "pinhole":
+            J[:, 0, 0], J[:, 1, 1] = cam.fx / t[:, 2], cam.fy / t[:, 2]
+            J[:, 0, 2] = -cam.fx * t[:, 0] / t[:, 2] ** 2
+            J[:, 1, 2] = -cam.fy * t[:, 1] / t[:, 2] ** 2
+        else:
+            J[:, 0, 0], J[:, 1, 1] = cam.fx, cam.fy
+        A = J @ cam.rotation
+        R = np.stack([quat_rotation_ref(q) for q in cloud.rotations[idx].astype(np.float64)])
+        M = R * cloud.scales[idx].astype(np.float64)[:, None, :]
+        expect = A @ M @ np.swapaxes(M, 1, 2) @ np.swapaxes(A, 1, 2) + 0.3 * np.eye(2)
+        err = np.abs(splats.cov2d - expect).max(axis=(1, 2))
+        assert np.all(err <= rtol * np.abs(expect).max(axis=(1, 2)))
+
     def test_culling_monotone_in_image_size(self, rng):
         cloud = random_cloud(rng, 300, dim=4, z_range=(-1.0, 1.0))
         small = CameraView(look_at((0, 0, -3.0), (0, 0, 0)), fx=60, fy=60,

@@ -230,14 +230,31 @@ class TestNeighborPairs:
         # many-row one (gemm) in about half of these rows. Float64 gemm
         # rounds a row by its place in the kernel's row panels, so float64
         # rows may differ in the last bit with the chunk in any case.
-        pos = rng.uniform(-1, 1, (300, 3)).astype(np.float32)
-        e = rng.standard_normal((32, 3)).astype(np.float32)
-        u = -e / np.linalg.norm(e, axis=1)[:, None]
-        tgt = rng.choice(300, 32, replace=False)
-        block = laknn._projections(pos, tgt, u)
+        pos1, tgt, u = projection_inputs(rng, 300, 32)
+        block = laknn._projections(pos1, tgt, u)
         for i in range(32):
-            lone = laknn._projections(pos, tgt[i:i + 1], u[i:i + 1])
+            lone = laknn._projections(pos1, tgt[i:i + 1], u[i:i + 1])
             assert lone.tobytes() == block[i:i + 1].tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 32])
+    def test_one_product_rounds_like_two_steps(self, rng, m):
+        # In float32, [u | -u.p_t] @ [pos^T; 1] gives the bytes of u @ pos^T
+        # followed by subtracting u.p_t from each row.
+        pos1, tgt, u = projection_inputs(rng, 2000, m)
+        pos = np.ascontiguousarray(pos1[:3].T)
+        two = (u if m > 1 else np.repeat(u, 2, axis=0)) @ pos.T
+        two = two[:m]
+        two -= np.einsum("tj,tj->t", u, pos[tgt])[:, None]
+        two[np.arange(m), tgt] = np.inf
+        assert laknn._projections(pos1, tgt, u).tobytes() == two.tobytes()
+
+
+def projection_inputs(rng, n, m):
+    """float32 pos1 = [pos^T; 1] (4, n), m distinct targets, unit directions."""
+    pos1 = np.ones((4, n), dtype=np.float32)
+    pos1[:3] = rng.uniform(-1, 1, (3, n))
+    e = rng.standard_normal((m, 3)).astype(np.float32)
+    return pos1, rng.choice(n, m, replace=False), -e / np.linalg.norm(e, axis=1)[:, None]
 
 
 def plane_cloud(dtype):
