@@ -7,8 +7,7 @@ or u = fx*tx + cx (orthographic). Depth is camera-space z.
 The rasterizer's cutoffs are the constants of 3DGS: supports are truncated
 at CULL_SIGMA standard deviations and fragments with alpha below
 ALPHA_CUTOFF are dropped, so a splat that could make no fragment in the
-image is culled. `smooth=True` turns both cutoffs off, so the rendered map
-is differentiable everywhere; only the gradient checks set it.
+image is culled.
 """
 
 from __future__ import annotations
@@ -134,18 +133,16 @@ def ewa_factors(cam: CameraView, t: np.ndarray, rotations: np.ndarray,
     return jac, A, M, B
 
 
-def project_cloud(cloud: GaussianCloud, cam: CameraView,
-                  smooth: bool = False) -> ProjectedSplats:
+def project_cloud(cloud: GaussianCloud, cam: CameraView) -> ProjectedSplats:
     """Project every Gaussian, cull, and depth-sort (ties by source index).
 
     The screen covariance is B B^T from ewa_factors, plus COV_DILATION on
     its diagonal. Each splat's candidate bbox reaches as far as its alpha
     can still reach ALPHA_CUTOFF (opacity-dependent, at most CULL_SIGMA
     standard deviations), clipped to the image. Culling removes Gaussians
-    with depth <= NEAR_PLANE and, unless smooth, those whose bbox misses the
-    image: they could make no fragment. With smooth set, every bbox is the
-    whole image. No factor of the covariance is kept: backward recomputes
-    them with ewa_factors.
+    with depth <= NEAR_PLANE and those whose bbox misses the image: they
+    could make no fragment. No factor of the covariance is kept: backward
+    recomputes them with ewa_factors.
     """
     dt = cloud.dtype
     n = cloud.n
@@ -164,26 +161,21 @@ def project_cloud(cloud: GaussianCloud, cam: CameraView,
     cov2d[:, 0, 1] = cov2d[:, 1, 0] = (B[0] * B[1]).sum(axis=0)
     cov2d[:, 1, 1] = (B[1] * B[1]).sum(axis=0) + COV_DILATION
 
-    if smooth:
-        # keep everything in front of the camera, covering the whole image
-        x0 = np.zeros(n); x1 = np.full(n, cam.width - 1)
-        y0 = np.zeros(n); y1 = np.full(n, cam.height - 1)
-    else:
-        # the largest screen standard deviation; the bbox reaches as many of
-        # them as alpha >= ALPHA_CUTOFF allows, at most CULL_SIGMA
-        a, b, c = cov2d[:, 0, 0], cov2d[:, 0, 1], cov2d[:, 1, 1]
-        mid = 0.5 * (a + c)
-        disc = np.sqrt(np.maximum(mid * mid - (a * c - b * b), 0.0))
-        sqrt_lam = np.sqrt(np.maximum(mid + disc, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q_max = 2.0 * np.log(np.maximum(cloud.opacities / ALPHA_CUTOFF,
-                                            1e-30)) + 1e-4
-        radius = np.sqrt(np.clip(q_max, 0.0, CULL_SIGMA * CULL_SIGMA)) * sqrt_lam
-        x0 = np.maximum(np.ceil(mean2d[:, 0] - radius), 0)
-        x1 = np.minimum(np.floor(mean2d[:, 0] + radius), cam.width - 1)
-        y0 = np.maximum(np.ceil(mean2d[:, 1] - radius), 0)
-        y1 = np.minimum(np.floor(mean2d[:, 1] + radius), cam.height - 1)
-        alive &= (x0 <= x1) & (y0 <= y1)
+    # the largest screen standard deviation; the bbox reaches as many of
+    # them as alpha >= ALPHA_CUTOFF allows, at most CULL_SIGMA
+    a, b, c = cov2d[:, 0, 0], cov2d[:, 0, 1], cov2d[:, 1, 1]
+    mid = 0.5 * (a + c)
+    disc = np.sqrt(np.maximum(mid * mid - (a * c - b * b), 0.0))
+    sqrt_lam = np.sqrt(np.maximum(mid + disc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q_max = 2.0 * np.log(np.maximum(cloud.opacities / ALPHA_CUTOFF,
+                                        1e-30)) + 1e-4
+    radius = np.sqrt(np.clip(q_max, 0.0, CULL_SIGMA * CULL_SIGMA)) * sqrt_lam
+    x0 = np.maximum(np.ceil(mean2d[:, 0] - radius), 0)
+    x1 = np.minimum(np.floor(mean2d[:, 0] + radius), cam.width - 1)
+    y0 = np.maximum(np.ceil(mean2d[:, 1] - radius), 0)
+    y1 = np.minimum(np.floor(mean2d[:, 1] + radius), cam.height - 1)
+    alive &= (x0 <= x1) & (y0 <= y1)
 
     idx = np.nonzero(alive)[0]
     order = np.lexsort((idx, depth[idx]))  # ascending depth, ties by index

@@ -96,6 +96,8 @@ def psnr(img_a: np.ndarray, img_b: np.ndarray) -> float:
     a, b = np.asarray(img_a, dtype=np.float64), np.asarray(img_b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("image size mismatch")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("images must be finite")
     mse = float(np.mean((a - b) ** 2))
     if mse <= 0.0:
         return PSNR_CAP

@@ -12,13 +12,12 @@ pass takes W.T of the upstream gradients.
 
 A splat contributes a fragment at a pixel when alpha >= ALPHA_CUTOFF and the
 pixel lies within the splat's support ellipse (CULL_SIGMA standard
-deviations). Alpha is always
-clamped to ALPHA_CLAMP. `render(..., smooth=True)` drops both cutoffs, so a
-splat contributes wherever its alpha is positive and the rendered map is
-differentiable everywhere; only the gradient checks use it. Only the pixels
-inside a splat's screen bbox are tested, so the cost follows the fragment
-count rather than the image size. Fragments are recorded per pixel in CSR
-form for the backward pass.
+deviations). Alpha is always clamped to ALPHA_CLAMP. The rendered map is
+differentiable only away from these cutoffs and the stop at T_STOP, so the
+gradient checks draw scenes whose pairs keep a margin from each. Only the
+pixels inside a splat's screen bbox are tested, so the cost follows the
+fragment count rather than the image size. Fragments are recorded per pixel
+in CSR form for the backward pass.
 
 A pixel stops once its transmittance falls below T_STOP = 1e-5: it keeps
 the fragments with t_before >= T_STOP, a prefix of its depth-ordered list,
@@ -27,7 +26,6 @@ T_final still sum to 1. The dropped fragments weigh less than T_STOP
 together, so a channel moves by less than T_STOP * max|f| up to rounding.
 3DGS (Kerbl et al. 2023) stops at 1e-4, whose bound would reach the 1e-4
 pixel tolerance of the benchmark's float64 reference compositor.
-`smooth=True` keeps every fragment.
 
 Candidate (splat, pixel) pairs are tested in blocks of about BLOCK pairs,
 visited in depth order, so a per-pixel running transmittance lets later
@@ -113,8 +111,7 @@ def _row_runs(bbox: np.ndarray, width: int):
     return rank, y * width + x, x, y, bw[rank]
 
 
-def _fragments(splats: ProjectedSplats, opac: np.ndarray, width: int,
-               smooth: bool, dt):
+def _fragments(splats: ProjectedSplats, opac: np.ndarray, width: int, dt):
     """Alpha, flat pixel index and splat (depth) rank of every fragment.
 
     Candidates are the pixels of each splat's bbox, visited in blocks of
@@ -122,9 +119,9 @@ def _fragments(splats: ProjectedSplats, opac: np.ndarray, width: int,
     the exact alpha and support tests then decide. Each pair's arithmetic
     reads that pair alone, so the accepted set and its alphas do not depend
     on the blocks, nor on the bbox as long as it holds every fragment.
-    Without `smooth`, the fragments of pixels already below T_STOP in an
-    earlier block are skipped; which of the fragments behind T_STOP remain
-    depends on the blocks, and render's stop rule removes them all.
+    The fragments of pixels already below T_STOP in an earlier block are
+    skipped; which of the fragments behind T_STOP remain depends on the
+    blocks, and render's stop rule removes them all.
     Fragments are returned sorted by (depth rank, pixel), and a splat
     covers a pixel at most once.
     """
@@ -133,13 +130,10 @@ def _fragments(splats: ProjectedSplats, opac: np.ndarray, width: int,
         empty = np.empty(0, dtype=np.int32)
         return np.empty(0, dtype=dt), empty, empty
     mean, ic = splats.mean2d, splats.inv_cov
-    if smooth:
-        q_cap = np.full(splats.count, np.inf, dtype=dt)
-    else:
-        sig2 = dt.type(CULL_SIGMA ** 2)
-        with np.errstate(divide="ignore"):
-            q_lim = 2.0 * np.log(opac / dt.type(ALPHA_CUTOFF)) + dt.type(1e-5)
-        q_cap = np.minimum(q_lim, sig2 + dt.type(1e-5))
+    sig2 = dt.type(CULL_SIGMA ** 2)
+    with np.errstate(divide="ignore"):
+        q_lim = 2.0 * np.log(opac / dt.type(ALPHA_CUTOFF)) + dt.type(1e-5)
+    q_cap = np.minimum(q_lim, sig2 + dt.type(1e-5))
     ic00, ic01x2, ic11 = ic[:, 0, 0], 2.0 * ic[:, 0, 1], ic[:, 1, 1]
 
     # per-run parts of q: d1 and the d1*d1 term depend only on (splat, row)
@@ -147,16 +141,15 @@ def _fragments(splats: ProjectedSplats, opac: np.ndarray, width: int,
     q11_run = ic11[rank] * (d1_run * d1_run)
 
     run_start = np.cumsum(run_len) - run_len
-    if not smooth:
-        # each pixel's transmittance over the fragments made so far: the
-        # factors _transmittance multiplies, in depth order (dt.type, since
-        # ufunc.at is fast only on the canonical dtype). Once it is below
-        # t_done the pixel is done and its runs and candidates are skipped.
-        # The 1% margin holds for any order of the factors: reordering k of
-        # them moves a product by a relative 2k * 2**-24 at most, and a
-        # product above t_done has k < log(t_done) / log(1 - ALPHA_CUTOFF) < 3000
-        t_run = np.ones(int((pix0 + run_len).max()), dtype=dt.type)
-        t_done = 0.99 * T_STOP
+    # each pixel's transmittance over the fragments made so far: the factors
+    # _transmittance multiplies, in depth order (dt.type, since ufunc.at is
+    # fast only on the canonical dtype). Once it is below t_done the pixel is
+    # done and its runs and candidates are skipped. The 1% margin holds for
+    # any order of the factors: reordering k of them moves a product by a
+    # relative 2k * 2**-24 at most, and a product above t_done has
+    # k < log(t_done) / log(1 - ALPHA_CUTOFF) < 3000
+    t_run = np.ones(int((pix0 + run_len).max()), dtype=dt.type)
+    t_done = 0.99 * T_STOP
     done = None
     alphas, pixels, ranks = [], [], []
     for r0, r1 in _blocks(run_start, int(run_start[-1] + run_len[-1])):
@@ -188,12 +181,12 @@ def _fragments(splats: ProjectedSplats, opac: np.ndarray, width: int,
         qv, sv = q[hit], s[hit]
         g = np.exp(-0.5 * qv)
         alpha = np.minimum(opac[sv] * g, dt.type(ALPHA_CLAMP))
-        fine = alpha > 0 if smooth else (alpha >= ALPHA_CUTOFF) & (qv <= sig2)
+        fine = (alpha >= ALPHA_CUTOFF) & (qv <= sig2)
         alpha, pix = alpha[fine], pix[fine]
         alphas.append(alpha)
         pixels.append(pix)
         ranks.append(sv[fine].astype(np.int32))
-        if not smooth and r1 < rank.size:   # the last block's products have no reader
+        if r1 < rank.size:   # the last block's products have no reader
             np.multiply.at(t_run, pix, 1.0 - alpha)
             if done is not None or t_run.min() < t_done:
                 done = t_run < t_done
@@ -258,17 +251,15 @@ def _stop(frag_start, t_before, t_final):
     return keep
 
 
-def render(cloud: GaussianCloud, cam: CameraView, smooth: bool = False) -> RenderOutput:
+def render(cloud: GaussianCloud, cam: CameraView) -> RenderOutput:
     """Rasterize the cloud into color and identity images with fragment records
-    (int32 indices; 20 bytes per fragment in float32, the operator included).
-    `smooth` drops the alpha and support cutoffs and the stop at T_STOP
-    (gradient checks only)."""
+    (int32 indices; 20 bytes per fragment in float32, the operator included)."""
     dt = cloud.dtype
     h, w = cam.height, cam.width
-    splats = project_cloud(cloud, cam, smooth=smooth)
+    splats = project_cloud(cloud, cam)
     opac = cloud.opacities[splats.index]
 
-    alpha, pix, rank = _fragments(splats, opac, w, smooth, dt)
+    alpha, pix, rank = _fragments(splats, opac, w, dt)
     if alpha.size >= 2 ** 31:
         raise ValueError("a render must hold fewer than 2**31 fragments")
     # bincount's intp copy of pix is gone before order exists
@@ -283,7 +274,7 @@ def render(cloud: GaussianCloud, cam: CameraView, smooth: bool = False) -> Rende
     del rank, order
 
     frag_tb, t_final = _transmittance(frag_alpha, frag_start)
-    keep = None if smooth else _stop(frag_start, frag_tb, t_final)
+    keep = _stop(frag_start, frag_tb, t_final)
     if keep is not None:   # one array at a time, as above
         frag_alpha = frag_alpha[keep]
         frag_tb = frag_tb[keep]

@@ -101,8 +101,8 @@ class TrainSchedule:
                 raise ValueError(f"{name} must be >= {least}")
         if self.total_iters > 0 and not (0 < self.densify_end <= self.igd_end <= self.total_iters):
             raise ValueError("need 0 < densify_end <= igd_end <= total_iters")
-        if self.knn_switch is not None and self.knn_switch > self.total_iters:
-            raise ValueError("knn_switch must be <= total_iters")
+        if self.knn_switch is not None and not 0 <= self.knn_switch <= self.total_iters:
+            raise ValueError("knn_switch must lie in [0, total_iters]")
         if not (0 <= self.alpha_2d < np.inf and 0 <= self.beta_3d < np.inf):
             raise ValueError("loss weights must be finite and >= 0")
 

@@ -46,24 +46,22 @@ def quat_rotation_ref(q):
     ])
 
 
-def reference_render(cloud, cam):
-    """Naive sequential per-pixel compositing, scalar math throughout; a
-    pixel's loop breaks once its transmittance falls below 1e-5.
+# the rasterizer's constants, written out rather than read from the engine
+ALPHA_CLAMP, ALPHA_CUTOFF, CULL_SIGMA, T_STOP = 0.99, 1.0 / 255.0, 3.0, 1e-5
+NEAR_PLANE, COV_DILATION = 0.01, 0.3
+# the least relative cutoff margin (cutoff_margins) of a finite-difference scene
+CUTOFF_MARGIN = 1e-3
 
-    Returns (color, identity, final_transmittance, per_pixel_fragments) where
-    per_pixel_fragments[y][x] is a list of (source, alpha, t_before).
-    """
-    # the rasterizer's constants, written out rather than read from the engine
-    alpha_clamp, alpha_cutoff, cull_sigma, t_stop = 0.99, 1.0 / 255.0, 3.0, 1e-5
-    near, dilation = 0.01, 0.3
-    h, w = cam.height, cam.width
+
+def reference_splats(cloud, cam):
+    """Every Gaussian in front of the near plane as (depth, source index,
+    screen mean, cov2d), sorted by (depth, index); scalar math throughout."""
     R_cw = cam.world_to_camera[:3, :3]
     t_cw = cam.world_to_camera[:3, 3]
-
     splats = []
     for i in range(cloud.n):
         t = R_cw @ cloud.positions[i].astype(np.float64) + t_cw
-        if t[2] <= near:
+        if t[2] <= NEAR_PLANE:
             continue
         if cam.mode == "pinhole":
             mean = np.array([cam.fx * t[0] / t[2] + cam.cx,
@@ -77,15 +75,26 @@ def reference_render(cloud, cam):
         S = np.diag(cloud.scales[i].astype(np.float64))
         cov3 = Rg @ S @ S @ Rg.T
         A = J @ R_cw
-        cov2 = A @ cov3 @ A.T + dilation * np.eye(2)
-        lam = np.linalg.eigvalsh(cov2).max()
-        r = cull_sigma * np.sqrt(lam)
+        splats.append((float(t[2]), i, mean, A @ cov3 @ A.T + COV_DILATION * np.eye(2)))
+    splats.sort(key=lambda s: (s[0], s[1]))
+    return splats
+
+
+def reference_render(cloud, cam):
+    """Naive sequential per-pixel compositing, scalar math throughout; a
+    pixel's loop breaks once its transmittance falls below 1e-5.
+
+    Returns (color, identity, final_transmittance, per_pixel_fragments) where
+    per_pixel_fragments[y][x] is a list of (source, alpha, t_before).
+    """
+    h, w = cam.height, cam.width
+    splats = []
+    for depth, i, mean, cov2 in reference_splats(cloud, cam):
+        r = CULL_SIGMA * np.sqrt(np.linalg.eigvalsh(cov2).max())
         if (mean[0] + r < 0 or mean[0] - r > w - 1
                 or mean[1] + r < 0 or mean[1] - r > h - 1):
             continue
-        splats.append((float(t[2]), i, mean, np.linalg.inv(cov2)))
-
-    splats.sort(key=lambda s: (s[0], s[1]))
+        splats.append((depth, i, mean, np.linalg.inv(cov2)))
 
     color = np.zeros((h, w, 3))
     ident = np.zeros((h, w, cloud.dim))
@@ -96,13 +105,13 @@ def reference_render(cloud, cam):
             T = 1.0
             px = np.array([float(x), float(y)])
             for depth, i, mean, icov in splats:
-                if T < t_stop:
+                if T < T_STOP:
                     break
                 d = px - mean
                 q = float(d @ icov @ d)
-                alpha = min(alpha_clamp,
+                alpha = min(ALPHA_CLAMP,
                             float(cloud.opacities[i]) * np.exp(-0.5 * q))
-                if alpha < alpha_cutoff or q > cull_sigma ** 2:
+                if alpha < ALPHA_CUTOFF or q > CULL_SIGMA ** 2:
                     continue
                 frags[y][x].append((i, alpha, T))
                 wgt = alpha * T
@@ -111,6 +120,39 @@ def reference_render(cloud, cam):
                 T *= 1.0 - alpha
             t_final[y, x] = T
     return color, ident, t_final, frags
+
+
+def cutoff_margins(cloud, cam):
+    """The smallest relative distance to each of the rasterizer's thresholds,
+    from the reference projection: over every (Gaussian, pixel) pair, q to
+    CULL_SIGMA**2 ("q"), alpha before the clamp to ALPHA_CUTOFF ("cutoff")
+    and ALPHA_CLAMP ("clamp"), and each fragment's t_before to T_STOP
+    ("stop"); over Gaussians, camera depth to NEAR_PLANE ("near") and to the
+    nearest other depth in front of it ("tie"). A finite-difference step that
+    moves no value by that much sees a render without a jump."""
+    z = cloud.positions.astype(np.float64) @ cam.rotation[2] + cam.translation[2]
+    splats = [(depth, i, mean, np.linalg.inv(cov2))
+              for depth, i, mean, cov2 in reference_splats(cloud, cam)]
+    depths = [s[0] for s in splats]
+    m = dict(q=np.inf, cutoff=np.inf, clamp=np.inf, stop=np.inf,
+             near=np.abs(z - NEAR_PLANE).min(initial=np.inf) / NEAR_PLANE,
+             tie=min(((b - a) / b for a, b in zip(depths, depths[1:])), default=np.inf))
+    sig2 = CULL_SIGMA ** 2
+    for y in range(cam.height):
+        for x in range(cam.width):
+            T = 1.0
+            for _, i, mean, icov in splats:
+                d = np.array([float(x), float(y)]) - mean
+                q = float(d @ icov @ d)
+                alpha = float(cloud.opacities[i]) * np.exp(-0.5 * q)
+                m["q"] = min(m["q"], abs(q - sig2) / sig2)
+                m["cutoff"] = min(m["cutoff"], abs(alpha - ALPHA_CUTOFF) / ALPHA_CUTOFF)
+                m["clamp"] = min(m["clamp"], abs(alpha - ALPHA_CLAMP) / ALPHA_CLAMP)
+                if alpha < ALPHA_CUTOFF or q > sig2:
+                    continue
+                m["stop"] = min(m["stop"], abs(T - T_STOP) / T_STOP)
+                T *= 1.0 - min(alpha, ALPHA_CLAMP)
+    return m
 
 
 class HalfWrite:

@@ -18,9 +18,9 @@ once, kept here as test oracles with their bodies unchanged:
   rasterizer replaced. Every tile evaluates all (splat, pixel) pairs
   densely and composites them with a cumulative product; the per-pixel
   sums then add each pixel's fragments front to back, one pass per depth
-  rank, with no background term. Outside smooth mode a pixel drops the
-  fragments whose transmittance is below T_STOP and composites the rest
-  again. `render` must match it byte for byte at every tile size;
+  rank, with no background term. A pixel drops the fragments whose
+  transmittance is below T_STOP and composites the rest again. `render`
+  must match it byte for byte at every tile size;
 - `key_order`: the fragment order by one argsort of the int64 key
   `pixel * S + depth rank`, which the engine's radix sort by pixel replaced;
 - `full_image_segment_mask`: segmentation with logits for every pixel,
@@ -272,7 +272,7 @@ def _tile_ranges(size: int, tile: int):
     return [(lo, min(lo + tile, size)) for lo in range(0, size, tile)]
 
 
-def _render_tile(x_lo, x_hi, y_lo, y_hi, splats, opac, smooth, dt):
+def _render_tile(x_lo, x_hi, y_lo, y_hi, splats, opac, dt):
     """Composite one pixel tile: per-pixel transmittance and fragment records.
 
     Images are assembled later from the fragment list in canonical order so
@@ -301,22 +301,19 @@ def _render_tile(x_lo, x_hi, y_lo, y_hi, splats, opac, smooth, dt):
     q += ic[:, 1, 1, None] * (d1 * d1)
 
     o_hit = opac[hit]
-    if smooth:
-        coarse = q <= np.inf
-    else:
-        # coarse superset of admissible fragments in q-space; the exact
-        # alpha/support tests below stay bit-identical to the full evaluation
-        sig2 = dt.type(CULL_SIGMA ** 2)
-        with np.errstate(divide="ignore"):
-            q_lim = 2.0 * np.log(o_hit / dt.type(ALPHA_CUTOFF)) + dt.type(1e-5)
-        coarse = q <= np.minimum(q_lim, sig2 + dt.type(1e-5))[:, None]
+    # coarse superset of admissible fragments in q-space; the exact
+    # alpha/support tests below stay bit-identical to the full evaluation
+    sig2 = dt.type(CULL_SIGMA ** 2)
+    with np.errstate(divide="ignore"):
+        q_lim = 2.0 * np.log(o_hit / dt.type(ALPHA_CUTOFF)) + dt.type(1e-5)
+    coarse = q <= np.minimum(q_lim, sig2 + dt.type(1e-5))[:, None]
 
     # compact evaluation, pixel-major with ascending depth inside each pixel
     p_idx, k_idx = np.nonzero(coarse.T)
     qv = q[k_idx, p_idx]
     g = np.exp(-0.5 * qv)
     alpha_v = np.minimum(o_hit[k_idx] * g, dt.type(ALPHA_CLAMP))
-    fine = alpha_v > 0 if smooth else (alpha_v >= ALPHA_CUTOFF) & (qv <= sig2)
+    fine = (alpha_v >= ALPHA_CUTOFF) & (qv <= sig2)
     p_idx, k_idx, alpha_v = p_idx[fine], k_idx[fine], alpha_v[fine]
 
     one_minus = np.ones_like(q)
@@ -324,13 +321,12 @@ def _render_tile(x_lo, x_hi, y_lo, y_hi, splats, opac, smooth, dt):
     t_incl = np.cumprod(one_minus, axis=0)
     frag_tb = np.where(k_idx > 0, t_incl[np.maximum(k_idx - 1, 0), p_idx],
                        dt.type(1.0))
-    if not smooth:
-        # a pixel stops once its transmittance falls below T_STOP: the
-        # fragments behind that leave, and the rest composite again
-        stop = frag_tb < T_STOP
-        one_minus[k_idx[stop], p_idx[stop]] = 1.0
-        t_incl = np.cumprod(one_minus, axis=0)
-        p_idx, k_idx, alpha_v, frag_tb = (a[~stop] for a in (p_idx, k_idx, alpha_v, frag_tb))
+    # a pixel stops once its transmittance falls below T_STOP: the fragments
+    # behind that leave, and the rest composite again
+    stop = frag_tb < T_STOP
+    one_minus[k_idx[stop], p_idx[stop]] = 1.0
+    t_incl = np.cumprod(one_minus, axis=0)
+    p_idx, k_idx, alpha_v, frag_tb = (a[~stop] for a in (p_idx, k_idx, alpha_v, frag_tb))
     t_fin = t_incl[-1]
 
     counts = np.bincount(p_idx, minlength=npix)
@@ -353,18 +349,17 @@ def _pixel_sums(values: np.ndarray, frag_start: np.ndarray) -> np.ndarray:
     return out
 
 
-def tiled_render(cloud: GaussianCloud, cam, smooth: bool = False,
-                 tile: int = DEFAULT_TILE) -> RenderOutput:
+def tiled_render(cloud: GaussianCloud, cam, tile: int = DEFAULT_TILE) -> RenderOutput:
     """Rasterize tile by tile with dense per-tile evaluation."""
     dt = cloud.dtype
     h, w = cam.height, cam.width
-    splats = project_cloud(cloud, cam, smooth=smooth)
+    splats = project_cloud(cloud, cam)
     opac = cloud.opacities[splats.index]
 
     tiles = [(xl, xh, yl, yh)
              for yl, yh in _tile_ranges(h, tile)
              for xl, xh in _tile_ranges(w, tile)]
-    results = [_render_tile(*t, splats, opac, smooth, dt) for t in tiles]
+    results = [_render_tile(*t, splats, opac, dt) for t in tiles]
 
     t_final = np.empty((h, w), dtype=dt)
     counts = np.zeros(h * w, dtype=np.int64)

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_camera, random_cloud, reference_render
+from conftest import (CUTOFF_MARGIN, cutoff_margins, make_camera, random_cloud,
+                      reference_render)
 from gradiseg.backward import backward
 from gradiseg.camera import CameraView, look_at
 from gradiseg.dataset import load_dataset
@@ -52,9 +53,10 @@ IMG = 8
 
 def _fd_config(seed):
     """A random double-precision configuration kept away from the renderer's
-    non-smooth points: opacities off the clamp, depths off the near plane,
-    photometric targets with an L1 sign margin, and neighbor sets with a
-    distance margin so L3d's discrete selection is locally constant."""
+    non-smooth points: every (Gaussian, pixel) pair at least CUTOFF_MARGIN
+    from each threshold of the rasterizer, photometric targets with an L1
+    sign margin, and neighbor sets with a distance margin so L3d's discrete
+    selection is locally constant."""
     rng = np.random.default_rng((RNG_BASE, seed))
     cam = CameraView(look_at((0.0, 0.0, -3.0), (0.0, 0.0, 0.0)),
                      fx=26.0, fy=29.0, cx=IMG / 2.0, cy=IMG / 2.0,
@@ -62,9 +64,7 @@ def _fd_config(seed):
     while True:
         cloud = random_cloud(rng, N_GAUSS, dim=DIM, dtype=np.float64,
                              opacity_range=(0.1, 0.85))
-        # well-separated depths keep the composite order stable under +-h
-        depths = cloud.positions[:, 2]
-        if np.diff(np.sort(depths)).min() < 1e-3:
+        if min(cutoff_margins(cloud, cam).values()) < CUTOFF_MARGIN:
             continue
         # stable neighbor sets: margin between kth and (k+1)th distance
         ok = True
@@ -80,7 +80,7 @@ def _fd_config(seed):
     head = ClassifierHead(rng.standard_normal((NUM_CLASSES, DIM)) * 0.5,
                           rng.standard_normal(NUM_CLASSES) * 0.5)
     mask = rng.integers(0, NUM_CLASSES, (IMG, IMG)).astype(np.uint8)
-    base = render(cloud, cam, smooth=True)
+    base = render(cloud, cam)
     target = rng.uniform(0.0, 1.0, (IMG, IMG, 3))
     # L1 sign margin: keep |C - I| >= 1e-3 everywhere
     close = np.abs(base.color - target) < 1e-3
@@ -89,7 +89,7 @@ def _fd_config(seed):
 
 
 def _losses(cloud, cam, head, mask, target):
-    out = render(cloud, cam, smooth=True)
+    out = render(cloud, cam)
     l1, _ = l1_loss(out.color, target)
     l2, _, _ = loss_2d(out.identity, mask, head)
     l3, _ = loss_3d(cloud, head, 5, 2, "global", (RNG_BASE, 33))
@@ -119,7 +119,8 @@ def _grad_close(analytic, numeric):
 
 def _check_one_config(seed):
     cloud, cam, head, mask, target = _fd_config(seed)
-    out = render(cloud, cam, smooth=True)
+    out = render(cloud, cam)
+    assert 0 < out.frag_source.size < N_GAUSS * IMG * IMG   # supports are cut
     _, d_color = l1_loss(out.color, target)
     _, d_ident, (hw2, hb2) = loss_2d(out.identity, mask, head)
     g1 = backward(cloud, cam, out, d_color)
@@ -154,7 +155,7 @@ def _check_one_config(seed):
 
     # head parameters: L2d only, since the head is a constant of L3d
     def l2_of(h):
-        return loss_2d(render(cloud, cam, smooth=True).identity, mask, h)[0]
+        return loss_2d(render(cloud, cam).identity, mask, h)[0]
 
     for ix in np.ndindex(*head.weights.shape):
         hp, hm = head.copy(), head.copy()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gradiseg.render as render_module
-from conftest import make_camera, random_cloud
+from conftest import CUTOFF_MARGIN, cutoff_margins, make_camera, random_cloud
 from gradiseg.backward import PER_GAUSSIAN, ParamGrads, accumulate_monitors, backward
 from gradiseg.camera import CameraView, look_at
 from gradiseg.render import ALPHA_CLAMP, render
@@ -25,8 +25,17 @@ def small_camera(w=8, h=8):
 
 
 def render_dot(cloud, cam, color_grads):
-    """Scalar objective sum(color_grads * C) under the smooth renderer."""
-    return float(np.sum(color_grads * render(cloud, cam, smooth=True).color))
+    """Scalar objective sum(color_grads * C)."""
+    return float(np.sum(color_grads * render(cloud, cam).color))
+
+
+def fd_cloud(rng, cam, n, dim):
+    """A random cloud whose every (Gaussian, pixel) pair keeps CUTOFF_MARGIN
+    from the rasterizer's thresholds, so no +-FD_H step crosses one."""
+    while True:
+        cloud = random_cloud(rng, n, dim=dim, opacity_range=(0.1, 0.85))
+        if min(cutoff_margins(cloud, cam).values()) >= CUTOFF_MARGIN:
+            return cloud
 
 
 PERTURB = {
@@ -69,9 +78,10 @@ class TestBackwardFiniteDifferences:
     def test_all_families_random_configs(self, rng):
         cam = small_camera()
         for trial in range(4):
-            cloud = random_cloud(rng, 6, dim=5, opacity_range=(0.1, 0.85))
+            cloud = fd_cloud(rng, cam, 6, dim=5)
             pg = rng.standard_normal((8, 8, 3))
-            out = render(cloud, cam, smooth=True)
+            out = render(cloud, cam)
+            assert 0 < out.frag_source.size < cloud.n * 64   # supports are cut
             grads = backward(cloud, cam, out, pg)
             loss = lambda c: render_dot(c, cam, pg)
             for family in ("positions", "log_scales", "rotations",
@@ -85,14 +95,32 @@ class TestBackwardFiniteDifferences:
         cam = CameraView(look_at((0.0, 0.2, -3.0), (0.0, 0.0, 0.0)),
                          fx=6.0, fy=7.0, cx=4.0, cy=4.0, width=8, height=8,
                          mode="orthographic")
-        cloud = random_cloud(rng, 5, dim=4)
+        cloud = fd_cloud(rng, cam, 5, dim=4)
         pg = rng.standard_normal((8, 8, 3))
-        out = render(cloud, cam, smooth=True)
+        out = render(cloud, cam)
+        assert 0 < out.frag_source.size < cloud.n * 64   # supports are cut
         grads = backward(cloud, cam, out, pg)
         loss = lambda c: render_dot(c, cam, pg)
         for family in ("positions", "log_scales", "rotations"):
             numeric = fd_gradient(cloud, family, loss)
             assert_gradients_close(getattr(grads, family), numeric, family)
+
+
+class TestCutoffMargins:
+    def test_pair_on_a_threshold_has_zero_margin(self):
+        # orthographic, unit focal, identity pose: the screen mean is (x, y).
+        # Gaussian 0 has cov2d = 0.7 + 0.3 = I, so pixel (5, 3) sits at q = 9;
+        # Gaussian 1's alpha at its own mean pixel (6, 6) is its opacity, 1/255
+        cam = CameraView(np.eye(4), fx=1.0, fy=1.0, cx=0.0, cy=0.0,
+                         width=8, height=8, mode="orthographic")
+        cloud = GaussianCloud(
+            np.array([[2.0, 3.0, 1.0], [6.0, 6.0, 2.0]]),
+            np.array([[np.sqrt(0.7)] * 3, [0.1] * 3]),
+            np.array([[1.0, 0.0, 0.0, 0.0]] * 2), np.array([0.5, 1.0 / 255.0]),
+            np.full((2, 3), 0.5), np.zeros((2, 4)))
+        margins = cutoff_margins(cloud, cam)
+        assert margins["q"] == 0.0 and margins["cutoff"] == 0.0
+        assert min(margins[k] for k in ("clamp", "stop", "near", "tie")) > 0.1
 
 
 class TestBackwardStructure:

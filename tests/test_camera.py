@@ -50,9 +50,10 @@ class TestProjection:
         # numerical-Jacobian oracle: FD of the projection map around p,
         # then J_fd Sigma3 J_fd^T + dilation
         cloud = random_cloud(rng, 100, dim=4, z_range=(-0.3, 0.3))
+        cloud.positions[:, :2] *= 0.5   # every centre in view: no row is culled
         cam = CameraView(look_at((0.3, -0.2, -3.0), (0.0, 0.0, 0.0)),
                          fx=90.0, fy=110.0, cx=24.0, cy=20.0, width=48, height=40)
-        splats = project_cloud(cloud, cam, smooth=True)
+        splats = project_cloud(cloud, cam)
         R_cw, t_cw = cam.rotation, cam.translation
         h = 1e-5
         checked = 0
@@ -86,10 +87,11 @@ class TestProjection:
         # matrices from the cloud's own (possibly float32) values; each
         # row's error is bounded by rtol times its largest entry
         cloud = random_cloud(rng, 200, dim=4, dtype=dtype, scale_range=(0.01, 0.8))
+        cloud.positions[:, :2] *= 0.5   # every centre in view: no row is culled
         f = 90.0 if mode == "pinhole" else 30.0
         cam = CameraView(look_at((0.3, -0.2, -3.0), (0.0, 0.0, 0.0)), fx=f,
                          fy=1.2 * f, cx=24.0, cy=20.0, width=48, height=40, mode=mode)
-        splats = project_cloud(cloud, cam, smooth=True)
+        splats = project_cloud(cloud, cam)
         assert splats.count == 200 and splats.cov2d.dtype == dtype
         idx = splats.index
         t = cloud.positions[idx].astype(np.float64) @ cam.rotation.T + cam.translation
@@ -178,8 +180,6 @@ class TestDepthSort:
         cloud.opacities[0] = 0.003
         splats = project_cloud(cloud, identity_camera())
         np.testing.assert_array_equal(splats.index, [1])
-        smooth = project_cloud(cloud, identity_camera(), smooth=True)
-        np.testing.assert_array_equal(smooth.index, [0, 1])
 
 
 class TestCameraValidation:

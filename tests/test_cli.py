@@ -395,10 +395,12 @@ class TestMalformedInput:
         ("knn_k = -3", "knn_k must be >= 1"),
         ("knn_samples = 0", "knn_samples must be >= 1"),
         ("init_count = 0", "init_count must be >= 1"),
+        ("knn_switch = -3", "knn_switch must lie in [0, total_iters]"),
         ("alpha_2d = nan", "loss weights must be finite and >= 0"),
         ("beta_3d = inf", "loss weights must be finite and >= 0"),
     ], ids=["zero-log-interval", "negative-checkpoint-interval", "negative-knn-k",
-            "zero-knn-samples", "zero-init-count", "nan-alpha", "infinite-beta"])
+            "zero-knn-samples", "zero-init-count", "negative-knn-switch", "nan-alpha",
+            "infinite-beta"])
     def test_train_malformed_schedule(self, dataset_dir, tmp_path, capsys, line, words):
         cfg = tmp_path / "train.cfg"
         cfg.write_text(f"total_iters = 4\n{line}\n")

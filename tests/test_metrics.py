@@ -165,6 +165,16 @@ class TestPsnr:
         a, b = rng.uniform(0, 1, (5, 5, 3)), rng.uniform(0, 1, (5, 5, 3))
         assert psnr(a, b) == psnr(b, a)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_image_rejected(self, bad):
+        # min(99, nan) is 99: a NaN pixel would score as a perfect match
+        a = np.full((4, 4, 3), 0.5)
+        b = a.copy()
+        b[1, 2, 0] = bad
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="finite"):
+                psnr(x, y)
+
 
 class TestEvaluateMasks:
     def test_pooled_counts(self):

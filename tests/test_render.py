@@ -268,16 +268,15 @@ class TestTiledOracle:
     byte for byte, whatever the tile size and block size."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("smooth", [False, True], ids=["default", "smooth"])
     @pytest.mark.parametrize("size", [(33, 17), (32, 32), (5, 40)],
                              ids=["33x17", "32x32", "5x40"])
-    def test_matches_tiled_oracle(self, rng, dtype, smooth, size):
+    def test_matches_tiled_oracle(self, rng, dtype, size):
         cam = make_camera(width=size[0], height=size[1])
         for cloud in (random_cloud(rng, 60, dim=4, dtype=dtype), opaque_cloud(rng, dtype=dtype)):
-            out = render(cloud, cam, smooth=smooth)
+            out = render(cloud, cam)
             assert out.frag_source.size > 0
             for tile in (4, 16, 64):
-                assert_same_bytes(out, tiled_render(cloud, cam, smooth=smooth, tile=tile))
+                assert_same_bytes(out, tiled_render(cloud, cam, tile=tile))
         assert np.any(out.final_transmittance < T_STOP)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -294,16 +293,15 @@ class TestTiledOracle:
             assert np.all((bb[:, 0] <= x) & (x <= bb[:, 1])
                           & (bb[:, 2] <= y) & (y <= bb[:, 3]))
 
-    @pytest.mark.parametrize("smooth", [False, True], ids=["default", "smooth"])
-    def test_block_independence(self, rng, monkeypatch, smooth):
+    def test_block_independence(self, rng, monkeypatch):
         cam = make_camera(width=33, height=17)
         clouds = (random_cloud(rng, 60, dim=4, dtype=np.float32),
                   opaque_cloud(rng, dtype=np.float32))
-        bases = [render(cloud, cam, smooth=smooth) for cloud in clouds]
+        bases = [render(cloud, cam) for cloud in clouds]
         for block in (1, 7, 10 ** 6):
             monkeypatch.setattr(render_module, "BLOCK", block)
             for cloud, base in zip(clouds, bases):
-                assert_same_bytes(render(cloud, cam, smooth=smooth), base)
+                assert_same_bytes(render(cloud, cam), base)
 
 
 class TestStopRule:
@@ -351,7 +349,7 @@ class TestStopRule:
         cloud = opaque_cloud(rng)
         kept = render(cloud, cam).frag_source.size
         splats = project_cloud(cloud, cam)
-        args = (splats, cloud.opacities[splats.index], cam.width, False, cloud.dtype)
+        args = (splats, cloud.opacities[splats.index], cam.width, cloud.dtype)
         monkeypatch.setattr(render_module, "BLOCK", 1)
         made = render_module._fragments(*args)[0].size
         monkeypatch.setattr(render_module, "T_STOP", 0.0)
@@ -378,17 +376,15 @@ class TestRenderEdgeCases:
         assert out.frag_source.size == 0
         assert_same_bytes(out, tiled_render(cloud, cam))
 
-    @pytest.mark.parametrize("smooth", [False, True], ids=["default", "smooth"])
-    def test_single_pixel_camera(self, rng, smooth):
+    def test_single_pixel_camera(self, rng):
         cam = make_camera(width=1, height=1, fov_scale=20.0)
         cloud = random_cloud(rng, 40, dim=4)
-        out = render(cloud, cam, smooth=smooth)
+        out = render(cloud, cam)
         assert out.frag_source.size > 0
-        assert_same_bytes(out, tiled_render(cloud, cam, smooth=smooth))
-        if not smooth:
-            ref_color, _, ref_t, _ = reference_render(cloud, cam)
-            np.testing.assert_allclose(out.color, ref_color, atol=1e-6)
-            np.testing.assert_allclose(out.final_transmittance, ref_t, atol=1e-6)
+        assert_same_bytes(out, tiled_render(cloud, cam))
+        ref_color, _, ref_t, _ = reference_render(cloud, cam)
+        np.testing.assert_allclose(out.color, ref_color, atol=1e-6)
+        np.testing.assert_allclose(out.final_transmittance, ref_t, atol=1e-6)
 
     def test_deep_pixel_stack(self):
         # 320 fragments on one pixel: the depth-rank sweep runs 320 steps
@@ -436,7 +432,7 @@ class TestFragmentOrder:
         cloud = random_cloud(rng, 60, dim=4, dtype=dtype)
         splats = project_cloud(cloud, cam)
         _, pix, rank = render_module._fragments(
-            splats, cloud.opacities[splats.index], cam.width, False, np.dtype(dtype))
+            splats, cloud.opacities[splats.index], cam.width, np.dtype(dtype))
         n_pix = cam.width * cam.height
         assert pix.size > 0 and (n_pix > 1 << 16) == (size == (300, 240))
         order = render_module._pixel_order(pix, n_pix)
