@@ -43,8 +43,12 @@ class CameraView:
 
     def __post_init__(self):
         self.world_to_camera = np.asarray(self.world_to_camera, dtype=np.float64).reshape(4, 4)
+        if not np.isfinite([self.fx, self.fy, self.cx, self.cy]).all():
+            raise ValueError("intrinsics fx, fy, cx and cy must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
+        if not np.isfinite(self.world_to_camera).all():
+            raise ValueError("world_to_camera must be finite")
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be >= 1")
         if self.width * self.height >= 2 ** 31:

@@ -1,7 +1,8 @@
 """Multi-view dataset manifest: JSON index + PPM images + PGM masks.
 
-The manifest lists one entry per view with intrinsics, a row-major 4x4
-world_to_camera, and relative paths to the image (P6 PPM) and mask (P5 PGM).
+The manifest lists one entry per view, at least one, with finite intrinsics,
+a finite row-major 4x4 world_to_camera, and relative paths to the image (P6
+PPM) and mask (P5 PGM).
 Optional top-level keys: num_classes (1 to 256, default 256) and scene_bbox
 ([[min x,y,z],[max x,y,z]], max > min on every axis) used to seed training.
 """
@@ -38,6 +39,8 @@ def load_dataset(manifest_path) -> Dataset:
     num_classes = int(spec.get("num_classes", 256))
     if not 1 <= num_classes <= MAX_CLASSES:
         raise ValueError(f"num_classes {num_classes} outside [1, {MAX_CLASSES}]")
+    if not spec["views"]:
+        raise ValueError("manifest lists no views")
     views = []
     for entry in spec["views"]:
         image = read_ppm(root / entry["image"])

@@ -36,7 +36,6 @@ import warnings
 
 import numpy as np
 from scipy.sparse import csc_array
-from scipy.spatial import cKDTree
 
 from .scene import GaussianCloud
 from .semantic import ClassifierHead, class_groups, softmax
@@ -129,6 +128,8 @@ def _tree_neighbors(pos: np.ndarray, tgt: np.ndarray, take: int) -> np.ndarray:
     strictly below that by _TREE_MARGIN; other rows (ties at the boundary,
     more than kq coincident points) are asked again with twice the kq.
     """
+    from scipy.spatial import cKDTree  # training only: serving never loads it
+
     n = pos.shape[0]
     pos64 = pos.astype(np.float64)
     tree = cKDTree(pos64)

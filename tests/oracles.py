@@ -47,7 +47,11 @@ once, kept here as test oracles with their bodies unchanged:
   the engine used before added them in another order, so its bytes differ
   from these in the last bit;
 - `stacked_quat_grad`: the rotation-to-quaternion gradient contracted with
-  the four stacked matrices dR/dq, which the engine's closed form replaced.
+  the four stacked matrices dR/dq, which the engine's closed form replaced;
+- `boundary_pixels` and `boundary_band`: the boundary and the boundary band
+  of one mask, pixel by pixel from their definitions, against which the
+  engine's separable square filter is checked. It replaced
+  `scipy.ndimage`'s erosion and dilation.
 """
 
 from dataclasses import dataclass
@@ -634,3 +638,34 @@ def stacked_quat_grad(q_raw: np.ndarray, gR: np.ndarray) -> np.ndarray:
     ], axis=-1)
     proj = g_unit - np.sum(g_unit * q, axis=-1, keepdims=True) * q
     return proj / norm
+
+
+def boundary_pixels(binary: np.ndarray) -> np.ndarray:
+    """Mask pixels one of whose 8 neighbours lies outside the mask or outside
+    the image, pixel by pixel."""
+    h, w = binary.shape
+    out = np.zeros_like(binary)
+    for y in range(h):
+        for x in range(w):
+            if not binary[y, x]:
+                continue
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    ny, nx = y + dy, x + dx
+                    if ny < 0 or ny >= h or nx < 0 or nx >= w or not binary[ny, nx]:
+                        out[y, x] = True
+    return out
+
+
+def boundary_band(binary: np.ndarray, band_px: int) -> np.ndarray:
+    """Every pixel within Chebyshev distance band_px of a boundary pixel,
+    pixel by pixel."""
+    boundary = boundary_pixels(binary)
+    h, w = binary.shape
+    out = np.zeros_like(binary)
+    for y in range(h):
+        for x in range(w):
+            y0, y1 = max(0, y - band_px), min(h, y + band_px + 1)
+            x0, x1 = max(0, x - band_px), min(w, x + band_px + 1)
+            out[y, x] = boundary[y0:y1, x0:x1].any()
+    return out

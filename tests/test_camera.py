@@ -187,6 +187,24 @@ class TestCameraValidation:
         with pytest.raises(ValueError, match="focal"):
             identity_camera(fx=-1.0)
 
+    @pytest.mark.parametrize("field, entry", [
+        ("fx", None), ("fy", None), ("cx", None), ("cy", None),
+        ("world_to_camera", (0, 3)), ("world_to_camera", (1, 1)),
+        ("world_to_camera", (3, 0))],
+        ids=["fx", "fy", "cx", "cy", "translation", "rotation", "bottom-row"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, field, entry, bad):
+        if entry is None:
+            kw = {field: bad}
+            words = "intrinsics fx, fy, cx and cy must be finite"
+        else:
+            m = np.eye(4)
+            m[entry] = bad
+            kw = {field: m}
+            words = "world_to_camera must be finite"
+        with pytest.raises(ValueError, match=words):
+            identity_camera(**kw)
+
     def test_non_orthonormal_rotation(self):
         m = np.eye(4)
         m[0, 1] = 0.1

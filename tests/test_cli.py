@@ -337,6 +337,36 @@ class TestMalformedInput:
                             "--data", str(ds), "--out", str(tmp_path / "r.json")],
                            capsys, "missing key 'fx'")
 
+    @pytest.mark.parametrize("key, value, words", [
+        ("fx", float("nan"), "fx, fy, cx and cy must be finite"),
+        ("cx", float("inf"), "fx, fy, cx and cy must be finite"),
+        ("world_to_camera", None, "world_to_camera must be finite"),
+    ], ids=["nan-fx", "infinite-cx", "nan-translation"])
+    def test_eval_manifest_view_non_finite(self, dataset_dir, tmp_path, capsys,
+                                           key, value, words):
+        # json writes these as NaN and Infinity, which json.load reads back
+        ds = copy_dataset(dataset_dir, tmp_path)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        if value is None:
+            manifest["views"][0]["world_to_camera"][1][3] = float("nan")
+        else:
+            manifest["views"][0][key] = value
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        assert_input_error(["eval", "--scene", str(ds / "gt_scene.gseg"),
+                            "--data", str(ds), "--out", str(tmp_path / "r.json")],
+                           capsys, words)
+        assert not (tmp_path / "r.json").exists()
+
+    def test_eval_manifest_without_views(self, dataset_dir, tmp_path, capsys):
+        ds = copy_dataset(dataset_dir, tmp_path)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        manifest["views"] = []
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        assert_input_error(["eval", "--scene", str(ds / "gt_scene.gseg"),
+                            "--data", str(ds), "--out", str(tmp_path / "r.json")],
+                           capsys, "manifest lists no views")
+        assert not (tmp_path / "r.json").exists()
+
     def test_eval_manifest_view_too_many_pixels(self, dataset_dir, tmp_path, capsys):
         # fragment pixel indices are int32: 65536 x 32768 is exactly 2**31
         ds = copy_dataset(dataset_dir, tmp_path)

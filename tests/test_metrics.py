@@ -3,32 +3,9 @@
 import numpy as np
 import pytest
 
-from gradiseg.metrics import default_band_px, evaluate_masks, mbiou, miou, psnr
-
-
-def boundary_band_oracle(binary, band):
-    """Exhaustive per-pixel oracle, written against the documented definition:
-    a boundary pixel is a mask pixel with an 8-neighbor outside the mask (the
-    image border counts as outside); the band is every pixel within Chebyshev
-    distance `band` of a boundary pixel."""
-    h, w = binary.shape
-    boundary = np.zeros_like(binary)
-    for y in range(h):
-        for x in range(w):
-            if not binary[y, x]:
-                continue
-            for dy in (-1, 0, 1):
-                for dx in (-1, 0, 1):
-                    ny, nx = y + dy, x + dx
-                    if ny < 0 or ny >= h or nx < 0 or nx >= w or not binary[ny, nx]:
-                        boundary[y, x] = True
-    out = np.zeros_like(binary)
-    for y in range(h):
-        for x in range(w):
-            y0, y1 = max(0, y - band), min(h, y + band + 1)
-            x0, x1 = max(0, x - band), min(w, x + band + 1)
-            out[y, x] = boundary[y0:y1, x0:x1].any()
-    return out
+from gradiseg.metrics import (_boundary_band, _boundary_pixels, default_band_px,
+                              evaluate_masks, mbiou, miou, psnr)
+from oracles import boundary_band, boundary_pixels
 
 
 def mbiou_oracle(pred, gt, band):
@@ -36,8 +13,8 @@ def mbiou_oracle(pred, gt, band):
     scores = []
     for c in classes:
         p, g = pred == c, gt == c
-        bp = boundary_band_oracle(p, band)
-        bg = boundary_band_oracle(g, band)
+        bp = boundary_band(p, band)
+        bg = boundary_band(g, band)
         num = int(((bp & p) & (bg & g)).sum())
         den = int(((bp & p) | (bg & g)).sum())
         scores.append(num / den if den else (1.0 if np.array_equal(p, g) else 0.0))
@@ -149,6 +126,69 @@ class TestMbiou:
         assert default_band_px((10, 10)) == 1
 
 
+def scipy_boundary_band(binary, band_px):
+    """The band as scipy.ndimage forms it: erosion with the border outside
+    the mask, then dilation by a (2 band_px + 1)^2 square."""
+    from scipy.ndimage import binary_dilation, binary_erosion
+
+    square = np.ones((3, 3), dtype=bool)
+    boundary = binary & ~binary_erosion(binary, square, border_value=0)
+    size = 2 * band_px + 1
+    return boundary, binary_dilation(boundary, np.ones((size, size), dtype=bool))
+
+
+def band_masks():
+    rng = np.random.default_rng(11)
+    row = np.array([[0, 1, 1, 1, 0, 1, 1, 0, 0, 1]], dtype=bool)
+    border = np.zeros((10, 12), dtype=bool)
+    border[:4, :5] = True
+    border[6:, 9:] = True
+    holed = np.zeros((12, 12), dtype=bool)
+    holed[2:10, 3:11] = True
+    holed[5:7, 6:8] = False
+    return {
+        "1x1-set": np.ones((1, 1), dtype=bool),
+        "1x1-unset": np.zeros((1, 1), dtype=bool),
+        "1xW": row,
+        "Hx1": row.T.copy(),
+        "all-true": np.ones((7, 9), dtype=bool),
+        "all-false": np.zeros((7, 9), dtype=bool),
+        "touching-border": border,
+        "holed-square": holed,
+        "random": rng.random((13, 17)) < 0.5,
+    }
+
+
+BAND_MASKS = band_masks()
+BANDS = (1, 2, 3, 5, 16, 40)   # 16 and 40 reach past every side
+
+
+class TestBoundaryBands:
+    """The separable square filter against the pixel-by-pixel reference of
+    tests/oracles.py and against scipy.ndimage."""
+
+    @pytest.mark.parametrize("band_px", BANDS)
+    @pytest.mark.parametrize("name", list(BAND_MASKS))
+    def test_band_matches_references(self, name, band_px):
+        binary = BAND_MASKS[name]
+        want_boundary, want_band = scipy_boundary_band(binary, band_px)
+        np.testing.assert_array_equal(_boundary_pixels(binary), boundary_pixels(binary))
+        np.testing.assert_array_equal(_boundary_pixels(binary), want_boundary)
+        np.testing.assert_array_equal(_boundary_band(binary, band_px),
+                                      boundary_band(binary, band_px))
+        np.testing.assert_array_equal(_boundary_band(binary, band_px), want_band)
+
+    @pytest.mark.parametrize("band_px", BANDS)
+    @pytest.mark.parametrize("name", list(BAND_MASKS))
+    def test_mbiou_matches_reference(self, name, band_px):
+        binary = BAND_MASKS[name]
+        flip = np.random.default_rng(band_px).random(binary.shape) < 0.2
+        gt = np.where(binary, 1, 2).astype(np.uint8)
+        pred = np.where(binary ^ flip, 1, 2).astype(np.uint8)
+        assert mbiou(pred, gt, band_px) == mbiou_oracle(pred, gt, band_px)
+        assert mbiou(gt, gt, band_px) == 1.0
+
+
 class TestPsnr:
     def test_identical_images_capped(self):
         img = np.random.default_rng(0).uniform(0, 1, (8, 8, 3))
@@ -191,3 +231,13 @@ class TestEvaluateMasks:
         assert report.miou_per_view == [1.0, miou(pred_half, gt)] == [1.0, 0.5]
         assert report.mbiou_per_view == [1.0, mbiou(pred_half, gt)]
         assert report.mbiou == pytest.approx(np.mean(report.mbiou_per_view))
+
+    def test_no_views_rejected(self):
+        with pytest.raises(ValueError, match="no masks"):
+            evaluate_masks([], [])
+
+    @pytest.mark.parametrize("n_pred, n_gt", [(1, 3), (3, 1), (0, 2)])
+    def test_unequal_view_counts_rejected(self, n_pred, n_gt):
+        mask = np.ones((4, 4), dtype=np.uint8)
+        with pytest.raises(ValueError, match=f"{n_pred} predicted masks for {n_gt}"):
+            evaluate_masks([mask] * n_pred, [mask] * n_gt)
